@@ -53,6 +53,6 @@ from .pitool import (
     tspace_consequences,
     verify_basis,
 )
-from .scalars import Cyclo, ExactMatrix, kernel_over_real_subfield, span_compare
+from .scalars import Cyclo, kernel_over_real_subfield, span_compare
 
 __version__ = "0.1.0"

@@ -95,20 +95,6 @@ class FreePoly:
                 return False
         return True
 
-    def graded_degree(self):
-        """The common product degree of all monomials, or None if mixed."""
-        deg = None
-        for mono in self.terms:
-            d = self.group.product([dd for _, dd in mono])
-            if deg is None:
-                deg = d
-            elif deg != d:
-                return None
-        return deg if deg is not None else self.group.identity
-
-    def has_real_coeffs(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
-
     # -- arithmetic -----------------------------------------------------------
 
     def _coerced(self, other):
@@ -150,16 +136,6 @@ class FreePoly:
                 prev = out.get(mono)
                 out[mono] = c if prev is None else prev + c
         return FreePoly(self.group, _lcm(self.order, other.order), out)
-
-    def rename(self, index_map=None, degree_map=None) -> "FreePoly":
-        """Relabel letters: index_map on indices, degree_map on degrees."""
-        out = {}
-        for mono, c in self.terms.items():
-            new = tuple(((index_map(i) if index_map else i),
-                         tuple(degree_map(d) if degree_map else d)) for i, d in mono)
-            prev = out.get(new)
-            out[new] = c if prev is None else prev + c
-        return FreePoly(self.group, self.order, out)
 
     def with_group(self, group, degree_map) -> "FreePoly":
         out = {}
@@ -311,28 +287,40 @@ def evaluate(poly: FreePoly, substitution, algebra):
                 raise ValueError("substitution for x%d:%s is not homogeneous of "
                                  "that degree" % (lt[0], algebra.group.element_to_word(lt[1])))
         assignments[lt] = dict(coords)
+    for lt in poly.letters():
+        if lt not in assignments:
+            raise ValueError("unassigned variable x%d:%s" % (
+                lt[0], algebra.group.element_to_word(lt[1])))
+    return poly_value(poly, assignments, algebra)
+
+
+def poly_value(poly: FreePoly, assign, algebra):
+    """The value of poly when each letter takes the coordinate dict assign[letter].
+
+    Nothing is validated; evaluate is the checked entry point.
+    """
     out = {}
-    cache = {(): dict(algebra.unit)}
-    for mono, coeff in poly.terms.items():
-        for lt in mono:
-            if lt not in assignments:
-                raise ValueError("unassigned variable x%d:%s" % (
-                    lt[0], algebra.group.element_to_word(lt[1])))
-        # evaluate with prefix caching across monomials
-        value = None
-        for cut in range(len(mono), -1, -1):
-            if mono[:cut] in cache:
-                value = cache[mono[:cut]]
-                start = cut
-                break
-        for k in range(start, len(mono)):
-            value = algebra.mul_vec(value, assignments[mono[k]])
-            cache[mono[: k + 1]] = value
+    for coeff, value in zip(poly.terms.values(),
+                            monomial_values(poly.terms, assign, algebra)):
         for k, c in value.items():
             prev = out.get(k)
-            s = coeff * c if prev is None else prev + coeff * c
-            out[k] = s
+            out[k] = coeff * c if prev is None else prev + coeff * c
     return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def monomial_values(monomials, assign, algebra):
+    """Yield the value of each monomial under assign, reusing the products of
+    prefixes shared with earlier monomials.  Nothing is validated."""
+    cache = {(): dict(algebra.unit)}
+    for mono in monomials:
+        for cut in range(len(mono), -1, -1):
+            value = cache.get(mono[:cut])
+            if value is not None:
+                break
+        for k in range(cut, len(mono)):
+            value = algebra.mul_vec(value, assign[mono[k]])
+            cache[mono[: k + 1]] = value
+        yield value
 
 
 # -- multilinearization --------------------------------------------------------------

@@ -310,9 +310,6 @@ class Bicharacter:
                if all(self.eval(g, t).is_one() for t in gens)]
         return sorted(out)
 
-    def is_real_valued(self) -> bool:
-        return all(v.is_real() for row in self.table for v in row)
-
     def is_nondegenerate(self) -> bool:
         return self.radical() == [self.group.identity]
 

@@ -29,14 +29,16 @@ from .algebras import (
     detect_regular,
     invert,
 )
-from .errors import PreconditionError, ResourceRefusal
+from .errors import PreconditionError, ResourceRefusal, VerificationFailure
 from .freealg import (
     FreePoly,
+    lift_poly,
     monomial_poly,
+    monomial_values,
     multilinearize,
+    poly_value,
     reorder_scalar,
     transfer_phi,
-    lift_poly,
 )
 from .groups import Bicharacter, quotient_by
 from .scalars import Cyclo, Echelon, _lcm
@@ -140,31 +142,26 @@ def _substitution_tuples(algebra, letters):
     return itertools.product(*pools)
 
 
-def _lean_value(algebra, lin, letters, choice):
-    """Value of a multilinear polynomial at one substitution, no revalidation."""
-    assign = dict(zip(letters, choice))
-    out = {}
-    cache = {(): dict(algebra.unit)}
-    for mono, coeff in lin.terms.items():
-        value = None
-        start = 0
-        for cut in range(len(mono), -1, -1):
-            if mono[:cut] in cache:
-                value = cache[mono[:cut]]
-                start = cut
-                break
-        for k in range(start, len(mono)):
-            value = algebra.mul_vec(value, assign[mono[k]])
-            cache[mono[: k + 1]] = value
-        for k, c in value.items():
-            prev = out.get(k)
-            s = coeff * c if prev is None else prev + coeff * c
-            out[k] = s
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
 def _polarized(poly):
     return [poly] if poly.is_multilinear() else multilinearize(poly)
+
+
+def _substitution_values(algebra, poly):
+    """(letters, choice, value) for every polarized piece of poly and every
+    representative basis substitution of its letters."""
+    for lin in _polarized(poly):
+        letters = lin.letters()
+        for d in {d for _, d in letters}:
+            algebra.group.check(d)
+        tuples = _substitution_tuples(algebra, letters)
+        if tuples is None:
+            continue
+        for choice in tuples:
+            yield letters, choice, poly_value(lin, dict(zip(letters, choice)), algebra)
+
+
+def _witness(algebra, letters, choice):
+    return {lt: _vec_label(algebra, v) for lt, v in zip(letters, choice)}
 
 
 def is_identity(algebra: GradedAlgebra, poly: FreePoly):
@@ -174,18 +171,9 @@ def is_identity(algebra: GradedAlgebra, poly: FreePoly):
     vanishing is checked on all representative basis substitutions, which
     suffices by multilinearity.
     """
-    for lin in _polarized(poly):
-        letters = lin.letters()
-        for d in {d for _, d in letters}:
-            algebra.group.check(d)
-        tuples = _substitution_tuples(algebra, letters)
-        if tuples is None:
-            continue
-        for choice in tuples:
-            if _lean_value(algebra, lin, letters, choice):
-                witness = {lt: _vec_label(algebra, v)
-                           for lt, v in zip(letters, choice)}
-                return False, witness
+    for letters, choice, value in _substitution_values(algebra, poly):
+        if value:
+            return False, _witness(algebra, letters, choice)
     return True, None
 
 
@@ -205,23 +193,13 @@ def _is_central_value(algebra, value):
 def is_central(algebra: GradedAlgebra, poly: FreePoly):
     """Classify as "identity", "proper-central" or "neither" (with witness)."""
     all_zero = True
-    for lin in _polarized(poly):
-        letters = lin.letters()
-        for d in {d for _, d in letters}:
-            algebra.group.check(d)
-        tuples = _substitution_tuples(algebra, letters)
-        if tuples is None:
+    for letters, choice, value in _substitution_values(algebra, poly):
+        if not value:
             continue
-        for choice in tuples:
-            value = _lean_value(algebra, lin, letters, choice)
-            if not value:
-                continue
-            all_zero = False
-            ok, blabel = _is_central_value(algebra, value)
-            if not ok:
-                witness = {lt: _vec_label(algebra, v)
-                           for lt, v in zip(letters, choice)}
-                return "neither", (witness, blabel)
+        all_zero = False
+        ok, blabel = _is_central_value(algebra, value)
+        if not ok:
+            return "neither", (_witness(algebra, letters, choice), blabel)
     return ("identity", None) if all_zero else ("proper-central", None)
 
 
@@ -230,39 +208,21 @@ def is_central(algebra: GradedAlgebra, poly: FreePoly):
 
 def _component_rows(algebra, pg, central: bool):
     """Evaluation rows over the n! monomials; optionally commutator-augmented."""
-    letters = pg.letters
-    n = len(letters)
-    pools = []
-    for _, d in letters:
-        reps = algebra.substitution_reps(d)
-        if not reps:
-            return None
-        pools.append(reps)
+    tuples = _substitution_tuples(algebra, pg.letters)
+    if tuples is None:
+        return None
     rows = []
     zero = Cyclo.zero()
-    basis_vecs = [algebra.basis_vector(j) for j in range(algebra.dim)]
-    for choice in itertools.product(*pools):
-        assign = {letters[k]: basis_vecs[choice[k]] for k in range(n)}
-        values = []
-        cache = {(): dict(algebra.unit)}
-        for mono in pg.monomials:
-            value = None
-            for cut in range(len(mono), -1, -1):
-                if mono[:cut] in cache:
-                    value = cache[mono[:cut]]
-                    start = cut
-                    break
-            for k in range(start, len(mono)):
-                value = algebra.mul_vec(value, assign[mono[k]])
-                cache[mono[: k + 1]] = value
-            values.append(value)
+    for choice in tuples:
+        values = list(monomial_values(pg.monomials, dict(zip(pg.letters, choice)),
+                                      algebra))
         if not central:
             coords = sorted({k for v in values for k in v})
             for k in coords:
                 rows.append([v.get(k, zero) for v in values])
         else:
             for j in range(algebra.dim):
-                b = basis_vecs[j]
+                b = algebra.basis_vector(j)
                 comms = [None] * len(values)
                 coords = set()
                 for t, v in enumerate(values):
@@ -376,20 +336,23 @@ class GeneratorSet:
 # -- consequence instances ------------------------------------------------------------------
 
 
-def _block_assignments(template_letters, pg, tideal, group):
-    """Assignments of target letters to a template's variables.
+def _block_assignments(targets, degrees, tideal, group):
+    """Assignments of target letters to consecutive blocks.
 
-    Yields (blocks_by_letter, prefix, suffix): blocks are ordered tuples of
-    target letters with matching product degree; a block may be empty only for
-    identity-degree template variables; for T-ideal instances the leftovers
-    split into an ordered prefix and suffix, for T-space instances there are
-    no leftovers.
+    Yields (blocks, prefix, suffix): blocks[j] is an ordered tuple of target
+    letters whose product degree is degrees[j] (any nonempty block when
+    degrees[j] is None); a block may be empty only at the identity degree.
+    For T-ideal instances the leftovers split into an ordered prefix and
+    suffix, for T-space instances there are no leftovers.
     """
     identity = group.identity
-    targets = pg.letters
+    # nonempty[j]: how many of the blocks j.. must be nonempty
+    nonempty = [0] * (len(degrees) + 1)
+    for j in range(len(degrees) - 1, -1, -1):
+        nonempty[j] = nonempty[j + 1] + (degrees[j] != identity)
 
     def rec(j, remaining, blocks):
-        if j == len(template_letters):
+        if j == len(degrees):
             if tideal:
                 for perm in itertools.permutations(remaining):
                     for cut in range(len(perm) + 1):
@@ -397,16 +360,16 @@ def _block_assignments(template_letters, pg, tideal, group):
             elif not remaining:
                 yield blocks, (), ()
             return
-        dj = template_letters[j][1]
+        dj = degrees[j]
         if dj == identity:
             yield from rec(j + 1, remaining, blocks + [()])
-        for size in range(1, len(remaining) + 1):
+        for size in range(1, len(remaining) - nonempty[j + 1] + 1):
             for combo in itertools.permutations(remaining, size):
-                if group.product([d for _, d in combo]) == dj:
+                if dj is None or group.product([d for _, d in combo]) == dj:
                     left = tuple(x for x in remaining if x not in combo)
                     yield from rec(j + 1, left, blocks + [combo])
 
-    yield from rec(0, targets, [])
+    yield from rec(0, tuple(targets), [])
 
 
 def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
@@ -416,7 +379,8 @@ def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
     needed = sum(1 for _, d in letters_t if d != group.identity)
     if needed > len(pg.letters):
         return
-    for blocks, prefix, suffix in _block_assignments(letters_t, pg, tideal, group):
+    for blocks, prefix, suffix in _block_assignments(
+            pg.letters, [d for _, d in letters_t], tideal, group):
         by_letter = dict(zip(letters_t, blocks))
         vec = [Cyclo.zero()] * pg.ncols
         nonzero = False
@@ -493,6 +457,42 @@ def _consequence_space(generators, degrees, group, tideal, bound):
 # -- regular families -------------------------------------------------------------------------
 
 
+def _adjacent_cuts(mono, group):
+    """Cuts u|B1|B2|v of a monomial with B1 and B2 nonempty, as
+    (d1, d2, u B2 B1 v) with di the product degree of Bi."""
+    n = len(mono)
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            d1 = group.product([d for _, d in mono[a:b]])
+            for c in range(b + 1, n + 1):
+                d2 = group.product([d for _, d in mono[b:c]])
+                yield d1, d2, mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
+
+
+def _separated_cuts(mono, group):
+    """Cuts u|B1|W|B2|v of a monomial with B1 and B2 nonempty of one product
+    degree g and W possibly empty, as (u, B1, W, B2, v, g)."""
+    n = len(mono)
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            b1 = mono[a:b]
+            g = group.product([d for _, d in b1])
+            for c in range(b, n + 1):
+                for d in range(c + 1, n + 1):
+                    b2 = mono[c:d]
+                    if group.product([x for _, x in b2]) == g:
+                        yield mono[:a], b1, mono[b:c], b2, mono[d:], g
+
+
+def _binomial(pg, mono, other, c):
+    """The instance vector of mono - c * other, or None when it is zero."""
+    vec = [Cyclo.zero()] * pg.ncols
+    vec[pg.index[mono]] = Cyclo.one()
+    k = pg.index[other]
+    vec[k] = vec[k] - c
+    return vec if any(not x.is_zero() for x in vec) else None
+
+
 class _RegularSource:
     """Exact fast instance streams for the regular-grading families.
 
@@ -512,7 +512,6 @@ class _RegularSource:
 
     def instances(self, pg: MultidegreeBasis):
         group = self.beta.group
-        n = len(pg.letters)
         if self.mode == "centrals":
             total = group.product(pg.degrees)
             if total in self.radical:
@@ -521,20 +520,10 @@ class _RegularSource:
                     vec[k] = Cyclo.one()
                     yield vec
         for mono in pg.monomials:
-            for a in range(0, n):
-                for b in range(a + 1, n + 1):
-                    for c in range(b + 1, n + 1):
-                        b1, b2 = mono[a:b], mono[b:c]
-                        d1 = group.product([d for _, d in b1])
-                        d2 = group.product([d for _, d in b2])
-                        swapped = mono[:a] + b2 + b1 + mono[c:]
-                        lam = self.beta.eval(d1, d2)
-                        vec = [Cyclo.zero()] * pg.ncols
-                        vec[pg.index[mono]] = Cyclo.one()
-                        k2 = pg.index[swapped]
-                        vec[k2] = vec[k2] - lam
-                        if any(not x.is_zero() for x in vec):
-                            yield vec
+            for d1, d2, swapped in _adjacent_cuts(mono, group):
+                vec = _binomial(pg, mono, swapped, self.beta.eval(d1, d2))
+                if vec is not None:
+                    yield vec
 
     def stages(self, pg):
         yield self.instances(pg)
@@ -591,30 +580,52 @@ def _is_imaginary_unit(v: Cyclo) -> bool:
     return (not v.is_real()) and (v * v) == Cyclo.rational(-1)
 
 
-def _kernel_members(group, order, beta, degrees, indices=None):
+def _quadratic_pair(val):
+    """(p, q) = (-(val + conj val), val * conj val), so that x^2 + p x + q
+    has the roots val and conj val."""
+    return -(val + val.conj()), val * val.conj()
+
+
+def _pair_member(group, order, g, h, val):
+    """x1:g x2:h - val x2:h x1:g."""
+    x1 = monomial_poly(group, order, [(1, g)])
+    x2 = monomial_poly(group, order, [(2, h)])
+    return x1 * x2 - (x2 * x1).scale(val)
+
+
+def _triple_member(group, order, g, h, p, q):
+    """x1:g x2:g x3:h + p x1:g x3:h x2:g + q x3:h x1:g x2:g."""
+    x1 = monomial_poly(group, order, [(1, g)])
+    x2 = monomial_poly(group, order, [(2, g)])
+    x3 = monomial_poly(group, order, [(3, h)])
+    return x1 * x2 * x3 + (x1 * x3 * x2).scale(p) + (x3 * x1 * x2).scale(q)
+
+
+def _swap_member(group, order, g, h):
+    """x1:g x2:h x3:g - x3:g x2:h x1:g."""
+    x1 = monomial_poly(group, order, [(1, g)])
+    x2 = monomial_poly(group, order, [(2, h)])
+    x3 = monomial_poly(group, order, [(3, g)])
+    return x1 * x2 * x3 - x3 * x2 * x1
+
+
+def _kernel_perm_vectors(beta, degrees):
     """Literal (I)/(II)-shaped identities spanning the kernel at one tuple.
 
     With gamma_sigma the reordering scalars, the real solutions of
     sum mu_sigma gamma_sigma^(-1) = 0 are spanned by binomials with real
-    ratios and trinomials with the exact real pair (p, q); every output is a
-    literal family shape and together they span all linear identities at the
-    tuple.
+    ratios and trinomials with the exact real pair (p, q).  Each identity is
+    a list of (permutation, coefficient); every one is a literal family shape
+    and together they span all linear identities at the tuple.
     """
-    n = len(degrees)
-    if indices is None:
-        indices = list(range(1, n + 1))
     gammas = _gamma_values(beta, degrees)
-    identity_perm = tuple(range(n))
-
-    def mono(perm):
-        return tuple((indices[k], tuple(degrees[k])) for k in perm)
-
+    identity_perm = tuple(range(len(degrees)))
+    one = Cyclo.one()
     real_perms = [p for p, g in gammas.items() if g.is_real() and p != identity_perm]
     nonreal_perms = [p for p, g in gammas.items() if not g.is_real()]
     out = []
     for p in real_perms:
-        terms = {mono(identity_perm): Cyclo.one(), mono(p): -gammas[p]}
-        out.append(FreePoly(group, order, terms))
+        out.append([(identity_perm, one), (p, -gammas[p])])
     if nonreal_perms:
         tau0 = nonreal_perms[0]
         g_tau = gammas[tau0]
@@ -625,17 +636,34 @@ def _kernel_members(group, order, beta, degrees, indices=None):
             if det.is_zero():
                 # gamma ratios real: binomial with the real ratio
                 ratio = g_tau / g_sig
-                assert ratio.is_real()
-                out.append(FreePoly(group, order, {
-                    mono(p): Cyclo.one(), mono(tau0): -ratio}))
+                if not ratio.is_real():
+                    raise AssertionError("kernel binomial ratio is not real")
+                out.append([(p, one), (tau0, -ratio)])
             else:
                 pp = (b - b.conj()) / det
                 qq = (a.conj() - a) / det
-                assert pp.is_real() and qq.is_real()
-                assert (pp * a + qq * b + Cyclo.one()).is_zero()
-                out.append(FreePoly(group, order, {
-                    mono(identity_perm): Cyclo.one(), mono(p): pp, mono(tau0): qq}))
+                if not (pp.is_real() and qq.is_real()):
+                    raise AssertionError("kernel trinomial coefficients are not real")
+                if not (pp * a + qq * b + one).is_zero():
+                    raise AssertionError("kernel trinomial is not an identity")
+                out.append([(identity_perm, one), (p, pp), (tau0, qq)])
     return out
+
+
+def _kernel_vectors(pg, combos, blocks, prefix=(), suffix=()):
+    """Instance vectors of kernel identities with variable t replaced by
+    blocks[t], between a fixed prefix and suffix."""
+    for combo in combos:
+        vec = [Cyclo.zero()] * pg.ncols
+        for perm, coeff in combo:
+            seq = list(prefix)
+            for t in perm:
+                seq.extend(blocks[t])
+            seq.extend(suffix)
+            k = pg.index[tuple(seq)]
+            vec[k] = vec[k] + coeff
+        if any(not x.is_zero() for x in vec):
+            yield vec
 
 
 class _PauliSource:
@@ -651,9 +679,8 @@ class _PauliSource:
 
     exact = False  # stages are sound but may undershoot; callers fall back
 
-    def __init__(self, beta, order, i_present, max_repeat):
+    def __init__(self, beta, i_present, max_repeat):
         self.beta = beta
-        self.order = order
         self.i_present = i_present
         self.max_repeat = max_repeat
 
@@ -665,83 +692,44 @@ class _PauliSource:
 
     def _pair_relations(self, pg):
         group = self.beta.group
-        n = len(pg.letters)
-        minus_one = Cyclo.rational(-1)
+        one = Cyclo.one()
         for mono in pg.monomials:
-            base = pg.index[mono]
-            for a in range(0, n):
-                for b in range(a + 1, n + 1):
-                    for c in range(b + 1, n + 1):
-                        b1, b2 = mono[a:b], mono[b:c]
-                        d1 = group.product([d for _, d in b1])
-                        d2 = group.product([d for _, d in b2])
-                        val = self.beta.eval(d1, d2)
-                        if val.is_real():
-                            # pair family: u(B1 B2 - val B2 B1)v
-                            swapped = mono[:a] + b2 + b1 + mono[c:]
-                            vec = [Cyclo.zero()] * pg.ncols
-                            vec[base] = Cyclo.one()
-                            k2 = pg.index[swapped]
-                            vec[k2] = vec[k2] - val
-                            if any(not x.is_zero() for x in vec):
-                                yield vec
-            # triple family relations u(B1 B2 W + p B1 W B2 + q W B1 B2)v need
-            # two same-degree blocks; enumerate cuts u|B1|W|B2|v
-            for a in range(0, n):
-                for b in range(a + 1, n + 1):
-                    for c in range(b + 1, n + 1):
-                        for d in range(c + 1, n + 1):
-                            b1, w, b2 = mono[a:b], mono[b:c], mono[c:d]
-                            d1 = group.product([x for _, x in b1])
-                            d2 = group.product([x for _, x in b2])
-                            if d1 != d2:
-                                continue
-                            h = group.product([x for _, x in w])
-                            val = self.beta.eval(d1, h)
-                            if val.is_real():
-                                continue
-                            p = -(val + val.conj())
-                            q = val * val.conj()
-                            vec = [Cyclo.zero()] * pg.ncols
-                            m_mid = pg.index[mono]
-                            m_front = pg.index[mono[:a] + b1 + b2 + w + mono[d:]]
-                            m_back = pg.index[mono[:a] + w + b1 + b2 + mono[d:]]
-                            # instance: front + p*mid + q*back = 0 (scaled so the
-                            # current monomial appears); emit the raw instance
-                            vec[m_front] = vec[m_front] + Cyclo.one()
-                            vec[m_mid] = vec[m_mid] + p
-                            vec[m_back] = vec[m_back] + q
-                            if any(not x.is_zero() for x in vec):
-                                yield vec
+            for d1, d2, swapped in _adjacent_cuts(mono, group):
+                val = self.beta.eval(d1, d2)
+                if val.is_real():
+                    # pair family: u(B1 B2 - val B2 B1)v
+                    vec = _binomial(pg, mono, swapped, val)
+                    if vec is not None:
+                        yield vec
+            # triple family: u(B1 B2 W + p B1 W B2 + q W B1 B2)v
+            for u, b1, w, b2, v, g in _separated_cuts(mono, group):
+                if not w:
+                    continue
+                val = self.beta.eval(g, group.product([x for _, x in w]))
+                if val.is_real():
+                    continue
+                p, q = _quadratic_pair(val)
+                vec = [Cyclo.zero()] * pg.ncols
+                m_mid = pg.index[mono]
+                m_front = pg.index[u + b1 + b2 + w + v]
+                m_back = pg.index[u + w + b1 + b2 + v]
+                vec[m_front] = vec[m_front] + one
+                vec[m_mid] = vec[m_mid] + p
+                vec[m_back] = vec[m_back] + q
+                if any(not x.is_zero() for x in vec):
+                    yield vec
             if self.i_present:
-                # swap family u(B1 W B2 - B2 W B1)v for same-degree blocks
-                for a in range(0, n):
-                    for b in range(a + 1, n + 1):
-                        for c in range(b, n + 1):
-                            for d in range(c + 1, n + 1):
-                                b1, w, b2 = mono[a:b], mono[b:c], mono[c:d]
-                                d1 = group.product([x for _, x in b1])
-                                d2 = group.product([x for _, x in b2])
-                                if d1 != d2:
-                                    continue
-                                swapped = mono[:a] + b2 + w + b1 + mono[d:]
-                                vec = [Cyclo.zero()] * pg.ncols
-                                vec[pg.index[mono]] = Cyclo.one()
-                                k2 = pg.index[swapped]
-                                vec[k2] = vec[k2] - Cyclo.one()
-                                if any(not x.is_zero() for x in vec):
-                                    yield vec
+                # swap family: u(B1 W B2 - B2 W B1)v
+                for u, b1, w, b2, v, _ in _separated_cuts(mono, group):
+                    vec = _binomial(pg, mono, u + b2 + w + b1 + v, one)
+                    if vec is not None:
+                        yield vec
 
     def _direct_kernel(self, pg):
         if not self._admitted(pg.degrees):
             return
-        for poly in _kernel_members(self.beta.group, self.order, self.beta,
-                                    list(pg.degrees)):
-            try:
-                yield pg.to_vector(poly.rename(
-                    index_map=lambda i: i))
-            except ValueError:
-                continue
+        combos = _kernel_perm_vectors(self.beta, list(pg.degrees))
+        yield from _kernel_vectors(pg, combos, [(lt,) for lt in pg.letters])
 
     def _partition_kernels(self, pg):
         """Kernel identities on merged blocks: for each ordered partition of
@@ -749,75 +737,18 @@ class _PauliSource:
         degree tuple admitted, the block-level kernel identities instantiate
         into this multidegree."""
         group = self.beta.group
-        targets = pg.letters
-        n = len(targets)
+        n = len(pg.letters)
         for k in range(2, n):
-            for assignment in _ordered_partitions(targets, k):
-                blocks, prefix, suffix = assignment
+            for blocks, prefix, suffix in _block_assignments(pg.letters, [None] * k,
+                                                             True, group):
                 degs = [group.product([d for _, d in blk]) for blk in blocks]
-                if not self._admitted(degs):
-                    continue
-                gammas = _gamma_values(self.beta, degs)
-                identity_perm = tuple(range(k))
-                kernel = _kernel_perm_vectors(gammas, identity_perm)
-                for combo in kernel:
-                    vec = [Cyclo.zero()] * pg.ncols
-                    ok = True
-                    for perm, coeff in combo:
-                        seq = list(prefix)
-                        for t in perm:
-                            seq.extend(blocks[t])
-                        seq.extend(suffix)
-                        idx = pg.index[tuple(seq)]
-                        vec[idx] = vec[idx] + coeff
-                    if any(not x.is_zero() for x in vec):
-                        yield vec
+                if self._admitted(degs):
+                    combos = _kernel_perm_vectors(self.beta, degs)
+                    yield from _kernel_vectors(pg, combos, blocks, prefix, suffix)
 
     def stages(self, pg):
         yield itertools.chain(self._direct_kernel(pg), self._pair_relations(pg))
         yield self._partition_kernels(pg)
-
-
-def _kernel_perm_vectors(gammas, identity_perm):
-    """Sparse kernel combinations over permutations, as in _kernel_members."""
-    real_perms = [p for p, g in gammas.items() if g.is_real() and p != identity_perm]
-    nonreal_perms = [p for p, g in gammas.items() if not g.is_real()]
-    out = []
-    one = Cyclo.one()
-    for p in real_perms:
-        out.append([(identity_perm, one), (p, -gammas[p])])
-    if nonreal_perms:
-        tau0 = nonreal_perms[0]
-        g_tau = gammas[tau0]
-        for p in nonreal_perms[1:]:
-            g_sig = gammas[p]
-            a, b = g_sig.inv(), g_tau.inv()
-            det = a * b.conj() - b * a.conj()
-            if det.is_zero():
-                out.append([(p, one), (tau0, -(g_tau / g_sig))])
-            else:
-                pp = (b - b.conj()) / det
-                qq = (a.conj() - a) / det
-                out.append([(identity_perm, one), (p, pp), (tau0, qq)])
-    return out
-
-
-def _ordered_partitions(targets, k):
-    """Ordered partitions of the target letters into prefix, k nonempty
-    ordered blocks, and suffix."""
-
-    def rec(j, remaining, blocks):
-        if j == k:
-            for perm in itertools.permutations(remaining):
-                for cut in range(len(perm) + 1):
-                    yield blocks, perm[:cut], perm[cut:]
-            return
-        for size in range(1, len(remaining) - (k - j - 1) + 1):
-            for combo in itertools.permutations(remaining, size):
-                left = tuple(x for x in remaining if x not in combo)
-                yield from rec(j + 1, left, blocks + [combo])
-
-    yield from rec(0, tuple(targets), [])
 
 
 def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
@@ -846,22 +777,11 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     s1 = []
     extras = []
     for (g, h), val in sorted(pair_values.items()):
-        x1g = monomial_poly(group, order, [(1, g)])
-        x2h = monomial_poly(group, order, [(2, h)])
         if val.is_real():
-            s1.append(x1g * x2h - (x2h * x1g).scale(val))
+            s1.append(_pair_member(group, order, g, h, val))
         else:
-            p = -(val + val.conj())
-            q = val * val.conj()
-            x1 = monomial_poly(group, order, [(1, g)])
-            x2 = monomial_poly(group, order, [(2, g)])
-            x3 = monomial_poly(group, order, [(3, h)])
-            s1.append(x1 * x2 * x3 + (x1 * x3 * x2).scale(p) + (x3 * x1 * x2).scale(q))
-        # the swap identity x1g x2h x3g - x3g x2h x1g
-        x1 = monomial_poly(group, order, [(1, g)])
-        x2 = monomial_poly(group, order, [(2, h)])
-        x3 = monomial_poly(group, order, [(3, g)])
-        swap = x1 * x2 * x3 - x3 * x2 * x1
+            s1.append(_triple_member(group, order, g, h, *_quadratic_pair(val)))
+        swap = _swap_member(group, order, g, h)
         if i_present:
             s1.append(swap)
         else:
@@ -879,19 +799,21 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
                 s1.append(m1 + m2)
     max_repeat = 3 if i_present else 1
     for n in range(2, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(sorted(elements), n):
+        for degrees in itertools.combinations_with_replacement(sorted(elements), n):
             counts = {}
-            for d in combo:
+            for d in degrees:
                 counts[d] = counts.get(d, 0) + 1
             if any(v > max_repeat for v in counts.values()):
                 continue
-            s1.extend(_kernel_members(group, order, beta, list(combo)))
+            for combo in _kernel_perm_vectors(beta, list(degrees)):
+                s1.append(FreePoly(group, order, {
+                    tuple((k + 1, degrees[k]) for k in perm): c for perm, c in combo}))
     name = "pauli-families(max_degree=%d)" % max_degree
     assumptions = ["repeat bound %d per group element (imaginary commutation "
                    "value %s)" % (max_repeat, "present" if i_present else "absent")]
     return GeneratorSet(name, "identities", group, order, s1=s1, extras=extras,
                         assumptions=assumptions,
-                        fast_source=_PauliSource(beta, order, i_present, max_repeat))
+                        fast_source=_PauliSource(beta, i_present, max_repeat))
 
 
 # -- transfer and lifting -------------------------------------------------------------------
@@ -1173,6 +1095,8 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
     record carries the orbit size.
     """
     t0 = time.time()
+    if max_degree < 1:
+        raise PreconditionError("max degree must be at least 1, got %d" % max_degree)
     if max_degree > bound:
         raise ResourceRefusal(
             "max degree %d exceeds the dense-engine bound %d (component "
@@ -1209,30 +1133,6 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
 # -- rewriting reducer for Pauli-type gradings ------------------------------------------------
 
 
-class _RewriteContext:
-    def __init__(self, group, order, beta):
-        self.group = group
-        self.order = order
-        self.beta = beta
-
-    def member_pair(self, g, h, val):
-        x1 = monomial_poly(self.group, self.order, [(1, g)])
-        x2 = monomial_poly(self.group, self.order, [(2, h)])
-        return x1 * x2 - (x2 * x1).scale(val)
-
-    def member_triple(self, g, h, p, q):
-        x1 = monomial_poly(self.group, self.order, [(1, g)])
-        x2 = monomial_poly(self.group, self.order, [(2, g)])
-        x3 = monomial_poly(self.group, self.order, [(3, h)])
-        return x1 * x2 * x3 + (x1 * x3 * x2).scale(p) + (x3 * x1 * x2).scale(q)
-
-    def member_swap(self, g, h):
-        x1 = monomial_poly(self.group, self.order, [(1, g)])
-        x2 = monomial_poly(self.group, self.order, [(2, h)])
-        x3 = monomial_poly(self.group, self.order, [(3, g)])
-        return x1 * x2 * x3 - x3 * x2 * x1
-
-
 def instance_poly(member: FreePoly, prefix, blocks, suffix, group, order) -> FreePoly:
     """Substitution instance of a member: blocks align with its sorted letters."""
     letters = member.letters()
@@ -1249,13 +1149,12 @@ def instance_poly(member: FreePoly, prefix, blocks, suffix, group, order) -> Fre
     return FreePoly(group, order, terms)
 
 
-def _rewrite_term(ctx: _RewriteContext, coeff, mono, alpha, beta_lt, i_present):
+def _rewrite_term(group, order, beta, coeff, mono, alpha, beta_lt, i_present):
     """One elementary rewrite moving alpha and beta_lt together.
 
     Returns (new_terms, uses): the exact claim is
     coeff*mono - new_terms == sum of the use instances.
     """
-    group, beta = ctx.group, ctx.beta
     g = alpha[1]
     pa = mono.index(alpha)
     pb = mono.index(beta_lt)
@@ -1265,23 +1164,24 @@ def _rewrite_term(ctx: _RewriteContext, coeff, mono, alpha, beta_lt, i_present):
     if not between:
         if (first, second) == (alpha, beta_lt):
             return [(coeff, mono)], []
-        member = ctx.member_pair(g, g, beta.eval(g, g))
-        assert beta.eval(g, g).is_one(), "same-component elements must commute"
+        member = _pair_member(group, order, g, g, beta.eval(g, g))
+        if not beta.eval(g, g).is_one():
+            raise AssertionError("same-component elements must commute")
         swapped = mono[:lo] + (alpha, beta_lt) + mono[hi + 1:]
         use = (member, mono[:lo], ((beta_lt,), (alpha,)), mono[hi + 1:], coeff)
         return [(coeff, swapped)], [use]
     h = group.product([d for _, d in between])
     val = beta.eval(g, h)
     if val.is_real():
-        member = ctx.member_pair(g, h, val)
+        member = _pair_member(group, order, g, h, val)
         moved = mono[:lo] + between + (first, second) + mono[hi + 1:]
         use = (member, mono[:lo], ((first,), between), (second,) + mono[hi + 1:], coeff)
         return [(coeff * val, moved)], [use]
     if not (val * val) == Cyclo.rational(-1):
-        p = -(val + val.conj())
-        q = val * val.conj()
-        assert not p.is_zero()
-        member = ctx.member_triple(g, h, p, q)
+        p, q = _quadratic_pair(val)
+        if p.is_zero():
+            raise AssertionError("triple rewrite needs a nonzero middle coefficient")
+        member = _triple_member(group, order, g, h, p, q)
         front = mono[:lo] + (first, second) + between + mono[hi + 1:]
         back = mono[:lo] + between + (first, second) + mono[hi + 1:]
         pinv = p.inv()
@@ -1306,7 +1206,8 @@ def _rewrite_term(ctx: _RewriteContext, coeff, mono, alpha, beta_lt, i_present):
         slots = (gpos[0], gpos[2])
         seg = mono[slots[0] + 1: slots[1]]
         segdeg = group.product([d for _, d in seg])
-        assert beta.eval(g, segdeg).is_real(), "composite block must be real-valued"
+        if not beta.eval(g, segdeg).is_real():
+            raise AssertionError("composite block must be real-valued")
     # bring alpha and beta_lt onto the slots with swap-family instances
     targets = {alpha, beta_lt}
     for s in slots:
@@ -1321,11 +1222,11 @@ def _rewrite_term(ctx: _RewriteContext, coeff, mono, alpha, beta_lt, i_present):
         new = tuple(new)
         if seg:
             segdeg = group.product([d for _, d in seg])
-            member = ctx.member_swap(g, segdeg)
+            member = _swap_member(group, order, g, segdeg)
             use = (member, mono[:s0], ((mono[s0],), seg, (mono[s1],)), mono[s1 + 1:],
                    coeff)
         else:
-            member = ctx.member_pair(g, g, Cyclo.one())
+            member = _pair_member(group, order, g, g, Cyclo.one())
             use = (member, mono[:s0], ((mono[s0],), (mono[s1],)), mono[s1 + 1:], coeff)
         return [(coeff, new)], [use]
     # alpha and beta already occupy the slots; their between-block is then
@@ -1350,8 +1251,8 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
     i_present = any(_is_imaginary_unit(beta.eval(g, h))
                     for g in elements for h in elements)
     threshold = 4 if i_present else 2
-    ctx = _RewriteContext(poly.group, _lcm(poly.order, beta.order), beta)
-    current = FreePoly(poly.group, ctx.order, poly.terms)
+    order = _lcm(poly.order, beta.order)
+    current = FreePoly(poly.group, order, poly.terms)
     rounds = []
     while True:
         letters = current.letters()
@@ -1373,27 +1274,30 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
             guard = 0
             while worklist:
                 guard += 1
-                assert guard < 1000, "rewriting did not terminate"
+                if guard >= 1000:
+                    raise AssertionError("rewriting did not terminate")
                 c, m = worklist.pop()
                 pa, pb = m.index(alpha), m.index(beta_lt)
                 if pb == pa + 1:
                     prev = done_terms.get(m)
                     done_terms[m] = c if prev is None else prev + c
                     continue
-                new_terms, uses = _rewrite_term(ctx, c, m, alpha, beta_lt, i_present)
+                new_terms, uses = _rewrite_term(poly.group, order, beta, c, m, alpha,
+                                                beta_lt, i_present)
                 uses_all.extend(uses)
                 worklist.extend(new_terms)
-            after = FreePoly(poly.group, ctx.order, done_terms)
+            after = FreePoly(poly.group, order, done_terms)
             # exactness of this monomial's chain is replayable
             mono_records.append({
                 "coeff": coeff, "before": mono, "after": after, "uses": uses_all})
             for m, c in after.terms.items():
                 pa = m.index(alpha)
-                assert m[pa + 1] == beta_lt
+                if m[pa + 1] != beta_lt:
+                    raise AssertionError("rewritten monomial does not join the pair")
                 newm = m[:pa] + (new_letter,) + m[pa + 2:]
                 prev = collapsed_terms.get(newm)
                 collapsed_terms[newm] = c if prev is None else prev + c
-        result = FreePoly(poly.group, ctx.order, collapsed_terms)
+        result = FreePoly(poly.group, order, collapsed_terms)
         rounds.append({
             "degree": g, "alpha": alpha, "beta": beta_lt, "new": new_letter,
             "monomials": mono_records, "result": result,
@@ -1408,7 +1312,8 @@ def replay_certificate(original: FreePoly, reduced: FreePoly, rounds) -> bool:
     For each recorded monomial, before - after must equal the recorded
     combination of family-member instances, and each round's collapsed result
     must assemble from the rewritten monomials; the final result must be the
-    reduced polynomial.  Raises AssertionError on any mismatch.
+    reduced polynomial.  Raises VerificationFailure on any mismatch and
+    returns True otherwise.
     """
     group, order = original.group, original.order
     current = original
@@ -1424,16 +1329,22 @@ def replay_certificate(original: FreePoly, reduced: FreePoly, rounds) -> bool:
             for member, prefix, blocks, suffix, coeff in rec["uses"]:
                 built = built + instance_poly(member, prefix, blocks, suffix,
                                               group, order).scale(coeff)
-            assert claimed == built, "certificate step does not replay"
+            if claimed != built:
+                raise VerificationFailure("certificate step does not replay")
             for m, c in rec["after"].terms.items():
-                pa = m.index(alpha)
-                assert m[pa + 1] == beta_lt
+                pa = m.index(alpha) if alpha in m else None
+                if pa is None or m[pa + 1:pa + 2] != (beta_lt,):
+                    raise VerificationFailure(
+                        "rewritten monomial does not join the pair")
                 newm = m[:pa] + (new_letter,) + m[pa + 2:]
                 collapsed = collapsed + FreePoly(group, order, {newm: c})
-        assert total_before == current, "round input does not match"
-        assert collapsed == rnd["result"], "round result does not assemble"
+        if total_before != current:
+            raise VerificationFailure("round input does not match")
+        if collapsed != rnd["result"]:
+            raise VerificationFailure("round result does not assemble")
         current = rnd["result"]
-    assert current == reduced, "final result does not match"
+    if current != reduced:
+        raise VerificationFailure("final result does not match")
     return True
 
 
@@ -1560,17 +1471,12 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
     if beta is None:
         raise PreconditionError("not a Pauli-type grading")
     group = beta.group
-    degrees = [group.check(tuple(d)) for d in degrees]
+    pg = MultidegreeBasis(group, degrees)
+    degrees = list(pg.degrees)
     n = len(degrees)
-    letters = tuple((i + 1, degrees[i]) for i in range(n))
-    monomials = [tuple(p) for p in itertools.permutations(letters)]
-    index = {m: k for k, m in enumerate(monomials)}
+    monomials, index = pg.monomials, pg.index
     # reordering scalar of each monomial relative to the identity order
-    pos_of = {lt: k for k, lt in enumerate(letters)}
-    gamma = []
-    for m in monomials:
-        perm = tuple(pos_of[lt] for lt in m)
-        gamma.append(reorder_scalar(perm, degrees, beta))
+    gamma = list(_gamma_values(beta, degrees).values())
     # codimension of the identity space
     base = gamma[0].inv()
     codim = 1
@@ -1588,27 +1494,22 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
         total = Cyclo.zero()
         for k, c in parts:
             total = total + c * gamma[k].inv()
-        assert total.is_zero(), "emitted relation is not an identity"
+        if not total.is_zero():
+            raise AssertionError("emitted relation is not an identity")
 
     triple_rows = []
     for m in monomials:
         base_idx = index[m]
-        for a in range(n):
-            for b in range(a + 1, n + 1):
-                for c in range(b + 1, n + 1):
-                    b1, b2 = m[a:b], m[b:c]
-                    d1 = group.product([d for _, d in b1])
-                    d2 = group.product([d for _, d in b2])
-                    val = beta.eval(d1, d2)
-                    if val.is_real():
-                        other = index[m[:a] + b2 + b1 + m[c:]]
-                        check_identity_relation([(base_idx, Cyclo.one()),
-                                                 (other, -val)])
-                        if other == base_idx:
-                            if not val.is_one():
-                                uf.set_zero(base_idx)
-                        else:
-                            uf.join(base_idx, other, val)
+        for d1, d2, swapped in _adjacent_cuts(m, group):
+            val = beta.eval(d1, d2)
+            if val.is_real():
+                other = index[swapped]
+                check_identity_relation([(base_idx, Cyclo.one()), (other, -val)])
+                if other == base_idx:
+                    if not val.is_one():
+                        uf.set_zero(base_idx)
+                else:
+                    uf.join(base_idx, other, val)
         # swap relations u(B1 W B2 - B2 W B1)v at same-degree single letters
         for a in range(n):
             for c in range(a + 1, n):
@@ -1629,8 +1530,7 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
                 val = beta.eval(m[a][1], h)
                 if val.is_real():
                     continue
-                p = -(val + val.conj())
-                q = val * val.conj()
+                p, q = _quadratic_pair(val)
                 front = index[m[:a] + (m[a], m[c]) + w + m[c + 1:]]
                 back = index[m[:a] + w + (m[a], m[c]) + m[c + 1:]]
                 parts = [(front, Cyclo.one()), (base_idx, p), (back, q)]
@@ -1667,7 +1567,6 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
     ech = Echelon(len(seen_roots))
     for parts in triple_rows:
         row = [Cyclo.zero()] * len(seen_roots)
-        ok = True
         for k, c in parts:
             r = uf.find(k)
             if uf.zero[r]:
@@ -1682,6 +1581,5 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
     witness = None if equal else (
         "consequence span has codimension %d, identities have codimension %d" % (
             quotient_dim, codim))
-    words = [group.element_to_word(d) for d in degrees]
-    return VerificationRecord(words, _orbit_size(degrees), dim_id, dim_cons,
+    return VerificationRecord(pg.words(), _orbit_size(degrees), dim_id, dim_cons,
                               equal, witness)

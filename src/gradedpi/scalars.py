@@ -18,7 +18,6 @@ from math import gcd
 __all__ = [
     "Cyclo",
     "Echelon",
-    "ExactMatrix",
     "kernel_over_real_subfield",
     "span_compare",
     "parse_cyclo",
@@ -513,21 +512,6 @@ def _cos2pi_interval(r: Fraction, terms: int) -> tuple[Fraction, Fraction]:
 
 # -- linear algebra -----------------------------------------------------------
 
-class ExactMatrix:
-    """Dense matrix of Cyclo entries with opaque row/column labels."""
-
-    def __init__(self, rows, row_labels=None, col_labels=None):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-
-    def conj(self) -> "ExactMatrix":
-        return ExactMatrix([[e.conj() for e in row] for row in self.rows],
-                           self.row_labels, self.col_labels)
-
-
 class Echelon:
     """Incrementally maintained reduced row echelon form over a cyclotomic field.
 
@@ -632,11 +616,8 @@ def kernel_over_real_subfield(matrix) -> list[list[Cyclo]]:
     The returned vectors have conj-fixed entries and span, over the reals,
     the full space of real solutions.
     """
-    if isinstance(matrix, ExactMatrix):
-        rows, ncols = matrix.rows, matrix.ncols
-    else:
-        rows = [list(r) for r in matrix]
-        ncols = len(rows[0]) if rows else 0
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0]) if rows else 0
     ech = Echelon(ncols)
     for row in _real_rows(rows):
         ech.add(row)

@@ -26,6 +26,7 @@ from gradedpi.algebras import (
     detect_regular,
     tensor,
 )
+from gradedpi.errors import VerificationFailure
 from gradedpi.freealg import FreePoly, evaluate, transfer_phi
 from gradedpi.groups import bichar_tensor
 from gradedpi.pitool import (
@@ -407,7 +408,7 @@ def test_criterion_6_reduction(algebras):
             red, cert = pauli_reduce(alg, f)
             try:
                 replay_certificate(FreePoly(alg.group, red.order, f.terms), red, cert)
-            except AssertionError as exc:
+            except VerificationFailure as exc:
                 ok = False
                 detail = "certificate replay failed on %s: %s" % (f, exc)
                 break

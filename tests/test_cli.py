@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gradedpi.algebras import build_catalog
 from gradedpi.cli import (
     algebra_spec_dict,
@@ -154,6 +156,12 @@ def test_jobs_flag(tmp_path):
 def test_resource_refusal_exit4():
     assert run(["verify", "--algebra", "m2-elem", "--basis", "dv-lemma",
                 "--mode", "identities", "--max-degree", "9"]) == 4
+
+
+@pytest.mark.parametrize("max_degree", ["0", "-2"])
+def test_max_degree_below_one_exit3(max_degree):
+    assert run(["verify", "--algebra", "c2", "--basis", "regular",
+                "--max-degree", max_degree]) == 3
 
 
 def test_algebra_file_with_named_generator_sets(tmp_path):
