@@ -386,7 +386,8 @@ def detect_regular(algebra: GradedAlgebra):
               for j in range(group.rank)] for i in range(group.rank)]
     beta = Bicharacter(group, n, table)
     for (g, h), lam in values.items():
-        assert beta.eval(g, h) == lam, "commutation function is not multiplicative"
+        if beta.eval(g, h) != lam:
+            raise AssertionError("commutation function is not multiplicative")
     return beta, None
 
 
@@ -462,7 +463,8 @@ def detect_complex_bicharacter(algebra: GradedAlgebra):
               for j in range(group.rank)] for i in range(group.rank)]
     beta = Bicharacter(group, n, table)
     for (g, h), lam in values.items():
-        assert beta.eval(g, h) == lam
+        if beta.eval(g, h) != lam:
+            raise AssertionError("complex commutation function is not multiplicative")
     return beta, j_vec
 
 
@@ -775,7 +777,8 @@ def build_m2_8():
             sgn, m3 = mat_mult[(m1, m2)]
             d3 = g.op(d1, d2)
             s3, m3_expected = span[d3]
-            assert m3 == m3_expected, "component structure broken"
+            if m3 != m3_expected:
+                raise AssertionError("component structure broken")
             coeff = s1 * s2 * Cyclo.rational(sgn) / s3
             mult[(index[d1], index[d2])] = {index[d3]: coeff}
     unit = {index[(0, 0)]: one}
@@ -815,7 +818,8 @@ def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
         for g, h, k in itertools.product(elements, repeat=3):
             lhs = sigma(g, h) * sigma(group.op(g, h), k)
             rhs = sigma(g, group.op(h, k)) * sigma(h, k)
-            assert lhs == rhs, "cocycle identity fails"
+            if lhs != rhs:
+                raise AssertionError("cocycle identity fails")
     labels = []
     degrees = []
     index = {}
@@ -854,7 +858,8 @@ def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
             b = beta.eval(g, h).lift(n)
             expected = vec_add(vec_scale(vu, b.real_part()),
                                vec_scale(algebra.mul_vec(j_vec, vu), b.imag_over_i()))
-            assert uv == expected, "twisted group algebra does not realize beta"
+            if uv != expected:
+                raise AssertionError("twisted group algebra does not realize beta")
     return algebra
 
 

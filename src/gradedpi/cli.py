@@ -507,6 +507,9 @@ def main(argv=None):
     except VerificationFailure as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

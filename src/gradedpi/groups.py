@@ -236,7 +236,8 @@ def quotient_by(group: FiniteAbelianGroup, g):
     b = [[cols[j][i] for j in range(k + 1)] for i in range(k)]  # k x (k+1)
     u, d, _ = _smith_normal_form(b)
     diag = [d[i][i] if i < len(d[0]) else 0 for i in range(k)]
-    assert all(x > 0 for x in diag), "quotient of a finite group must be finite"
+    if not all(x > 0 for x in diag):
+        raise AssertionError("quotient of a finite group must be finite")
     kept = [i for i in range(k) if diag[i] > 1]
     orders = tuple(diag[i] for i in kept)
     names = tuple("q%d" % t for t in range(len(kept)))
@@ -248,9 +249,10 @@ def quotient_by(group: FiniteAbelianGroup, g):
         return tuple(y[i] % diag[i] for i in kept)
 
     # sanity: projection is a homomorphism with kernel <g> of the right size
-    assert project(g) == quotient.identity
-    assert len(group) == len(quotient) * group.order_of(g), \
-        "quotient size mismatch"
+    if project(g) != quotient.identity:
+        raise AssertionError("quotient projection does not kill g")
+    if len(group) != len(quotient) * group.order_of(g):
+        raise AssertionError("quotient size mismatch")
     return quotient, project
 
 

@@ -89,6 +89,13 @@ class MultidegreeBasis:
             vec[k] = vec[k] + c
         return vec
 
+    def dense(self, vec):
+        """The coordinate list of a sparse vector {column: coefficient}."""
+        out = [Cyclo.zero()] * self.ncols
+        for k, c in vec.items():
+            out[k] = c
+        return out
+
     def from_vector(self, vec, order=1) -> FreePoly:
         terms = {}
         for k, c in enumerate(vec):
@@ -372,6 +379,16 @@ def _block_assignments(targets, degrees, tideal, group):
     yield from rec(0, tuple(targets), [])
 
 
+def _sparse_vector(pg, terms):
+    """The instance vector {column: coefficient} of the sum of c * mono over
+    the (mono, c) in terms, with zero entries dropped ({} when it is zero)."""
+    vec = {}
+    for mono, c in terms:
+        k = pg.index[mono]
+        vec[k] = vec[k] + c if k in vec else c
+    return {k: c for k, c in vec.items() if not c.is_zero()}
+
+
 def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
     """All substitution instances of one multilinear template at a multidegree."""
     letters_t = template.letters()
@@ -382,17 +399,10 @@ def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
     for blocks, prefix, suffix in _block_assignments(
             pg.letters, [d for _, d in letters_t], tideal, group):
         by_letter = dict(zip(letters_t, blocks))
-        vec = [Cyclo.zero()] * pg.ncols
-        nonzero = False
-        for mono, c in template.terms.items():
-            seq = list(prefix)
-            for lt in mono:
-                seq.extend(by_letter[lt])
-            seq.extend(suffix)
-            k = pg.index[tuple(seq)]
-            vec[k] = vec[k] + c
-            nonzero = True
-        if nonzero and any(not x.is_zero() for x in vec):
+        vec = _sparse_vector(pg, (
+            (prefix + tuple(x for lt in mono for x in by_letter[lt]) + suffix, c)
+            for mono, c in template.terms.items()))
+        if vec:
             yield vec, (template, blocks, prefix, suffix)
 
 
@@ -442,15 +452,16 @@ def _consequence_space(generators, degrees, group, tideal, bound):
     if len(pg.letters) > bound:
         raise ResourceRefusal("multidegree of length %d exceeds bound %d" % (
             len(pg.letters), bound))
+    if isinstance(generators, GeneratorSet) and tideal == (generators.mode == "identities"):
+        # the span the set is verified for: its own instance stages apply
+        stages = _instance_stages(generators, pg, generators.mode)
+    else:
+        stages = [(vec for vec, _ in _generic_instances(_as_poly_list(generators),
+                                                        pg, tideal))]
     sub = Subspace(pg)
-    if (isinstance(generators, GeneratorSet) and generators.fast_source is not None
-            and getattr(generators.fast_source, "exact", False)):
-        for stage in generators.fast_source.stages(pg):
-            for vec in stage:
-                sub.echelon.add(vec)
-        return sub
-    for vec, _ in _generic_instances(_as_poly_list(generators), pg, tideal):
-        sub.echelon.add(vec)
+    for stage in stages:
+        for vec in stage:
+            sub.echelon.add(pg.dense(vec))
     return sub
 
 
@@ -485,12 +496,8 @@ def _separated_cuts(mono, group):
 
 
 def _binomial(pg, mono, other, c):
-    """The instance vector of mono - c * other, or None when it is zero."""
-    vec = [Cyclo.zero()] * pg.ncols
-    vec[pg.index[mono]] = Cyclo.one()
-    k = pg.index[other]
-    vec[k] = vec[k] - c
-    return vec if any(not x.is_zero() for x in vec) else None
+    """The instance vector of mono - c * other."""
+    return _sparse_vector(pg, ((mono, Cyclo.one()), (other, -c)))
 
 
 class _RegularSource:
@@ -515,14 +522,12 @@ class _RegularSource:
         if self.mode == "centrals":
             total = group.product(pg.degrees)
             if total in self.radical:
-                for k, mono in enumerate(pg.monomials):
-                    vec = [Cyclo.zero()] * pg.ncols
-                    vec[k] = Cyclo.one()
-                    yield vec
+                for k in range(pg.ncols):
+                    yield {k: Cyclo.one()}
         for mono in pg.monomials:
             for d1, d2, swapped in _adjacent_cuts(mono, group):
                 vec = _binomial(pg, mono, swapped, self.beta.eval(d1, d2))
-                if vec is not None:
+                if vec:
                     yield vec
 
     def stages(self, pg):
@@ -654,37 +659,35 @@ def _kernel_vectors(pg, combos, blocks, prefix=(), suffix=()):
     """Instance vectors of kernel identities with variable t replaced by
     blocks[t], between a fixed prefix and suffix."""
     for combo in combos:
-        vec = [Cyclo.zero()] * pg.ncols
-        for perm, coeff in combo:
-            seq = list(prefix)
-            for t in perm:
-                seq.extend(blocks[t])
-            seq.extend(suffix)
-            k = pg.index[tuple(seq)]
-            vec[k] = vec[k] + coeff
-        if any(not x.is_zero() for x in vec):
+        vec = _sparse_vector(pg, (
+            (prefix + tuple(x for t in perm for x in blocks[t]) + suffix, coeff)
+            for perm, coeff in combo))
+        if vec:
             yield vec
 
 
 class _PauliSource:
     """Fast exact instance streams for the non-regular Pauli families.
 
-    Stage one: block relations from the pair and triple commutation families,
-    plus the kernel identities directly at the multidegree when its repeat
-    pattern is within the applicable repeat bound.  Stage two: kernel
-    identities instantiated on every ordered block partition whose merged
-    degree tuple is admitted (the constructive content of the reduction
-    lemmas).  Every vector yielded is a genuine instance of a family member.
+    Stage one: block relations from the pair, triple and (when the imaginary
+    unit is a commutation value) swap and alternating families, plus the
+    kernel identities directly at the multidegree when its repeat pattern is
+    within the applicable repeat bound.  Stage two: kernel identities
+    instantiated on every ordered block partition whose merged degree tuple
+    is admitted (the constructive content of the reduction lemmas).  Every
+    vector yielded is a genuine instance of a family member.
     """
 
     exact = False  # stages are sound but may undershoot; callers fall back
 
-    def __init__(self, beta, i_present, max_repeat):
+    def __init__(self, beta):
         self.beta = beta
-        self.i_present = i_present
-        self.max_repeat = max_repeat
+        elements = beta.group.elements()
+        self.values = {(g, h): beta.eval(g, h) for g in elements for h in elements}
+        self.i_present = any(_is_imaginary_unit(v) for v in self.values.values())
+        self.max_repeat = 3 if self.i_present else 1
 
-    def _admitted(self, degs):
+    def admitted(self, degs):
         counts = {}
         for d in degs:
             counts[d] = counts.get(d, 0) + 1
@@ -695,38 +698,57 @@ class _PauliSource:
         one = Cyclo.one()
         for mono in pg.monomials:
             for d1, d2, swapped in _adjacent_cuts(mono, group):
-                val = self.beta.eval(d1, d2)
+                val = self.values[(d1, d2)]
                 if val.is_real():
                     # pair family: u(B1 B2 - val B2 B1)v
                     vec = _binomial(pg, mono, swapped, val)
-                    if vec is not None:
+                    if vec:
                         yield vec
             # triple family: u(B1 B2 W + p B1 W B2 + q W B1 B2)v
             for u, b1, w, b2, v, g in _separated_cuts(mono, group):
                 if not w:
                     continue
-                val = self.beta.eval(g, group.product([x for _, x in w]))
+                val = self.values[(g, group.product([x for _, x in w]))]
                 if val.is_real():
                     continue
                 p, q = _quadratic_pair(val)
-                vec = [Cyclo.zero()] * pg.ncols
-                m_mid = pg.index[mono]
-                m_front = pg.index[u + b1 + b2 + w + v]
-                m_back = pg.index[u + w + b1 + b2 + v]
-                vec[m_front] = vec[m_front] + one
-                vec[m_mid] = vec[m_mid] + p
-                vec[m_back] = vec[m_back] + q
-                if any(not x.is_zero() for x in vec):
+                vec = _sparse_vector(pg, ((u + b1 + b2 + w + v, one), (mono, p),
+                                          (u + w + b1 + b2 + v, q)))
+                if vec:
                     yield vec
             if self.i_present:
                 # swap family: u(B1 W B2 - B2 W B1)v
                 for u, b1, w, b2, v, _ in _separated_cuts(mono, group):
                     vec = _binomial(pg, mono, u + b2 + w + b1 + v, one)
-                    if vec is not None:
+                    if vec:
                         yield vec
 
+    def _alternating_relations(self, pg):
+        """Degree-seven alternating family: u x W1 x W2 x W3 x v + u x x x x
+        W1 W2 W3 v, with the four x the only letters of one degree g and
+        beta(g, deg Wj) = i for the three nonempty blocks Wj."""
+        if not self.i_present or len(pg.letters) < 7:
+            return
+        group = self.beta.group
+        i_val = Cyclo.zeta(self.beta.order, self.beta.order // 4)
+        one = Cyclo.one()
+        for mono in pg.monomials:
+            by_degree = {}
+            for t, (_, d) in enumerate(mono):
+                by_degree.setdefault(d, []).append(t)
+            for g, positions in by_degree.items():
+                if len(positions) != 4:
+                    continue
+                p1, p2, p3, p4 = positions
+                blocks = [mono[p1 + 1:p2], mono[p2 + 1:p3], mono[p3 + 1:p4]]
+                if all(blk and self.values[(g, group.product([d for _, d in blk]))]
+                       == i_val for blk in blocks):
+                    other = (mono[:p1] + tuple(mono[p] for p in positions)
+                             + blocks[0] + blocks[1] + blocks[2] + mono[p4 + 1:])
+                    yield _sparse_vector(pg, ((mono, one), (other, one)))
+
     def _direct_kernel(self, pg):
-        if not self._admitted(pg.degrees):
+        if not self.admitted(pg.degrees):
             return
         combos = _kernel_perm_vectors(self.beta, list(pg.degrees))
         yield from _kernel_vectors(pg, combos, [(lt,) for lt in pg.letters])
@@ -742,13 +764,23 @@ class _PauliSource:
             for blocks, prefix, suffix in _block_assignments(pg.letters, [None] * k,
                                                              True, group):
                 degs = [group.product([d for _, d in blk]) for blk in blocks]
-                if self._admitted(degs):
+                if self.admitted(degs):
                     combos = _kernel_perm_vectors(self.beta, degs)
                     yield from _kernel_vectors(pg, combos, blocks, prefix, suffix)
 
     def stages(self, pg):
-        yield itertools.chain(self._direct_kernel(pg), self._pair_relations(pg))
+        yield itertools.chain(self._direct_kernel(pg), self._pair_relations(pg),
+                              self._alternating_relations(pg))
         yield self._partition_kernels(pg)
+
+
+def _pauli_source(algebra):
+    """The Pauli instance streams of a grading with complex commutation
+    structure, refused otherwise."""
+    beta, j_vec = detect_complex_bicharacter(algebra)
+    if beta is None:
+        raise PreconditionError("no complex commutation structure: %r" % (j_vec,))
+    return _PauliSource(beta)
 
 
 def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
@@ -766,17 +798,14 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     if real_beta is not None:
         raise PreconditionError(
             "the grading is regular over the reals; use family_regular")
-    beta, j_vec = detect_complex_bicharacter(algebra)
-    if beta is None:
-        raise PreconditionError("no complex commutation structure: %r" % (j_vec,))
+    source = _pauli_source(algebra)
+    beta, i_present = source.beta, source.i_present
     group = beta.group
     order = beta.order
     elements = group.elements()
-    pair_values = {(g, h): beta.eval(g, h) for g in elements for h in elements}
-    i_present = any(_is_imaginary_unit(v) for v in pair_values.values())
     s1 = []
     extras = []
-    for (g, h), val in sorted(pair_values.items()):
+    for (g, h), val in sorted(source.values.items()):
         if val.is_real():
             s1.append(_pair_member(group, order, g, h, val))
         else:
@@ -790,30 +819,25 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
         # degree-seven alternating family at triples with value i
         i_val = Cyclo.zeta(order, order // 4)
         for g in elements:
-            partners = [h for h in elements if pair_values[(g, h)] == i_val]
+            partners = [h for h in elements if source.values[(g, h)] == i_val]
             for h1, h2, h3 in itertools.product(partners, repeat=3):
                 lts = {1: (1, g), 2: (2, h1), 3: (3, g), 4: (4, h2),
                        5: (5, g), 6: (6, h3), 7: (7, g)}
                 m1 = monomial_poly(group, order, [lts[k] for k in (1, 2, 3, 4, 5, 6, 7)])
                 m2 = monomial_poly(group, order, [lts[k] for k in (1, 3, 5, 7, 2, 4, 6)])
                 s1.append(m1 + m2)
-    max_repeat = 3 if i_present else 1
     for n in range(2, max_degree + 1):
         for degrees in itertools.combinations_with_replacement(sorted(elements), n):
-            counts = {}
-            for d in degrees:
-                counts[d] = counts.get(d, 0) + 1
-            if any(v > max_repeat for v in counts.values()):
+            if not source.admitted(degrees):
                 continue
             for combo in _kernel_perm_vectors(beta, list(degrees)):
                 s1.append(FreePoly(group, order, {
                     tuple((k + 1, degrees[k]) for k in perm): c for perm, c in combo}))
     name = "pauli-families(max_degree=%d)" % max_degree
     assumptions = ["repeat bound %d per group element (imaginary commutation "
-                   "value %s)" % (max_repeat, "present" if i_present else "absent")]
+                   "value %s)" % (source.max_repeat, "present" if i_present else "absent")]
     return GeneratorSet(name, "identities", group, order, s1=s1, extras=extras,
-                        assumptions=assumptions,
-                        fast_source=_PauliSource(beta, i_present, max_repeat))
+                        assumptions=assumptions, fast_source=source)
 
 
 # -- transfer and lifting -------------------------------------------------------------------
@@ -1062,6 +1086,7 @@ def _check_multidegree(algebra, genset, degrees, mode, bound):
     conservativity_witness = None
     for stage in _instance_stages(genset, pg, mode):
         for vec in stage:
+            vec = pg.dense(vec)
             if guard.add(vec):
                 conservativity_witness = pg.from_vector(vec, genset.order)
                 break
@@ -1244,13 +1269,9 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
     """
     if not poly.is_multilinear():
         raise PreconditionError("pauli_reduce needs a multilinear polynomial")
-    beta, j_vec = detect_complex_bicharacter(algebra)
-    if beta is None:
-        raise PreconditionError("no complex commutation structure: %r" % (j_vec,))
-    elements = beta.group.elements()
-    i_present = any(_is_imaginary_unit(beta.eval(g, h))
-                    for g in elements for h in elements)
-    threshold = 4 if i_present else 2
+    source = _pauli_source(algebra)
+    beta, i_present = source.beta, source.i_present
+    threshold = source.max_repeat + 1
     order = _lcm(poly.order, beta.order)
     current = FreePoly(poly.group, order, poly.terms)
     rounds = []
@@ -1457,129 +1478,68 @@ class _RatioUnionFind:
 
 
 def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationRecord:
-    """Completeness of the reordering families at one (possibly large)
-    multidegree of a Pauli-type grading, by exact quotient counting.
+    """Completeness of the Pauli family at one (possibly large) multidegree of
+    a Pauli-type grading, by exact quotient counting.
 
-    The identity space is the real kernel of the reordering-scalar functional,
-    of codimension 1 or 2.  The consequence span is built from two- and
-    three-term instances (pair moves, swaps, triple relations, and the
-    degree-seven alternating family); its codimension is tracked by a ratio
-    union-find plus a small elimination, which avoids materializing the n!
-    by n! linear algebra.
+    The identity space is the real kernel of the functional
+    mu -> sum mu_k / gamma_k, with gamma_k the reordering scalars; it has
+    codimension 1 or 2.  The family's instance stages are consumed as in
+    verification, each instance checked against that functional: one-term
+    instances kill their monomial, two-term instances join monomials in a
+    ratio union-find, and the rest are eliminated on the union-find classes
+    at the end of each stage.  This avoids the n! by n! linear algebra.
     """
-    beta, _ = detect_complex_bicharacter(algebra)
-    if beta is None:
-        raise PreconditionError("not a Pauli-type grading")
-    group = beta.group
-    pg = MultidegreeBasis(group, degrees)
-    degrees = list(pg.degrees)
-    n = len(degrees)
-    monomials, index = pg.monomials, pg.index
-    # reordering scalar of each monomial relative to the identity order
-    gamma = list(_gamma_values(beta, degrees).values())
-    # codimension of the identity space
-    base = gamma[0].inv()
-    codim = 1
-    for gv in gamma:
-        if not (gv.inv() / base).is_real():
-            codim = 2
-            break
-    dim_id = len(monomials) - codim
+    source = _pauli_source(algebra)
+    pg = MultidegreeBasis(source.beta.group, degrees)
+    gamma = list(_gamma_values(source.beta, pg.degrees).values())
+    weights = [g.inv() for g in gamma]
+    codim = 1 if all((w * gamma[0]).is_real() for w in weights) else 2
+    uf = _RatioUnionFind(pg.ncols)
+    rows = []
 
-    uf = _RatioUnionFind(len(monomials))
-    i_val = Cyclo.zeta(beta.order, beta.order // 4)
-    minus_one = Cyclo.rational(-1)
-
-    def check_identity_relation(parts):
-        total = Cyclo.zero()
-        for k, c in parts:
-            total = total + c * gamma[k].inv()
-        if not total.is_zero():
-            raise AssertionError("emitted relation is not an identity")
-
-    triple_rows = []
-    for m in monomials:
-        base_idx = index[m]
-        for d1, d2, swapped in _adjacent_cuts(m, group):
-            val = beta.eval(d1, d2)
-            if val.is_real():
-                other = index[swapped]
-                check_identity_relation([(base_idx, Cyclo.one()), (other, -val)])
-                if other == base_idx:
-                    if not val.is_one():
-                        uf.set_zero(base_idx)
-                else:
-                    uf.join(base_idx, other, val)
-        # swap relations u(B1 W B2 - B2 W B1)v at same-degree single letters
-        for a in range(n):
-            for c in range(a + 1, n):
-                if m[a][1] != m[c][1]:
-                    continue
-                new = list(m)
-                new[a], new[c] = m[c], m[a]
-                other = index[tuple(new)]
-                check_identity_relation([(base_idx, Cyclo.one()), (other, minus_one)])
-                uf.join(base_idx, other, Cyclo.one())
-        # triple relations with same-degree single letters around a block
-        for a in range(n):
-            for c in range(a + 1, n):
-                if m[a][1] != m[c][1] or c == a + 1:
-                    continue
-                w = m[a + 1:c]
-                h = group.product([d for _, d in w])
-                val = beta.eval(m[a][1], h)
-                if val.is_real():
-                    continue
-                p, q = _quadratic_pair(val)
-                front = index[m[:a] + (m[a], m[c]) + w + m[c + 1:]]
-                back = index[m[:a] + w + (m[a], m[c]) + m[c + 1:]]
-                parts = [(front, Cyclo.one()), (base_idx, p), (back, q)]
-                check_identity_relation(parts)
-                triple_rows.append(parts)
-    # degree-seven alternating family: monomials u x W1 x W2 x W3 x v with the
-    # four x of one degree g and all three intervening blocks pairing to i
-    for m in monomials:
-        by_degree = {}
-        for t, lt in enumerate(m):
-            by_degree.setdefault(lt[1], []).append(t)
-        for g, positions in by_degree.items():
-            if len(positions) != 4:
-                continue
-            p1, p2, p3, p4 = positions
-            blocks = [m[p1 + 1:p2], m[p2 + 1:p3], m[p3 + 1:p4]]
-            if any(not blk for blk in blocks):
-                continue
-            vals = [beta.eval(g, group.product([d for _, d in blk]))
-                    for blk in blocks]
-            if all(v == i_val for v in vals):
-                other = (m[:p1] + (m[p1], m[p2], m[p3], m[p4])
-                         + blocks[0] + blocks[1] + blocks[2] + m[p4 + 1:])
-                oidx = index[other]
-                base_idx = index[m]
-                check_identity_relation([(base_idx, Cyclo.one()),
-                                         (oidx, Cyclo.one())])
-                uf.join(base_idx, oidx, minus_one)
-    seen_roots = {}
-    for k in range(len(monomials)):
-        r = uf.find(k)
-        if not uf.zero[r]:
-            seen_roots.setdefault(r, len(seen_roots))
-    ech = Echelon(len(seen_roots))
-    for parts in triple_rows:
-        row = [Cyclo.zero()] * len(seen_roots)
-        for k, c in parts:
+    def quotient_dim():
+        classes = {}
+        for k in range(pg.ncols):
             r = uf.find(k)
-            if uf.zero[r]:
-                continue
-            col = seen_roots[r]
-            row[col] = row[col] + c * uf.ratio[k] if k != r else row[col] + c
-        if any(not x.is_zero() for x in row):
-            ech.add(row)
-    quotient_dim = len(seen_roots) - ech.dim
-    dim_cons = len(monomials) - quotient_dim
-    equal = quotient_dim == codim
-    witness = None if equal else (
-        "consequence span has codimension %d, identities have codimension %d" % (
-            quotient_dim, codim))
-    return VerificationRecord(pg.words(), _orbit_size(degrees), dim_id, dim_cons,
-                              equal, witness)
+            if not uf.zero[r]:
+                classes.setdefault(r, len(classes))
+        ech = Echelon(len(classes))
+        for vec in rows:
+            if len(classes) - ech.dim == codim:
+                break  # every instance lies in the target: no further drop
+            row = [Cyclo.zero()] * len(classes)
+            for k, c in vec.items():
+                r = uf.find(k)
+                if not uf.zero[r]:
+                    col = classes[r]
+                    row[col] = row[col] + (c * uf.ratio[k] if k != r else c)
+            if any(not x.is_zero() for x in row):
+                ech.add(row)
+        return len(classes) - ech.dim
+
+    witness = None
+    for stage in source.stages(pg):
+        for vec in stage:
+            total = Cyclo.zero()
+            for k, c in vec.items():
+                total = total + c * weights[k]
+            if not total.is_zero():
+                witness = "instance outside the target space: %s" % pg.from_vector(
+                    pg.dense(vec), source.beta.order)
+                break
+            if len(vec) == 1:
+                uf.set_zero(next(iter(vec)))
+            elif len(vec) == 2:
+                (a, ca), (b, cb) = vec.items()
+                uf.join(a, b, -cb / ca)
+            else:
+                rows.append(vec)
+        quotient = quotient_dim()
+        if witness is not None or quotient == codim:
+            break
+    equal = witness is None and quotient == codim
+    if witness is None and not equal:
+        witness = "consequence span has codimension %d, identities have codimension %d" % (
+            quotient, codim)
+    return VerificationRecord(pg.words(), _orbit_size(pg.degrees), pg.ncols - codim,
+                              pg.ncols - quotient, equal, witness)

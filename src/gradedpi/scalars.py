@@ -285,7 +285,8 @@ class Cyclo:
                 for t, r in enumerate(row):
                     acc[t] += c * r
         out = Cyclo(self.order, tuple(acc))
-        assert (out * self).is_one()
+        if not (out * self).is_one():
+            raise AssertionError("cyclotomic inverse check fails")
         return out
 
     def __truediv__(self, other):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gradedpi import cli
 from gradedpi.algebras import build_catalog
 from gradedpi.cli import (
     algebra_spec_dict,
@@ -179,3 +180,14 @@ def test_algebra_file_with_named_generator_sets(tmp_path):
     code = run(["verify", "--algebra", str(path), "--basis", "house-basis",
                 "--mode", "identities", "--max-degree", "3"])
     assert code == 0
+
+
+def test_internal_error_exit5(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(cli, "verify_basis", broken)
+    code = run(["verify", "--algebra", "m2-elem", "--basis", "dv-lemma",
+                "--mode", "identities", "--max-degree", "2"])
+    assert code == 5
+    assert "internal error: broken invariant" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedpi import pitool
 from gradedpi.algebras import (
     GradedAlgebra,
     build_catalog,
@@ -172,6 +174,21 @@ def test_tspace_single_variable_full():
     x = monomial_poly(g, 2, [(1, (0,))])
     sub = tspace_consequences([x], [(1,), (1,)], group=g)
     assert sub.dim == 2  # both orderings of the two odd letters
+
+
+def test_tspace_of_identity_family_takes_substitution_instances_only():
+    """A T-space span of an identity family is the span of its generic
+    substitution instances, not the T-ideal span its fast stream gives."""
+    alg = build_catalog("m2-4")
+    beta, _ = detect_regular(alg)
+    fam = family_regular(beta, "identities")
+    degs = [(1, 0), (0, 1), (1, 1)]
+    for span in (tspace_consequences, tideal_consequences):
+        via_family = span(fam, degs)
+        generic = span(fam.members, degs, group=fam.group)
+        assert via_family.dim == generic.dim
+        assert all(generic.contains(v) for v in via_family.basis())
+    assert tspace_consequences(fam, degs).dim < tideal_consequences(fam, degs).dim
 
 
 def test_tspace_padded_commutator_contains_its_shape():
@@ -516,11 +533,9 @@ def pauli_families():
     pytest.param("pauli4", [(1, 0), (0, 1), (1, 0)], id="pauli4-swap"),
     pytest.param("pauli3", [(1, 0), (1, 0), (2, 0), (1, 0)], id="pauli3-repeated"),
     pytest.param("pauli3", [(1, 0), (1, 0), (0, 1), (2, 1)], id="pauli3-nonreal"),
-    pytest.param("pauli3", [(1, 0), (0, 1), (1, 1), (2, 0)], id="pauli3-distinct",
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "the quotient count omits the general reordering "
-                     "identities, so it finds codimension 3 where the family "
-                     "spans the codimension-2 identity space"))),
+    pytest.param("pauli3", [(1, 0), (0, 1), (1, 1), (2, 0)], id="pauli3-distinct"),
+    pytest.param("pauli3", [(1, 0), (0, 1), (1, 1)], id="pauli3-x-y-xy"),
+    pytest.param("pauli4", [(1, 0), (0, 1), (2, 1)], id="pauli4-x-y-x2y"),
 ])
 def test_check_pauli_multidegree_small(pauli_families, name, degs):
     """The quotient-counting path agrees with the dense engine: the exact
@@ -532,6 +547,31 @@ def test_check_pauli_multidegree_small(pauli_families, name, degs):
     assert rec.dim_target == multilinear_identity_space(algebra, degs).dim
     assert (rec.equal, rec.dim_target, rec.dim_consequence) == (
         dense.equal, dense.dim_target, dense.dim_consequence)
+
+
+def test_check_pauli_multidegree_reports_instance_outside_target(monkeypatch):
+    """An instance off the identity functional gives a FAIL record with a
+    witness, not an exception."""
+    p3 = build_catalog("pauli", n=3)
+    monkeypatch.setattr(pitool._PauliSource, "stages",
+                        lambda self, pg: iter([iter([{0: Cyclo.one()}])]))
+    rec = check_pauli_multidegree(p3, [(1, 0), (0, 1)])
+    assert not rec.equal
+    assert rec.witness.startswith("instance outside the target space")
+
+
+def test_check_pauli_multidegree_pauli3_sweep(pauli_families):
+    """Every sorted pauli-3 multidegree of length 2 and 3 reads complete,
+    against the exact identity space."""
+    algebra, _ = pauli_families["pauli3"]
+    elements = sorted(algebra.group.elements())
+    shapes = [list(d) for n in (2, 3)
+              for d in itertools.combinations_with_replacement(elements, n)]
+    assert len(shapes) == 210
+    for degs in shapes:
+        rec = check_pauli_multidegree(algebra, degs)
+        assert rec.equal, (degs, rec.witness)
+        assert rec.dim_target == multilinear_identity_space(algebra, degs).dim, degs
 
 
 def test_complex_fastpath_matches_full_enumeration():
