@@ -102,6 +102,7 @@ class GradedAlgebra:
             self._components.setdefault(d, []).append(idx)
         self._complex = None
         self._complex_checked = False
+        self._complex_bicharacter = None
         if validate:
             self.validate()
 
@@ -299,14 +300,7 @@ def center(algebra: GradedAlgebra):
             out.append(HomogeneousElement(algebra, degree, coords))
     # prune to an independent set
     ech = Echelon(dim)
-    kept = []
-    for h in out:
-        vec = [Cyclo.zero()] * dim
-        for k, c in h.coords.items():
-            vec[k] = c
-        if ech.add(vec):
-            kept.append(h)
-    return kept
+    return [h for h in out if ech.add(h.coords)]
 
 
 class RegularityWitness:
@@ -415,8 +409,14 @@ def detect_complex_bicharacter(algebra: GradedAlgebra):
 
     Returns (Bicharacter over Q(zeta_lcm(N,4)), J) or (None, witness).  The
     scalar for a pair (g, h) is lam1 + lam2*i, realized in the algebra as
-    uv = lam1*(vu) + lam2*(J*vu).
+    uv = lam1*(vu) + lam2*(J*vu).  The result is memoized on the algebra.
     """
+    if algebra._complex_bicharacter is None:
+        algebra._complex_bicharacter = _detect_complex_bicharacter(algebra)
+    return algebra._complex_bicharacter
+
+
+def _detect_complex_bicharacter(algebra):
     j_vec = complex_unit(algebra)
     if j_vec is None:
         return None, RegularityWitness("no central square root of -1")
@@ -541,13 +541,8 @@ def _classify_identity_component(algebra: GradedAlgebra):
         if algebra.mul_basis(i1, i2) != algebra.mul_basis(i2, i1):
             return None, "two-dimensional identity component is not commutative"
         ech = Echelon(algebra.dim)
-        uvec = [Cyclo.zero()] * algebra.dim
-        for k, c in unit_vec.items():
-            uvec[k] = c
-        ech.add(uvec)
-        w_idx = next(i for i in comp
-                     if not ech.contains([Cyclo.one() if t == i else Cyclo.zero()
-                                          for t in range(algebra.dim)]))
+        ech.add(unit_vec)
+        w_idx = next(i for i in comp if not ech.contains(algebra.basis_vector(i)))
         res = pure_part(algebra.basis_vector(w_idx))
         if res is None:
             return None, "identity component element with square outside span{1, w}"
@@ -559,14 +554,10 @@ def _classify_identity_component(algebra: GradedAlgebra):
         # quaternion normalization
         dim = algebra.dim
         ech = Echelon(dim)
-        uvec = [Cyclo.zero()] * dim
-        for k, c in unit_vec.items():
-            uvec[k] = c
-        ech.add(uvec)
+        ech.add(unit_vec)
         pures = []
         for idx in comp:
-            vec = [Cyclo.one() if t == idx else Cyclo.zero() for t in range(dim)]
-            if ech.contains(vec):
+            if ech.contains(algebra.basis_vector(idx)):
                 continue
             res = pure_part(algebra.basis_vector(idx))
             if res is None:
@@ -593,10 +584,7 @@ def _classify_identity_component(algebra: GradedAlgebra):
                 if vec_add(algebra.mul_vec(p1, p), algebra.mul_vec(p, p1)):
                     return None, "orthogonalization failed to anticommute"
             pures.append((p, dval))
-            new_vec = [Cyclo.zero()] * dim
-            for k, c in p.items():
-                new_vec[k] = c
-            ech.add(new_vec)
+            ech.add(p)
             if len(pures) == 2:
                 break
         if len(pures) < 2:
@@ -605,10 +593,7 @@ def _classify_identity_component(algebra: GradedAlgebra):
         k_el = algebra.mul_vec(p1, p2)
         span = Echelon(dim)
         for v in (unit_vec, p1, p2, k_el):
-            dense = [Cyclo.zero()] * dim
-            for kk, c in v.items():
-                dense[kk] = c
-            span.add(dense)
+            span.add(v)
         if span.dim != 4:
             return None, "1, i, j, ij do not span the identity component"
         return "H", None
@@ -641,11 +626,7 @@ def check_graded_division(algebra: GradedAlgebra):
                            "degree": g}
         shifted = Echelon(algebra.dim)
         for i in algebra.component(e):
-            prod = algebra.mul_vec(algebra.basis_vector(i), u_g)
-            dense = [Cyclo.zero()] * algebra.dim
-            for k, c in prod.items():
-                dense[k] = c
-            shifted.add(dense)
+            shifted.add(algebra.mul_vec(algebra.basis_vector(i), u_g))
         if shifted.dim != len(comp):
             return False, {"reason": "A_e * u_g does not span the component of %s"
                                      % algebra.group.element_to_word(g), "degree": g}

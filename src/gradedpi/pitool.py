@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 
 from .algebras import (
@@ -89,19 +90,10 @@ class MultidegreeBasis:
             vec[k] = vec[k] + c
         return vec
 
-    def dense(self, vec):
-        """The coordinate list of a sparse vector {column: coefficient}."""
-        out = [Cyclo.zero()] * self.ncols
-        for k, c in vec.items():
-            out[k] = c
-        return out
-
     def from_vector(self, vec, order=1) -> FreePoly:
-        terms = {}
-        for k, c in enumerate(vec):
-            if not (isinstance(c, Cyclo) and c.is_zero()):
-                terms[self.monomials[k]] = c
-        return FreePoly(self.group, order, terms)
+        """The polynomial of a sparse vector {column: coefficient}."""
+        return FreePoly(self.group, order,
+                        {self.monomials[k]: c for k, c in vec.items()})
 
     def words(self):
         return [self.group.element_to_word(d) for d in self.degrees]
@@ -127,7 +119,7 @@ class Subspace:
         return self.echelon.contains(vec)
 
     def basis_polys(self, order=1):
-        return [self.pg.from_vector(v, order) for v in self.echelon.basis()]
+        return [self.pg.from_vector(v, order) for v in self.echelon.sparse_basis()]
 
 
 # -- membership -----------------------------------------------------------------------
@@ -255,25 +247,20 @@ def _space(algebra, degrees, central, bound):
         raise ResourceRefusal(
             "multidegree of length %d exceeds bound %d (component dimension %d)" % (
                 n, bound, _factorial(n)))
-    rows = _component_rows(algebra, pg, central)
-    if rows is None:
-        # a degree outside the support: everything is an identity
-        full = [[Cyclo.one() if i == j else Cyclo.zero() for j in range(pg.ncols)]
-                for i in range(pg.ncols)]
-        return Subspace(pg, full)
-    from .scalars import kernel_over_real_subfield
-
     seen = set()
     unique_rows = []
-    for r in rows:
+    # rows is None for a degree outside the support
+    for r in _component_rows(algebra, pg, central) or ():
         key = tuple(r)
         if key not in seen and any(not c.is_zero() for c in r):
             seen.add(key)
             unique_rows.append(r)
-    kernel = kernel_over_real_subfield(unique_rows) if unique_rows else [
-        [Cyclo.one() if i == j else Cyclo.zero() for j in range(pg.ncols)]
-        for i in range(pg.ncols)]
-    return Subspace(pg, kernel)
+    if not unique_rows:
+        # every evaluation (or commutator) vanishes: the whole component
+        return Subspace(pg, [{k: Cyclo.one()} for k in range(pg.ncols)])
+    from .scalars import kernel_over_real_subfield
+
+    return Subspace(pg, kernel_over_real_subfield(unique_rows))
 
 
 def _factorial(n):
@@ -459,9 +446,8 @@ def _consequence_space(generators, degrees, group, tideal, bound):
         stages = [(vec for vec, _ in _generic_instances(_as_poly_list(generators),
                                                         pg, tideal))]
     sub = Subspace(pg)
-    for stage in stages:
-        for vec in stage:
-            sub.echelon.add(pg.dense(vec))
+    for vec in itertools.chain.from_iterable(stages):
+        sub.echelon.add(vec)
     return sub
 
 
@@ -1082,25 +1068,21 @@ def _check_multidegree(algebra, genset, degrees, mode, bound):
     else:
         target = multilinear_central_space(algebra, degrees, bound)
     cons = Echelon(pg.ncols)
-    guard = target.echelon.copy()
-    conservativity_witness = None
+    witness = None
     for stage in _instance_stages(genset, pg, mode):
         for vec in stage:
-            vec = pg.dense(vec)
-            if guard.add(vec):
-                conservativity_witness = pg.from_vector(vec, genset.order)
+            if not target.contains(vec):
+                witness = "instance outside the target space: %s" % pg.from_vector(
+                    vec, genset.order)
                 break
             cons.add(vec)
             if cons.dim == target.dim:
                 break
-        if conservativity_witness is not None or cons.dim == target.dim:
+        if witness is not None or cons.dim == target.dim:
             break
-    equal = cons.dim == target.dim and conservativity_witness is None
-    witness = None
-    if conservativity_witness is not None:
-        witness = "instance outside the target space: %s" % conservativity_witness
-    elif not equal:
-        for v in target.basis():
+    equal = cons.dim == target.dim and witness is None
+    if witness is None and not equal:
+        for v in target.echelon.sparse_basis():
             if not cons.contains(v):
                 witness = "missing from consequences: %s" % pg.from_vector(
                     v, genset.order)
@@ -1127,6 +1109,11 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
             "max degree %d exceeds the dense-engine bound %d (component "
             "dimension %d); the large-multidegree path handles single "
             "multidegrees beyond it" % (max_degree, bound, _factorial(max_degree)))
+    if jobs < 1:
+        raise PreconditionError("jobs must be at least 1, got %d" % jobs)
+    if jobs > os.cpu_count():
+        raise ResourceRefusal("jobs %d exceeds the %d CPUs of this machine" % (
+            jobs, os.cpu_count()))
     membership = _membership_entries(algebra, genset)
     support = sorted(algebra.support)
     reps = []
@@ -1431,92 +1418,23 @@ def okhitin_basis() -> GeneratorSet:
 # -- the flag-gated degree-seven Pauli check -------------------------------------------------
 
 
-class _RatioUnionFind:
-    """Union-find over monomials with exact scalar ratios to the class root.
-
-    Joining m1 = c * m2 when both map to the same root with inconsistent
-    ratios collapses the class to zero (the difference is in the span).
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.ratio = [Cyclo.one()] * n  # element = ratio * root
-        self.zero = [False] * n
-
-    def find(self, k):
-        path = []
-        while self.parent[k] != k:
-            path.append(k)
-            k = self.parent[k]
-        acc = Cyclo.one()
-        for node in reversed(path):
-            acc = acc * self.ratio[node]
-            self.parent[node] = k
-            self.ratio[node] = acc
-        return k
-
-    def is_zero(self, k):
-        return self.zero[self.find(k)]
-
-    def set_zero(self, k):
-        self.zero[self.find(k)] = True
-
-    def join(self, a, b, c):
-        """Impose a = c * b."""
-        ra, rb = self.find(a), self.find(b)
-        ca = self.ratio[a] if a != ra else Cyclo.one()
-        cb = self.ratio[b] if b != rb else Cyclo.one()
-        if ra == rb:
-            if not (ca == c * cb):
-                self.zero[ra] = True
-            return
-        # root_a = (c * cb / ca) root_b
-        self.parent[ra] = rb
-        self.ratio[ra] = c * cb / ca
-        if self.zero[ra]:
-            self.zero[rb] = True
-
-
 def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationRecord:
     """Completeness of the Pauli family at one (possibly large) multidegree of
-    a Pauli-type grading, by exact quotient counting.
+    a Pauli-type grading, without building the identity space.
 
     The identity space is the real kernel of the functional
     mu -> sum mu_k / gamma_k, with gamma_k the reordering scalars; it has
     codimension 1 or 2.  The family's instance stages are consumed as in
-    verification, each instance checked against that functional: one-term
-    instances kill their monomial, two-term instances join monomials in a
-    ratio union-find, and the rest are eliminated on the union-find classes
-    at the end of each stage.  This avoids the n! by n! linear algebra.
+    verification, each instance checked against that functional and
+    eliminated sparsely, until the span reaches the identity space.
     """
     source = _pauli_source(algebra)
     pg = MultidegreeBasis(source.beta.group, degrees)
     gamma = list(_gamma_values(source.beta, pg.degrees).values())
     weights = [g.inv() for g in gamma]
     codim = 1 if all((w * gamma[0]).is_real() for w in weights) else 2
-    uf = _RatioUnionFind(pg.ncols)
-    rows = []
-
-    def quotient_dim():
-        classes = {}
-        for k in range(pg.ncols):
-            r = uf.find(k)
-            if not uf.zero[r]:
-                classes.setdefault(r, len(classes))
-        ech = Echelon(len(classes))
-        for vec in rows:
-            if len(classes) - ech.dim == codim:
-                break  # every instance lies in the target: no further drop
-            row = [Cyclo.zero()] * len(classes)
-            for k, c in vec.items():
-                r = uf.find(k)
-                if not uf.zero[r]:
-                    col = classes[r]
-                    row[col] = row[col] + (c * uf.ratio[k] if k != r else c)
-            if any(not x.is_zero() for x in row):
-                ech.add(row)
-        return len(classes) - ech.dim
-
+    dim_target = pg.ncols - codim
+    cons = Echelon(pg.ncols)
     witness = None
     for stage in source.stages(pg):
         for vec in stage:
@@ -1525,21 +1443,16 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
                 total = total + c * weights[k]
             if not total.is_zero():
                 witness = "instance outside the target space: %s" % pg.from_vector(
-                    pg.dense(vec), source.beta.order)
+                    vec, source.beta.order)
                 break
-            if len(vec) == 1:
-                uf.set_zero(next(iter(vec)))
-            elif len(vec) == 2:
-                (a, ca), (b, cb) = vec.items()
-                uf.join(a, b, -cb / ca)
-            else:
-                rows.append(vec)
-        quotient = quotient_dim()
-        if witness is not None or quotient == codim:
+            cons.add(vec)
+            if cons.dim == dim_target:
+                break
+        if witness is not None or cons.dim == dim_target:
             break
-    equal = witness is None and quotient == codim
+    equal = witness is None and cons.dim == dim_target
     if witness is None and not equal:
         witness = "consequence span has codimension %d, identities have codimension %d" % (
-            quotient, codim)
-    return VerificationRecord(pg.words(), _orbit_size(pg.degrees), pg.ncols - codim,
-                              pg.ncols - quotient, equal, witness)
+            pg.ncols - cons.dim, codim)
+    return VerificationRecord(pg.words(), _orbit_size(pg.degrees), dim_target,
+                              cons.dim, equal, witness)

@@ -516,72 +516,87 @@ def _cos2pi_interval(r: Fraction, terms: int) -> tuple[Fraction, Fraction]:
 class Echelon:
     """Incrementally maintained reduced row echelon form over a cyclotomic field.
 
-    The arithmetic is plain Cyclo arithmetic, so feeding in conj-fixed rows
-    keeps everything inside the maximal real subfield.
+    Rows are held sparse, as {column: coefficient} without zero entries and
+    keyed by their pivot, the leftmost column, where the row has a 1.  The
+    form is fully reduced (no row has an entry in another row's pivot
+    column), so it is unique for the span.  Vectors are given as coordinate
+    lists or as sparse dicts.  The arithmetic is plain Cyclo arithmetic, so
+    feeding in conj-fixed rows keeps everything inside the maximal real
+    subfield.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Cyclo]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, Cyclo]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "Echelon":
-        out = Echelon(self.ncols)
-        out.rows = [list(r) for r in self.rows]
-        out.pivots = list(self.pivots)
-        return out
-
-    def reduce(self, vec) -> list[Cyclo]:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not c.is_zero():
-                for j in range(p, self.ncols):
-                    e = row[j]
-                    if not e.is_zero():
-                        v[j] = v[j] - c * e
+    def reduce(self, vec) -> dict[int, Cyclo]:
+        """The remainder of vec, sparse, with no entry in a pivot column."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {j: c for j, c in items if not c.is_zero()}
+        # a fully reduced form leaves the pivot entries of v unchanged, so
+        # one pass over them reduces v
+        for p in sorted(j for j in v if j in self.rows):
+            _subtract_multiple(v, v.pop(p), self.rows[p], p)
         return v
 
     def contains(self, vec) -> bool:
-        return all(c.is_zero() for c in self.reduce(vec))
+        return not self.reduce(vec)
 
     def add(self, vec) -> bool:
         """Insert vec if independent of the current span; returns True if added."""
         v = self.reduce(vec)
-        pivot = next((j for j, c in enumerate(v) if not c.is_zero()), None)
-        if pivot is None:
+        if not v:
             return False
-        inv = v[pivot].inv()
-        v = [c * inv for c in v]
-        for row in self.rows:
-            c = row[pivot]
-            if not c.is_zero():
-                for j in range(pivot, self.ncols):
-                    if not v[j].is_zero():
-                        row[j] = row[j] - c * v[j]
-        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
+        pivot = min(v)
+        lead = v[pivot]
+        if not lead.is_one():
+            inv = lead.inv()
+            v = {j: c * inv for j, c in v.items()}
+        for row in self.rows.values():
+            if pivot in row:
+                _subtract_multiple(row, row.pop(pivot), v, pivot)
+        self.rows[pivot] = v
         return True
 
+    def sparse_basis(self) -> list[dict[int, Cyclo]]:
+        """The rows as {column: coefficient}, in pivot order."""
+        return [self.rows[p] for p in sorted(self.rows)]
+
     def basis(self) -> list[list[Cyclo]]:
-        return [list(r) for r in self.rows]
+        zero = Cyclo.zero()
+        return [[row.get(j, zero) for j in range(self.ncols)]
+                for row in self.sparse_basis()]
 
     def kernel(self) -> list[list[Cyclo]]:
         """Basis of the solution space of (this row span) * x = 0."""
-        free = [j for j in range(self.ncols) if j not in self.pivots]
+        free = [j for j in range(self.ncols) if j not in self.rows]
         out = []
         for f in free:
             v = [Cyclo.zero()] * self.ncols
             v[f] = Cyclo.one()
-            for row, p in zip(self.rows, self.pivots):
-                v[p] = -row[f]
+            for p, row in self.rows.items():
+                if f in row:
+                    v[p] = -row[f]
             out.append(v)
         return out
+
+
+def _subtract_multiple(v, c, row, pivot):
+    """v -= c * row in place on the columns of row other than its pivot,
+    dropping the entries that cancel."""
+    for j, e in row.items():
+        if j == pivot:
+            continue
+        s = v.get(j)
+        s = -(c * e) if s is None else s - c * e
+        if s.is_zero():
+            del v[j]
+        else:
+            v[j] = s
 
 
 def _real_rows(rows):

@@ -199,6 +199,11 @@ def test_complex_bicharacter_pauli3():
     assert not val.is_real()
 
 
+def test_complex_bicharacter_is_memoized():
+    alg = build_catalog("pauli", n=3)
+    assert detect_complex_bicharacter(alg)[0] is detect_complex_bicharacter(alg)[0]
+
+
 def test_complex_unit_pauli():
     alg = build_catalog("pauli", n=3)
     j = complex_unit(alg)

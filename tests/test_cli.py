@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -163,6 +164,17 @@ def test_resource_refusal_exit4():
 def test_max_degree_below_one_exit3(max_degree):
     assert run(["verify", "--algebra", "c2", "--basis", "regular",
                 "--max-degree", max_degree]) == 3
+
+
+def test_jobs_below_one_exit3():
+    assert run(["verify", "--algebra", "m2-elem", "--basis", "dv-lemma",
+                "--mode", "identities", "--max-degree", "2", "--jobs", "0"]) == 3
+
+
+def test_jobs_above_cpu_count_exit4():
+    assert run(["verify", "--algebra", "m2-elem", "--basis", "dv-lemma",
+                "--mode", "identities", "--max-degree", "2",
+                "--jobs", str(os.cpu_count() + 1)]) == 4
 
 
 def test_algebra_file_with_named_generator_sets(tmp_path):

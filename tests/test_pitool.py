@@ -538,8 +538,9 @@ def pauli_families():
     pytest.param("pauli4", [(1, 0), (0, 1), (2, 1)], id="pauli4-x-y-x2y"),
 ])
 def test_check_pauli_multidegree_small(pauli_families, name, degs):
-    """The quotient-counting path agrees with the dense engine: the exact
-    identity space and the consequence span of the emitted family."""
+    """check_pauli_multidegree, which never builds the identity space, agrees
+    with the generic check against the exact identity space and the
+    consequence span of the emitted family."""
     algebra, fam = pauli_families[name]
     rec = check_pauli_multidegree(algebra, degs)
     dense = _check_multidegree(algebra, fam, degs, "identities", DEFAULT_DEGREE_BOUND)
@@ -558,6 +559,21 @@ def test_check_pauli_multidegree_reports_instance_outside_target(monkeypatch):
     rec = check_pauli_multidegree(p3, [(1, 0), (0, 1)])
     assert not rec.equal
     assert rec.witness.startswith("instance outside the target space")
+
+
+def test_check_pauli_multidegree_reports_short_span(monkeypatch):
+    """Stages that fall short of the identity space give a FAIL record with
+    both codimensions."""
+    p3 = build_catalog("pauli", n=3)
+    degs = [(1, 0), (0, 1), (1, 1)]
+    monkeypatch.setattr(pitool._PauliSource, "stages", lambda self, pg: iter([iter([])]))
+    rec = check_pauli_multidegree(p3, degs)
+    assert not rec.equal
+    assert rec.dim_consequence == 0
+    assert rec.dim_target == multilinear_identity_space(p3, degs).dim
+    assert rec.witness == (
+        "consequence span has codimension 6, identities have codimension %d"
+        % (6 - rec.dim_target))
 
 
 def test_check_pauli_multidegree_pauli3_sweep(pauli_families):

@@ -202,6 +202,76 @@ def test_echelon_incremental():
     assert not ech.contains(one_hot(3, 0))
 
 
+def _gauss_jordan(rows, ncols):
+    """Reference reduced row echelon form over Fraction (nonzero rows only)."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        lead = m[rank][col]
+        m[rank] = [x / lead for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+@st.composite
+def rational_matrices(draw):
+    """(ncols, rows, order): a small rational matrix that may hold zero and
+    duplicate rows, and a permutation of its rows."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2),
+                                                 Fraction(1, 2), Fraction(-3, 4)])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    return ncols, rows, draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_echelon_matches_gauss_jordan(matrix):
+    """The sparse echelon agrees with plain Gauss-Jordan elimination on dim,
+    basis and membership, for rows given as lists, full dicts or sparse
+    dicts, and its basis does not depend on the insertion order."""
+    ncols, rows, order = matrix
+    expected = _gauss_jordan(rows, ncols)
+    probes = rows + [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+    if len(rows) >= 2:
+        probes.append([a + b for a, b in zip(rows[0], rows[1])])
+    forms = [
+        lambda r: [Cyclo.rational(x) for x in r],
+        lambda r: {j: Cyclo.rational(x) for j, x in enumerate(r)},
+        lambda r: {j: Cyclo.rational(x) for j, x in enumerate(r) if x},
+    ]
+    for form in forms:
+        ech = Echelon(ncols)
+        for r in rows:
+            ech.add(form(r))
+        assert ech.dim == len(expected)
+        assert [[c.rational_value() for c in r] for r in ech.basis()] == expected
+        for probe in probes:
+            inside = len(_gauss_jordan(expected + [probe], ncols)) == len(expected)
+            assert ech.contains(form(probe)) == inside
+        kernel = ech.kernel()
+        assert len(kernel) == ncols - len(expected)
+        for v in kernel:
+            for r in rows:
+                assert sum(x * c.rational_value() for x, c in zip(r, v)) == 0
+    shuffled = Echelon(ncols)
+    for i in order:
+        shuffled.add(forms[0](rows[i]))
+    assert shuffled.basis() == ech.basis()
+
+
 def test_parse_cyclo_roundtrip():
     x = parse_cyclo("1/2 - 3*z^2 + z", 8)
     expected = (
