@@ -287,6 +287,7 @@ class Bicharacter:
             if not (table[i][i] * table[i][i]).is_one():
                 raise ValueError("diagonal entry (%d,%d) must square to 1" % (i, i))
         self.table = tuple(tuple(row) for row in table)
+        self._values = {}
 
     @staticmethod
     def trivial(group: FiniteAbelianGroup) -> "Bicharacter":
@@ -294,15 +295,19 @@ class Bicharacter:
         return Bicharacter(group, 1, [[one] * group.rank for _ in range(group.rank)])
 
     def eval(self, g, h) -> Cyclo:
+        """beta(g, h), memoized per pair once both are checked group elements."""
         self.group.check(g)
         self.group.check(h)
-        out = Cyclo.one()
-        for i, gi in enumerate(g):
-            if not gi:
-                continue
-            for j, hj in enumerate(h):
-                if hj:
-                    out = out * self.table[i][j] ** (gi * hj)
+        out = self._values.get((g, h))
+        if out is None:
+            out = Cyclo.one()
+            for i, gi in enumerate(g):
+                if not gi:
+                    continue
+                for j, hj in enumerate(h):
+                    if hj:
+                        out = out * self.table[i][j] ** (gi * hj)
+            self._values[g, h] = out
         return out
 
     def radical(self):

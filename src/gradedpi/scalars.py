@@ -1,10 +1,12 @@
 """Exact cyclotomic arithmetic and linear algebra over the real subfield.
 
 All scalars in this package are elements of Q(zeta_N) for some N, stored as
-rational coordinate vectors on the power basis 1, zeta, ..., zeta^(phi(N)-1)
-reduced modulo the N-th cyclotomic polynomial.  Reduction modulo Phi_N (rather
-than zeta^N - 1) makes the representation a field with unique normal forms, so
-equality is literal tuple equality.  There is no floating point anywhere;
+integer numerators over one positive integer denominator on the power basis
+1, zeta, ..., zeta^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial.
+Phi_N is monic over Z, so the arithmetic runs on Python ints with one gcd
+normalization per result.  Reduction modulo Phi_N (rather than zeta^N - 1)
+makes the representation a field with unique normal forms, so equality at a
+common order is literal tuple equality.  There is no floating point anywhere;
 sign determination for real values uses exact interval refinement.
 """
 
@@ -14,6 +16,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
+from operator import add, sub
 
 __all__ = [
     "Cyclo",
@@ -44,15 +48,6 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result *= m - 1
     return result
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -89,46 +84,139 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced coordinates of zeta_n^j on the power basis, for j in range(n)."""
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of zeta_n^j on the power basis, for j in range(n).
+
+    Phi_n is monic over Z, so the coordinates are integers.
+    """
     phi = euler_phi(n)
-    top = [-Fraction(c) for c in cyclotomic_polynomial(n)[:phi]]  # zeta^phi
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [_ZERO] * phi
-    cur[0] = _ONE
+    top = [-c for c in cyclotomic_polynomial(n)[:phi]]  # zeta^phi
+    rows: list[tuple[int, ...]] = []
+    cur = [1] + [0] * (phi - 1)
     for j in range(n):
         rows.append(tuple(cur))
         # multiply by zeta
         carry = cur[phi - 1]
-        nxt = [_ZERO] + cur[: phi - 1]
+        nxt = [0] + cur[: phi - 1]
         if carry:
             nxt = [a + carry * t for a, t in zip(nxt, top)]
         cur = nxt
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _lift_rows(src: int, dst: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates in Q(zeta_dst) of zeta_src^j, for j < phi(src)."""
+    table = _power_table(dst)
+    step = dst // src
+    return tuple(table[j * step] for j in range(euler_phi(src)))
+
+
+@lru_cache(maxsize=None)
+def _conj_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of zeta_n^(-j), for j < phi(n)."""
+    table = _power_table(n)
+    return tuple(table[-j % n] for j in range(euler_phi(n)))
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^j) over Q for j < phi(n), the Ramanujan sums c_n(j)."""
+    table = _power_table(n)
+    units = [a for a in range(1, n + 1) if gcd(a, n) == 1]
+    return tuple(sum(table[a * j % n][0] for a in units) for j in range(euler_phi(n)))
+
+
+def _combine(nums, rows) -> tuple[int, ...]:
+    """sum(nums[j] * rows[j]) as a coordinate tuple."""
+    acc = [0] * len(rows[0])
+    for c, row in zip(nums, rows):
+        if c:
+            for t, r in enumerate(row):
+                if r:
+                    acc[t] += c * r
+    return tuple(acc)
+
+
+def _reduced(acc: list[int], n: int, phi: int) -> tuple[int, ...]:
+    """Power-basis coordinates of sum(acc[k] * zeta_n^k)."""
+    out = acc[:phi] + [0] * (phi - len(acc))
+    table = _power_table(n)
+    for k in range(phi, len(acc)):
+        c = acc[k]
+        if c:
+            for t, r in enumerate(table[k % n]):
+                if r:
+                    out[t] += c * r
+    return tuple(out)
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational number."""
+    if not isinstance(value, Rational):
+        raise TypeError("not an exact rational number: %r" % (value,))
+    return value.numerator, value.denominator
+
+
+def _ratio_text(num: int, den: int) -> str:
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return "%d" % num if den == 1 else "%d/%d" % (num, den)
+
+
+_new = object.__new__
+
+
+def _make(order: int, nums: tuple[int, ...], den: int) -> "Cyclo":
+    """The value sum(nums[j] * zeta_order^j) / den, for den > 0, in canonical
+    form: a rational value moves to order 1 and gcd(den, *nums) becomes 1."""
+    if order != 1 and not any(nums[1:]):
+        order, nums = 1, nums[:1]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(c // g for c in nums)
+    x = _new(Cyclo)
+    x.order = order
+    x.nums = nums
+    x.den = den
+    return x
+
+
 class Cyclo:
     """An element of the N-th cyclotomic field over Q, in canonical form.
 
-    Binary operations lift both operands into Q(zeta_lcm).  Rational values
-    are canonicalized to order 1 so that equal rationals hash equally
-    regardless of the order they were produced in.
+    The value is sum(nums[j] * zeta_N^j) / den with integer numerators nums on
+    the power basis, one positive integer denominator den, and
+    gcd(den, *nums) == 1.  Rational values are held at order 1, so that the
+    rational predicates read one field.  Binary operations lift both operands
+    into Q(zeta_lcm).
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "nums", "den", "_hash")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
-        if order >= 2 and all(c == 0 for c in coeffs[1:]):
-            order, coeffs = 1, (coeffs[0],)
-        self.order = order
-        self.coeffs = coeffs
-        self._hash = None
+    def __init__(self, order: int, coeffs):
+        """The element with the rational coordinates coeffs on the power
+        basis of Q(zeta_order)."""
+        pairs = [_ratio(c) for c in coeffs]
+        if len(pairs) != euler_phi(order):
+            raise ValueError("order %d needs %d coordinates, got %d" % (
+                order, euler_phi(order), len(pairs)))
+        den = 1
+        for _, d in pairs:
+            den = _lcm(den, d)
+        x = _make(order, tuple(n * (den // d) for n, d in pairs), den)
+        self.order, self.nums, self.den = x.order, x.nums, x.den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(value) -> "Cyclo":
-        return Cyclo(1, (Fraction(value),))
+        if value.__class__ is int:
+            return _make(1, (value,), 1)
+        num, den = _ratio(value)
+        return _make(1, (num,), den)
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -140,116 +228,109 @@ class Cyclo:
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyclo":
-        power %= order
-        phi = euler_phi(order)
-        row = _power_table(order)[power]
-        return Cyclo(order, tuple(row))
+        return _make(order, _power_table(order)[power % order], 1)
 
     # -- basic predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.order == 1 and not self.nums[0]
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.order == 1 and self.nums[0] == 1 and self.den == 1
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.order == 1
 
     def rational_value(self) -> Fraction:
-        if not self.is_rational():
+        if self.order != 1:
             raise ValueError("not a rational number: %s" % self)
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_real(self) -> bool:
         return self.conj() == self
 
     # -- coercion ------------------------------------------------------------
 
-    def _coeffs_at(self, order: int) -> tuple[Fraction, ...]:
-        """Raw coordinates of this value on the power basis of Q(zeta_order)."""
+    def _nums_at(self, order: int) -> tuple[int, ...]:
+        """Numerators over self.den of this value on the power basis of Q(zeta_order)."""
         if order == self.order:
-            return self.coeffs
+            return self.nums
         if order % self.order != 0:
             raise ValueError("cannot lift order %d into order %d" % (self.order, order))
-        step = order // self.order
-        table = _power_table(order)
-        phi = euler_phi(order)
-        acc = [_ZERO] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(j * step) % order]
-                for i, r in enumerate(row):
-                    if r:
-                        acc[i] += c * r
-        return tuple(acc)
+        if self.order == 1:
+            return self.nums + (0,) * (euler_phi(order) - 1)
+        return _combine(self.nums, _lift_rows(self.order, order))
 
     def lift(self, order: int) -> "Cyclo":
         """Embed into Q(zeta_order); requires self.order | order."""
-        return Cyclo(order, self._coeffs_at(order))
+        return _make(order, self._nums_at(order), self.den)
 
-    def _align(self, other) -> tuple[int, tuple, tuple]:
-        if not isinstance(other, Cyclo):
-            other = Cyclo.rational(other)
+    def _align(self, other: "Cyclo") -> tuple[int, tuple, tuple]:
         if self.order == other.order:
-            return self.order, self.coeffs, other.coeffs
+            return self.order, self.nums, other.nums
         m = _lcm(self.order, other.order)
-        return m, self._coeffs_at(m), other._coeffs_at(m)
+        return m, self._nums_at(m), other._nums_at(m)
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Cyclo) and self.order == 1 and other.order == 1:
-            return Cyclo(1, (self.coeffs[0] + other.coeffs[0],))
-        n, ca, cb = self._align(other)
-        return Cyclo(n, tuple(x + y for x, y in zip(ca, cb)))
+        if not isinstance(other, Cyclo):
+            other = Cyclo.rational(other)
+        da, db = self.den, other.den
+        if self.order == 1 and other.order == 1:
+            if da == db:
+                return _make(1, (self.nums[0] + other.nums[0],), da)
+            return _make(1, (self.nums[0] * db + other.nums[0] * da,), da * db)
+        n, na, nb = self._align(other)
+        if da == db:
+            return _make(n, tuple(map(add, na, nb)), da)
+        return _make(n, tuple(a * db + b * da for a, b in zip(na, nb)), da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        n, ca, cb = self._align(other)
-        return Cyclo(n, tuple(x - y for x, y in zip(ca, cb)))
+        if not isinstance(other, Cyclo):
+            other = Cyclo.rational(other)
+        da, db = self.den, other.den
+        if self.order == 1 and other.order == 1:
+            if da == db:
+                return _make(1, (self.nums[0] - other.nums[0],), da)
+            return _make(1, (self.nums[0] * db - other.nums[0] * da,), da * db)
+        n, na, nb = self._align(other)
+        if da == db:
+            return _make(n, tuple(map(sub, na, nb)), da)
+        return _make(n, tuple(a * db - b * da for a, b in zip(na, nb)), da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Cyclo(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, Cyclo):
-            if self.order == 1:
-                a = self.coeffs[0]
-                if other.order == 1:
-                    return Cyclo(1, (a * other.coeffs[0],))
-                if a == 1:
-                    return other
-                return Cyclo(other.order, tuple(a * c for c in other.coeffs))
+        if not isinstance(other, Cyclo):
+            other = Cyclo.rational(other)
+        if self.order == 1:
+            a, da = self.nums[0], self.den
             if other.order == 1:
-                b = other.coeffs[0]
-                if b == 1:
-                    return self
-                return Cyclo(self.order, tuple(c * b for c in self.coeffs))
-        n, ca, cb = self._align(other)
-        phi = len(ca)
-        table = _power_table(n)
-        acc = [_ZERO] * phi
-        for i, ai in enumerate(ca):
-            if not ai:
-                continue
-            for j, bj in enumerate(cb):
-                if not bj:
-                    continue
-                k = i + j
-                c = ai * bj
-                if k < phi:
-                    acc[k] += c
-                else:
-                    row = table[k % n]
-                    for t, r in enumerate(row):
-                        if r:
-                            acc[t] += c * r
-        return Cyclo(n, tuple(acc))
+                return _make(1, (a * other.nums[0],), da * other.den)
+            if a == 1 and da == 1:
+                return other
+            return _make(other.order, tuple(a * c for c in other.nums), da * other.den)
+        if other.order == 1:
+            b, db = other.nums[0], other.den
+            if b == 1 and db == 1:
+                return self
+            return _make(self.order, tuple(c * b for c in self.nums), self.den * db)
+        n, na, nb = self._align(other)
+        phi = len(na)
+        acc = [0] * (2 * phi - 1)
+        for i, ai in enumerate(na):
+            if ai:
+                for j, bj in enumerate(nb):
+                    if bj:
+                        acc[i + j] += ai * bj
+        return _make(n, _reduced(acc, n, phi), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -257,10 +338,12 @@ class Cyclo:
         """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return Cyclo.rational(1 / self.coeffs[0])
+        if self.order == 1:
+            a = self.nums[0]
+            return _make(1, (self.den if a > 0 else -self.den,), abs(a))
+        # the inverse of P / den is den * P^(-1), with P^(-1) found over Fraction
         modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = modulus, list(self.coeffs)
+        r0, r1 = modulus, [Fraction(c) for c in self.nums]
         s0, s1 = [_ZERO], [_ONE]
         while True:
             while r1 and r1[-1] == 0:
@@ -272,19 +355,11 @@ class Cyclo:
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        phi = len(self.coeffs)
-        acc = [_ZERO] * phi
-        table = _power_table(self.order)
-        for j, c in enumerate(inv_coeffs):
-            if not c:
-                continue
-            if j < phi:
-                acc[j] += c
-            else:
-                row = table[j % self.order]
-                for t, r in enumerate(row):
-                    acc[t] += c * r
-        out = Cyclo(self.order, tuple(acc))
+        den = 1
+        for c in inv_coeffs:
+            den = _lcm(den, c.denominator)
+        acc = [c.numerator * (den // c.denominator) * self.den for c in inv_coeffs]
+        out = _make(self.order, _reduced(acc, self.order, len(self.nums)), den)
         if not (out * self).is_one():
             raise AssertionError("cyclotomic inverse check fails")
         return out
@@ -310,35 +385,38 @@ class Cyclo:
         """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
         if self.order <= 2:
             return self
-        n = self.order
-        table = _power_table(n)
-        phi = len(self.coeffs)
-        acc = [_ZERO] * phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(n - j) % n]
-                for t, r in enumerate(row):
-                    if r:
-                        acc[t] += c * r
-        return Cyclo(n, tuple(acc))
+        return _make(self.order, _combine(self.nums, _conj_rows(self.order)), self.den)
 
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, (Cyclo, int, Fraction)):
-            return NotImplemented
-        _, ca, cb = self._align(other)
-        return ca == cb
+        if not isinstance(other, Cyclo):
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = Cyclo.rational(other)
+        # lifting keeps the denominator: Z[zeta_m] meets Q(zeta_n) in Z[zeta_n]
+        if self.den != other.den:
+            return False
+        _, na, nb = self._align(other)
+        return na == nb
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.order, self.coeffs))
-        return self._hash
+        """Hash of the normalized trace Tr(x) / phi(order), which lifting
+        does not change, so values equal across orders hash equally."""
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        t = sum(c * w for c, w in zip(self.nums, _trace_weights(self.order)))
+        d = self.den * len(self.nums)
+        g = gcd(t, d)
+        self._hash = h = hash((t // g, d // g))
+        return h
 
     # -- real structure ----------------------------------------------------
 
     def real_part(self) -> "Cyclo":
-        return (self + self.conj()) * Cyclo.rational(Fraction(1, 2))
+        return (self + self.conj()) * _CYCLO_HALF
 
     def imag_over_i(self) -> "Cyclo":
         """The real number y with self = real_part + i*y; needs 4 | order."""
@@ -353,13 +431,13 @@ class Cyclo:
             raise ValueError("real_sign of a non-real value")
         if self.is_zero():
             return 0
-        if self.is_rational():
-            v = self.coeffs[0]
-            return -1 if v < 0 else 1
+        if self.order == 1:
+            return -1 if self.nums[0] < 0 else 1
+        # den > 0, so the sign is that of the numerator sum
         terms = 12
         while True:
             lo, hi = _ZERO, _ZERO
-            for j, c in enumerate(self.coeffs):
+            for j, c in enumerate(self.nums):
                 if not c:
                     continue
                 clo, chi = _cos2pi_interval(Fraction(j, self.order), terms)
@@ -377,19 +455,19 @@ class Cyclo:
 
     def __str__(self):
         parts = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(self.nums):
             if not c:
                 continue
             if j == 0:
-                parts.append(str(c))
+                parts.append(_ratio_text(c, self.den))
             else:
                 mag = "z" if j == 1 else "z^%d" % j
-                if c == 1:
+                if c == self.den:
                     parts.append(mag)
-                elif c == -1:
+                elif c == -self.den:
                     parts.append("-" + mag)
                 else:
-                    parts.append("%s*%s" % (c, mag))
+                    parts.append("%s*%s" % (_ratio_text(c, self.den), mag))
         if not parts:
             return "0"
         out = parts[0]
@@ -401,8 +479,9 @@ class Cyclo:
         return "Cyclo(%d, %s)" % (self.order, self)
 
 
-_CYCLO_ZERO = Cyclo(1, (_ZERO,))
-_CYCLO_ONE = Cyclo(1, (_ONE,))
+_CYCLO_ZERO = _make(1, (0,), 1)
+_CYCLO_ONE = _make(1, (1,), 1)
+_CYCLO_HALF = _make(1, (1,), 2)
 
 
 # -- polynomial helpers over Fraction (ascending coefficient lists) -----------

@@ -36,6 +36,15 @@ def test_standard_4_has_24_signed_monomials():
     assert s4.is_multilinear()
 
 
+def test_equal_coefficients_at_two_orders_make_one_set_element():
+    mono = ((0, ()),)
+    at4 = FreePoly(TRIV, 4, {mono: Cyclo.zeta(4)})
+    at12 = FreePoly(TRIV, 12, {mono: Cyclo.zeta(12, 3)})
+    assert at4 == at12
+    assert hash(at4) == hash(at12)
+    assert len({at4, at12}) == 1
+
+
 def test_commutator():
     c = commutator_poly()
     assert len(c.terms) == 2

@@ -128,6 +128,25 @@ def test_bichar_pauli3_clock_shift_oracle():
     assert beta.eval(g.generator(0), g.generator(1)) == z3
 
 
+def test_bichar_eval_memo_agrees_with_the_table_and_still_checks():
+    """Memoized values equal the multiplicative extension of the generator
+    table, repeat as the same object, and bad elements are still refused
+    after every pair is cached."""
+    z3 = Cyclo.zeta(3)
+    one = Cyclo.one()
+    g = FiniteAbelianGroup((3, 3), ("x", "y"))
+    beta = Bicharacter(g, 3, [[one, z3], [z3.inv(), one]])
+    for x, y in itertools.product(g.elements(), repeat=2):
+        value = beta.eval(x, y)
+        assert value == z3 ** ((x[0] * y[1] - x[1] * y[0]) % 3)
+        assert beta.eval(x, y) is value
+    for bad in ((3, 0), [1, 0], (1,)):
+        with pytest.raises(ValueError):
+            beta.eval(bad, g.generator(1))
+        with pytest.raises(ValueError):
+            beta.eval(g.generator(0), bad)
+
+
 def test_bichar_table_validation():
     g = FiniteAbelianGroup((2, 2))
     one = Cyclo.one()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,3 +283,152 @@ def test_parse_cyclo_roundtrip():
     assert x == expected
     assert parse_cyclo(str(x), 8) == x
     assert parse_cyclo("-2", 4) == Cyclo.rational(-2)
+
+
+# -- differential test against polynomial arithmetic over Fraction -------------
+
+DIFF_ORDERS = (1, 2, 3, 4, 5, 8, 12, 16)
+
+
+def _phi(n):
+    return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+def _ref_reduce(poly, n):
+    """Remainder of a Fraction polynomial (ascending) modulo Phi_n."""
+    mod = cyclotomic_polynomial(n)
+    deg = len(mod) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i, m in enumerate(mod):
+                poly[k - deg + i] -= c * m
+    return poly[:deg]
+
+
+def _ref_substitute(coeffs, n, exponent):
+    """sum(c_j * zeta_n^(exponent * j)), reduced modulo Phi_n."""
+    poly = [Fraction(0)] * n
+    for j, c in enumerate(coeffs):
+        poly[exponent * j % n] += c
+    return _ref_reduce(poly, n)
+
+
+def _ref_lift(ref, m):
+    n, coeffs = ref
+    return m, _ref_substitute(coeffs, m, m // n)
+
+
+def _ref_aligned(a, b):
+    m = a[0] * b[0] // gcd(a[0], b[0])
+    return m, _ref_lift(a, m)[1], _ref_lift(b, m)[1]
+
+
+def _ref_add(a, b, sign=1):
+    m, ca, cb = _ref_aligned(a, b)
+    return m, [p + sign * q for p, q in zip(ca, cb)]
+
+
+def _ref_mul(a, b):
+    m, ca, cb = _ref_aligned(a, b)
+    poly = [Fraction(0)] * (2 * len(ca) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            poly[i + j] += x * y
+    return m, _ref_reduce(poly, m)
+
+
+def _ref_inv(a):
+    """Solve (multiplication by a) y = 1 by Gauss-Jordan elimination."""
+    n, coeffs = a
+    phi = len(coeffs)
+    cols = [_ref_mul(a, (n, [Fraction(int(i == j)) for i in range(phi)]))[1]
+            for j in range(phi)]
+    rows = [[cols[j][i] for j in range(phi)] + [Fraction(int(i == 0))] for i in range(phi)]
+    for col in range(phi):
+        piv = next(i for i in range(col, phi) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(phi):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return n, [r[-1] for r in rows]
+
+
+def _ref_of(x):
+    return x.order, [Fraction(c, x.den) for c in x.nums]
+
+
+def _same_value(x, ref):
+    """The Cyclo x holds the value ref, and keeps the canonical form."""
+    assert type(x.order) is int and type(x.den) is int and x.den > 0
+    assert type(x.nums) is tuple and all(type(c) is int for c in x.nums)
+    assert len(x.nums) == _phi(x.order)
+    assert gcd(x.den, *x.nums) == 1
+    assert x.order == 1 or any(x.nums[1:])  # rationals live at order 1
+    _, cx, cr = _ref_aligned(_ref_of(x), ref)
+    return cx == cr
+
+
+@st.composite
+def ref_values(draw):
+    order = draw(st.sampled_from(DIFF_ORDERS))
+    coeffs = [draw(small_rationals) if draw(st.booleans()) else Fraction(0)
+              for _ in range(_phi(order))]
+    return order, coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_values(), ref_values(), st.sampled_from((2, 3, 4)))
+def test_cyclo_matches_fraction_reference(a, b, scale):
+    x, y = Cyclo(*a), Cyclo(*b)
+    assert _same_value(x, a) and _same_value(y, b)
+    assert _same_value(x + y, _ref_add(a, b))
+    assert _same_value(x - y, _ref_add(a, b, -1))
+    assert _same_value(-x, (a[0], [-c for c in a[1]]))
+    assert _same_value(x * y, _ref_mul(a, b))
+    assert _same_value(x.conj(), (a[0], _ref_substitute(a[1], a[0], -1)))
+    lifted = _ref_lift(a, a[0] * scale)
+    assert _same_value(x.lift(a[0] * scale), lifted)
+    assert x.lift(a[0] * scale) == x
+    assert hash(x.lift(a[0] * scale)) == hash(x)
+    _, ca, cb = _ref_aligned(a, b)
+    assert (x == y) == (ca == cb)
+    if x == y:
+        assert hash(x) == hash(y)
+    if any(a[1]):
+        assert _same_value(x.inv(), _ref_inv(a))
+        assert (x * x.inv()).is_one()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+
+
+def test_rational_inverse_stays_exact():
+    third = Cyclo.rational(3).inv()
+    assert _same_value(third, (1, [Fraction(1, 3)]))
+    assert third.rational_value() == Fraction(1, 3)
+    assert type(third.rational_value()) is Fraction
+    minus_two = Cyclo.rational(Fraction(-3, 6)).inv()
+    assert _same_value(minus_two, (1, [Fraction(-2)]))
+    assert minus_two == -2 and minus_two.rational_value() == -2
+    assert _same_value(Cyclo.rational(Fraction(-3, 6)) / 3, (1, [Fraction(-1, 6)]))
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Cyclo.rational(0.5)
+    with pytest.raises(TypeError):
+        Cyclo.one() * 0.5
+    with pytest.raises(TypeError):
+        Cyclo(4, (0.5, 0))
+
+
+def test_equal_values_at_different_orders_hash_equally():
+    assert Cyclo.zeta(4) == Cyclo.zeta(12, 3)
+    assert len({Cyclo.zeta(4), Cyclo.zeta(12, 3)}) == 1
+    sqrt2 = Cyclo.zeta(8) + Cyclo.zeta(8, 7)
+    assert len({sqrt2, sqrt2.lift(16), sqrt2.lift(24)}) == 1
+    assert len({Cyclo.zeta(3), Cyclo.zeta(6, 2), -Cyclo.zeta(6, 5)}) == 1
