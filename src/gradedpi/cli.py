@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 from .algebras import (
     GradedAlgebra,
@@ -62,14 +63,37 @@ GLOBAL_ASSUMPTIONS = [
 # -- algebra spec files ---------------------------------------------------------------
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SpecParseError(str(exc.msg), line=exc.lineno, column=exc.colno)
     except OSError as exc:
         raise SpecParseError("cannot read %s: %s" % (path, exc))
+    if not isinstance(doc, dict):
+        raise SpecParseError("%s: the top level is not a JSON object" % path)
+    return doc
+
+
+def _load_spec(path, fmt) -> dict:
+    doc = _load_json(path)
+    if doc.get("format") != fmt:
+        raise SpecParseError("not a %s file" % fmt)
+    if doc.get("version") != FORMAT_VERSION:
+        raise SpecParseError("unsupported version %r" % doc.get("version"))
+    return doc
+
+
+@contextmanager
+def _spec_content(path):
+    """Report spec content of the wrong shape (a missing key, an unknown
+    label, a list where a map belongs, a short entry) as a parse error."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SpecParseError("malformed %s (%s: %s)" % (
+            path, type(exc).__name__, exc)) from None
 
 
 def _parse_group(doc):
@@ -83,59 +107,56 @@ def _parse_group(doc):
 def load_algebra_spec(path) -> GradedAlgebra:
     """Load an algebra from a spec file: either a catalog entry with
     parameters or an explicit basis with degrees and multiplication table."""
-    doc = _load_json(path)
-    if doc.get("format") != ALGEBRA_FORMAT:
-        raise SpecParseError("not a %s file" % ALGEBRA_FORMAT)
-    if doc.get("version") != FORMAT_VERSION:
-        raise SpecParseError("unsupported version %r" % doc.get("version"))
-    if "catalog" in doc:
-        entry = doc["catalog"]
-        return build_catalog(entry["id"], **entry.get("params", {}))
-    order = doc.get("cyclotomic_order", 1)
-    group = _parse_group(doc.get("group", {}))
-    basis = doc.get("basis")
-    if basis is None:
-        raise SpecParseError("spec file needs either 'catalog' or 'basis'")
-    labels = basis["labels"]
-    index = {lab: k for k, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise SpecParseError("duplicate basis labels")
-    try:
-        degrees = [group.word_to_element(basis["degrees"][lab]) for lab in labels]
-    except (KeyError, ValueError) as exc:
-        raise SpecParseError("bad degree map: %s" % exc)
-    mult = {}
-    for key, row in basis.get("mult", {}).items():
+    doc = _load_spec(path, ALGEBRA_FORMAT)
+    with _spec_content(path):
+        if "catalog" in doc:
+            entry = doc["catalog"]
+            return build_catalog(entry["id"], **entry.get("params", {}))
+        order = doc.get("cyclotomic_order", 1)
+        group = _parse_group(doc.get("group", {}))
+        basis = doc.get("basis")
+        if basis is None:
+            raise SpecParseError("spec file needs either 'catalog' or 'basis'")
+        labels = basis["labels"]
+        index = {lab: k for k, lab in enumerate(labels)}
+        if len(index) != len(labels):
+            raise SpecParseError("duplicate basis labels")
         try:
-            la, lb = key.split("*")
-            i, j = index[la.strip()], index[lb.strip()]
-        except (ValueError, KeyError):
-            raise SpecParseError("bad product key %r" % key)
-        entry = {}
-        for lab, lit in row:
-            entry[index[lab]] = parse_cyclo(lit, order)
-        mult[(i, j)] = entry
-    unit = {}
-    for lab, lit in basis.get("unit", []):
-        unit[index[lab]] = parse_cyclo(lit, order)
-    try:
-        algebra = GradedAlgebra(group, order, labels, degrees, mult, unit,
-                                name=doc.get("name", os.path.basename(path)))
-    except ValueError as exc:
-        raise SpecParseError("algebra fails construction invariants: %s" % exc)
-    sets = {}
-    for entry in doc.get("generator_sets", []):
-        gname = entry.get("name")
-        if not gname:
-            raise SpecParseError("generator_sets entries need a name")
-        mode = entry.get("mode", "identities")
-        sets[gname] = GeneratorSet(
-            gname, mode, algebra.group, entry.get("cyclotomic_order", order),
-            s1=[parse_poly(t, algebra.group, order) for t in entry.get("s1", [])],
-            s2=[parse_poly(t, algebra.group, order) for t in entry.get("s2", [])],
-            assumptions=entry.get("assumptions", []))
-    algebra.file_gensets = sets
-    return algebra
+            degrees = [group.word_to_element(basis["degrees"][lab]) for lab in labels]
+        except (KeyError, ValueError) as exc:
+            raise SpecParseError("bad degree map: %s" % exc)
+        mult = {}
+        for key, row in basis.get("mult", {}).items():
+            try:
+                la, lb = key.split("*")
+                i, j = index[la.strip()], index[lb.strip()]
+            except (ValueError, KeyError):
+                raise SpecParseError("bad product key %r" % key)
+            entry = {}
+            for lab, lit in row:
+                entry[index[lab]] = parse_cyclo(lit, order)
+            mult[(i, j)] = entry
+        unit = {}
+        for lab, lit in basis.get("unit", []):
+            unit[index[lab]] = parse_cyclo(lit, order)
+        try:
+            algebra = GradedAlgebra(group, order, labels, degrees, mult, unit,
+                                    name=doc.get("name", os.path.basename(path)))
+        except ValueError as exc:
+            raise SpecParseError("algebra fails construction invariants: %s" % exc)
+        sets = {}
+        for entry in doc.get("generator_sets", []):
+            gname = entry.get("name")
+            if not gname:
+                raise SpecParseError("generator_sets entries need a name")
+            mode = entry.get("mode", "identities")
+            sets[gname] = GeneratorSet(
+                gname, mode, algebra.group, entry.get("cyclotomic_order", order),
+                s1=[parse_poly(t, algebra.group, order) for t in entry.get("s1", [])],
+                s2=[parse_poly(t, algebra.group, order) for t in entry.get("s2", [])],
+                assumptions=entry.get("assumptions", []))
+        algebra.file_gensets = sets
+        return algebra
 
 
 def algebra_spec_dict(algebra: GradedAlgebra) -> dict:
@@ -163,19 +184,16 @@ def algebra_spec_dict(algebra: GradedAlgebra) -> dict:
 
 
 def load_genset_spec(path, algebra: GradedAlgebra) -> GeneratorSet:
-    doc = _load_json(path)
-    if doc.get("format") != GENSET_FORMAT:
-        raise SpecParseError("not a %s file" % GENSET_FORMAT)
-    if doc.get("version") != FORMAT_VERSION:
-        raise SpecParseError("unsupported version %r" % doc.get("version"))
-    mode = doc.get("mode", "identities")
-    order = doc.get("cyclotomic_order", algebra.order)
-    group = algebra.group
-    s1 = [parse_poly(t, group, order) for t in doc.get("s1", [])]
-    s2 = [parse_poly(t, group, order) for t in doc.get("s2", [])]
-    return GeneratorSet(doc.get("name", os.path.basename(path)), mode, group,
-                        order, s1=s1, s2=s2,
-                        assumptions=doc.get("assumptions", []))
+    doc = _load_spec(path, GENSET_FORMAT)
+    with _spec_content(path):
+        mode = doc.get("mode", "identities")
+        order = doc.get("cyclotomic_order", algebra.order)
+        group = algebra.group
+        s1 = [parse_poly(t, group, order) for t in doc.get("s1", [])]
+        s2 = [parse_poly(t, group, order) for t in doc.get("s2", [])]
+        return GeneratorSet(doc.get("name", os.path.basename(path)), mode, group,
+                            order, s1=s1, s2=s2,
+                            assumptions=doc.get("assumptions", []))
 
 
 def genset_spec_dict(genset: GeneratorSet) -> dict:
@@ -195,16 +213,29 @@ def genset_spec_dict(genset: GeneratorSet) -> dict:
 
 
 def _write_atomic(path, text):
+    """Write through a temporary file renamed over path, with the mode open()
+    would give (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradedpi-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(args, text):
+    """Write text and a newline to the --out file, atomically, or to stdout."""
+    if args.out:
+        _write_atomic(args.out, text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
 
 
 # -- algebra and basis resolution -------------------------------------------------------
@@ -353,10 +384,7 @@ def cmd_families(args):
         for f in genset.extras:
             lines.append("extra\t%s" % f)
         text = "\n".join(lines)
-    if args.out:
-        _write_atomic(args.out, text + "\n")
-    else:
-        print(text)
+    _emit(args, text)
     return 0
 
 
@@ -372,17 +400,11 @@ def cmd_transfer(args):
         report = verify_basis(product, transferred, args.max_degree, jobs=args.jobs)
         report.assumptions.extend(GLOBAL_ASSUMPTIONS)
         text = report.to_json() if args.format == "json" else report.to_tsv()
-        if args.out:
-            _write_atomic(args.out, text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
+        _emit(args, text)
         print(report.summary(), file=sys.stderr)
         return 0 if report.ok else 1
     text = json.dumps(genset_spec_dict(transferred), indent=2)
-    if args.out:
-        _write_atomic(args.out, text + "\n")
-    else:
-        print(text)
+    _emit(args, text)
     return 0
 
 
@@ -402,10 +424,7 @@ def cmd_reduce(args):
         "certificate_replayed": True,
     }
     text = json.dumps(out, indent=2)
-    if args.out:
-        _write_atomic(args.out, text + "\n")
-    else:
-        print(text)
+    _emit(args, text)
     return 0
 
 
@@ -422,10 +441,7 @@ def cmd_report(args):
             r["dim_target"], r["dim_consequence"],
             "yes" if r["equal"] else "NO", r.get("witness") or ""))
     text = "\n".join(lines)
-    if args.out:
-        _write_atomic(args.out, text + "\n")
-    else:
-        print(text)
+    _emit(args, text)
     return 0
 
 

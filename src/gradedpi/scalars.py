@@ -6,8 +6,12 @@ integer numerators over one positive integer denominator on the power basis
 Phi_N is monic over Z, so the arithmetic runs on Python ints with one gcd
 normalization per result.  Reduction modulo Phi_N (rather than zeta^N - 1)
 makes the representation a field with unique normal forms, so equality at a
-common order is literal tuple equality.  There is no floating point anywhere;
-sign determination for real values uses exact interval refinement.
+common order is literal tuple equality.  A nonzero x is inverted through
+its Galois norm: the product of x and its other conjugates is rational.
+There is no floating point anywhere.  ``Fraction`` appears only at the
+rational boundary (the constructor, ``rational``, ``rational_value`` and
+``parse_cyclo``) and in ``real_sign``, which fixes the sign of a real value
+by exact interval refinement.
 """
 
 from __future__ import annotations
@@ -113,18 +117,30 @@ def _lift_rows(src: int, dst: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _conj_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of zeta_n^(-j), for j < phi(n)."""
+def _units(n: int) -> tuple[int, ...]:
+    """The units of Z/n as 1 <= a <= n, in increasing order (1 first)."""
+    return tuple(a for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+@lru_cache(maxsize=None)
+def _galois_rows(n: int, a: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of zeta_n^(a*j), for j < phi(n): the rows of the
+    automorphism sigma_a (zeta -> zeta^a) of Q(zeta_n), for a a unit mod n."""
     table = _power_table(n)
-    return tuple(table[-j % n] for j in range(euler_phi(n)))
+    return tuple(table[a * j % n] for j in range(euler_phi(n)))
+
+
+@lru_cache(maxsize=None)
+def _skew_inverse(n: int) -> "Cyclo":
+    """1 / (zeta_n - zeta_n^(-1)), for n > 2, where the difference is nonzero."""
+    return (Cyclo.zeta(n) - Cyclo.zeta(n, n - 1)).inv()
 
 
 @lru_cache(maxsize=None)
 def _trace_weights(n: int) -> tuple[int, ...]:
     """Tr(zeta_n^j) over Q for j < phi(n), the Ramanujan sums c_n(j)."""
     table = _power_table(n)
-    units = [a for a in range(1, n + 1) if gcd(a, n) == 1]
-    return tuple(sum(table[a * j % n][0] for a in units) for j in range(euler_phi(n)))
+    return tuple(sum(table[a * j % n][0] for a in _units(n)) for j in range(euler_phi(n)))
 
 
 def _combine(nums, rows) -> tuple[int, ...]:
@@ -335,31 +351,24 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse: for P = den * self with integer
+        coordinates, P times the product Q of its other Galois conjugates is
+        the norm N(P), a nonzero rational integer, so 1/self = den * Q / N(P)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.order == 1:
             a = self.nums[0]
             return _make(1, (self.den if a > 0 else -self.den,), abs(a))
-        # the inverse of P / den is den * P^(-1), with P^(-1) found over Fraction
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = modulus, [Fraction(c) for c in self.nums]
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                inv_coeffs = [s / c for s in s1]
-                break
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-        den = 1
-        for c in inv_coeffs:
-            den = _lcm(den, c.denominator)
-        acc = [c.numerator * (den // c.denominator) * self.den for c in inv_coeffs]
-        out = _make(self.order, _reduced(acc, self.order, len(self.nums)), den)
+        n = self.order
+        p = _make(n, self.nums, 1)
+        q = _CYCLO_ONE
+        for a in _units(n)[1:]:
+            q = q * p.galois(a)
+        norm = q * p
+        if norm.order != 1 or norm.den != 1 or not norm.nums[0]:
+            raise AssertionError("cyclotomic norm is not a nonzero rational integer")
+        scale = self.den if norm.nums[0] > 0 else -self.den
+        out = _make(n, tuple(c * scale for c in q.nums), abs(norm.nums[0]))
         if not (out * self).is_one():
             raise AssertionError("cyclotomic inverse check fails")
         return out
@@ -381,11 +390,19 @@ class Cyclo:
             k >>= 1
         return result
 
+    def galois(self, a: int) -> "Cyclo":
+        """The automorphism sigma_a: zeta -> zeta^a of Q(zeta_order), for a
+        coprime to the order."""
+        n = self.order
+        if gcd(a, n) != 1:
+            raise ValueError("%d is not a unit modulo %d" % (a, n))
+        if n == 1:
+            return self
+        return _make(n, _combine(self.nums, _galois_rows(n, a % n)), self.den)
+
     def conj(self) -> "Cyclo":
         """The automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        if self.order <= 2:
-            return self
-        return _make(self.order, _combine(self.nums, _conj_rows(self.order)), self.den)
+        return self.galois(-1)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -482,44 +499,6 @@ class Cyclo:
 _CYCLO_ZERO = _make(1, (0,), 1)
 _CYCLO_ONE = _make(1, (1,), 1)
 _CYCLO_HALF = _make(1, (1,), 2)
-
-
-# -- polynomial helpers over Fraction (ascending coefficient lists) -----------
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
-    dn = len(den) - 1
-    q = [_ZERO] * max(len(num) - dn, 1)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        f = c / den[-1]
-        q[k - dn] = f
-        for i, di in enumerate(den):
-            num[k - dn + i] -= f * di
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_mul_frac(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # -- exact interval arithmetic for sign determination --------------------------
@@ -696,12 +675,10 @@ def _real_rows(rows):
         if any(not e.is_zero() for e in plus):
             out.append(plus)
         if n > 2:
-            delta = Cyclo.zeta(n) - Cyclo.zeta(n, n - 1)
-            if not delta.is_zero():
-                dinv = delta.inv()
-                minus = [(a - b) * dinv for a, b in zip(row, crow)]
-                if any(not e.is_zero() for e in minus):
-                    out.append(minus)
+            dinv = _skew_inverse(n)
+            minus = [(a - b) * dinv for a, b in zip(row, crow)]
+            if any(not e.is_zero() for e in minus):
+                out.append(minus)
     return out
 
 

@@ -11,6 +11,7 @@ from gradedpi.cli import (
     load_genset_spec,
     main,
 )
+from gradedpi.errors import SpecParseError
 from gradedpi.pitool import dv_basis
 
 
@@ -48,6 +49,52 @@ def test_algebra_spec_parse_error(tmp_path):
     path2 = tmp_path / "bad.json"
     path2.write_text(json.dumps({"format": "something-else", "version": 1}))
     assert run(["build", "--algebra", str(path2)]) == 2
+
+
+_ALGEBRA_HEADER = {"format": "gradedpi-algebra", "version": 1}
+_ONE_LABEL = {"labels": ["1"], "degrees": {"1": "e"}}
+
+
+@pytest.mark.parametrize("doc", [
+    [_ALGEBRA_HEADER],
+    dict(_ALGEBRA_HEADER, catalog={"params": {}}),
+    dict(_ALGEBRA_HEADER, group={"orders": [2]}, basis={"degrees": {"1": "e"}}),
+    dict(_ALGEBRA_HEADER, group={"orders": [2]},
+         basis=dict(_ONE_LABEL, mult={"1*1": [["q", "1"]]})),
+    dict(_ALGEBRA_HEADER, group={"orders": [2]},
+         basis=dict(_ONE_LABEL, mult={"1*1": [["1"]]})),
+], ids=["top-level-list", "catalog-without-id", "basis-without-labels",
+        "unknown-label-in-mult", "one-field-mult-entry"])
+def test_malformed_algebra_spec_exit2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["build", "--algebra", str(path)]) == 2
+    assert "parse error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    ["gradedpi-genset"],
+    {"format": "gradedpi-genset", "version": 1, "s1": 5},
+    {"format": "gradedpi-genset", "version": 1, "mode": "neither"},
+], ids=["top-level-list", "s1-not-a-list", "unknown-mode"])
+def test_malformed_genset_spec_is_a_parse_error(tmp_path, doc):
+    path = tmp_path / "bad-genset.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SpecParseError):
+        load_genset_spec(str(path), build_catalog("m2-elem"))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask-022", "umask-027"])
+def test_out_file_mode_follows_umask(tmp_path, umask, mode):
+    out = tmp_path / "m24.json"
+    old = os.umask(umask)
+    try:
+        assert run(["build", "--algebra", "m2-4", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+    assert load_algebra_spec(str(out)).dim == 4
 
 
 def test_verify_cli_paths(tmp_path, capsys):

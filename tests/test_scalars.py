@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,7 +287,7 @@ def test_parse_cyclo_roundtrip():
 
 # -- differential test against polynomial arithmetic over Fraction -------------
 
-DIFF_ORDERS = (1, 2, 3, 4, 5, 8, 12, 16)
+DIFF_ORDERS = (1, 2, 3, 4, 5, 8, 12, 15, 16, 20, 24)
 
 
 def _phi(n):
@@ -404,6 +404,35 @@ def test_cyclo_matches_fraction_reference(a, b, scale):
     else:
         with pytest.raises(ZeroDivisionError):
             x.inv()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ref_values(), ref_values())
+def test_galois_action_matches_substitution(a, b):
+    """sigma_u is the substitution zeta -> zeta^u: conj is u = -1, each
+    sigma_u is multiplicative, and x times its other conjugates, its norm, is
+    rational and vanishes only at zero."""
+    x, y = Cyclo(*a), Cyclo(*b)
+    n = a[0]
+    assert x.galois(-1) == x.conj()
+    assert _same_value(x.galois(-1), (n, _ref_substitute(a[1], n, -1)))
+    norm = x
+    for u in range(2, n):
+        if gcd(u, n) == 1:
+            assert _same_value(x.galois(u), (n, _ref_substitute(a[1], n, u)))
+            norm = norm * x.galois(u)
+    assert _same_value(x.galois(1), a)
+    assert norm.is_rational() and norm.is_zero() == x.is_zero()
+    m = lcm(n, b[0])
+    xm, ym = x.lift(m), y.lift(m)
+    for u in range(1, m):
+        if gcd(u, m) == 1:
+            assert (xm * ym).galois(u) == xm.galois(u) * ym.galois(u)
+
+
+def test_galois_refuses_non_units():
+    with pytest.raises(ValueError):
+        Cyclo.zeta(12).galois(3)
 
 
 def test_rational_inverse_stays_exact():
