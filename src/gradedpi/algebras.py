@@ -2,9 +2,9 @@
 of real graded division algebras this package studies.
 
 An algebra is a basis with a degree map into a finite abelian group and a
-sparse multiplication table with exact cyclotomic entries.  Construction
-always validates associativity, graded multiplication and the unit, so a
-GradedAlgebra in hand is a certified object.  Structural analysis (center,
+sparse multiplication table with exact real cyclotomic entries.  Construction
+always validates realness, associativity, graded multiplication and the unit,
+so a GradedAlgebra in hand is a certified object.  Structural analysis (center,
 commutation bicharacters, graded-division certificates) is exact linear
 algebra over the real subfield.
 """
@@ -27,6 +27,7 @@ __all__ = [
     "tensor",
     "coarsen_by_quotient",
     "center",
+    "center_echelon",
     "detect_regular",
     "detect_complex_bicharacter",
     "check_graded_division",
@@ -103,6 +104,7 @@ class GradedAlgebra:
         self._complex = None
         self._complex_checked = False
         self._complex_bicharacter = None
+        self._center = None
         if validate:
             self.validate()
 
@@ -148,11 +150,15 @@ class GradedAlgebra:
         g = self.group
         for (i, j), row in self.mult.items():
             target = g.op(self.degrees[i], self.degrees[j])
-            for k in row:
+            for k, c in row.items():
                 if self.degrees[k] != target:
                     raise ValueError(
                         "%s: product %s*%s leaves the graded component" % (
                             self.name, self.labels[i], self.labels[j]))
+                # with real constants, a unit that passes the check below is real
+                if not c.is_real():
+                    raise ValueError("%s: product %s*%s has a non-real coefficient %s" % (
+                        self.name, self.labels[i], self.labels[j], c))
         for i in range(self.dim):
             b = self.basis_vector(i)
             if self.mul_vec(self.unit, b) != b or self.mul_vec(b, self.unit) != b:
@@ -274,8 +280,23 @@ def center(algebra: GradedAlgebra):
     """Basis of the center, as homogeneous elements.
 
     For abelian grading groups the homogeneous parts of central elements are
-    central, so returning homogeneous elements loses nothing.
+    central, so returning homogeneous elements loses nothing.  The result is
+    memoized on the algebra.
     """
+    if algebra._center is None:
+        algebra._center = _center(algebra)
+    return algebra._center[0]
+
+
+def center_echelon(algebra: GradedAlgebra) -> Echelon:
+    """The span of center(algebra) in reduced echelon form.  The structure
+    constants are real, so its vectors over Q(zeta_N) are exactly those that
+    commute with every basis element."""
+    center(algebra)
+    return algebra._center[1]
+
+
+def _center(algebra):
     rows = []
     dim = algebra.dim
     for j in range(dim):
@@ -300,7 +321,7 @@ def center(algebra: GradedAlgebra):
             out.append(HomogeneousElement(algebra, degree, coords))
     # prune to an independent set
     ech = Echelon(dim)
-    return [h for h in out if ech.add(h.coords)]
+    return [h for h in out if ech.add(h.coords)], ech
 
 
 class RegularityWitness:

@@ -44,6 +44,7 @@ from .pitool import (
     lift_basis,
     okhitin_basis,
     pauli_reduce,
+    records_tsv,
     replay_certificate,
     transfer_basis,
     verify_basis,
@@ -344,10 +345,7 @@ def cmd_verify(args):
         if record is not None:
             report.records.append(record)
     text = report.to_json() if args.format == "json" else report.to_tsv()
-    if args.out:
-        _write_atomic(args.out, text + ("\n" if not text.endswith("\n") else ""))
-    else:
-        sys.stdout.write(text + "\n")
+    _emit(args, text)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok and all(r.equal for r in report.records) else 1
 
@@ -434,14 +432,7 @@ def cmd_report(args):
     doc = _load_json(args.input)
     if doc.get("format") != "gradedpi-report":
         raise SpecParseError("not a gradedpi-report file")
-    lines = ["degrees\torbit\tdim_target\tdim_consequence\tequal\twitness"]
-    for r in doc.get("records", []):
-        lines.append("%s\t%d\t%d\t%d\t%s\t%s" % (
-            ".".join(r["degrees"]) if r["degrees"] else "e", r["orbit"],
-            r["dim_target"], r["dim_consequence"],
-            "yes" if r["equal"] else "NO", r.get("witness") or ""))
-    text = "\n".join(lines)
-    _emit(args, text)
+    _emit(args, records_tsv(doc.get("records", [])))
     return 0
 
 

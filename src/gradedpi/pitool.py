@@ -23,9 +23,11 @@ import json
 import os
 import time
 
+from . import scalars
 from .algebras import (
     GradedAlgebra,
     center,
+    center_echelon,
     detect_complex_bicharacter,
     detect_regular,
     invert,
@@ -181,12 +183,12 @@ def _vec_label(algebra, vec):
                       else algebra.labels[k] for k, c in sorted(vec.items()))
 
 
-def _is_central_value(algebra, value):
+def _noncommuting_label(algebra, value):
     for j in range(algebra.dim):
         b = algebra.basis_vector(j)
         if algebra.mul_vec(value, b) != algebra.mul_vec(b, value):
-            return False, algebra.labels[j]
-    return True, None
+            return algebra.labels[j]
+    raise AssertionError("a value outside the center commutes with the basis")
 
 
 def is_central(algebra: GradedAlgebra, poly: FreePoly):
@@ -196,9 +198,9 @@ def is_central(algebra: GradedAlgebra, poly: FreePoly):
         if not value:
             continue
         all_zero = False
-        ok, blabel = _is_central_value(algebra, value)
-        if not ok:
-            return "neither", (_witness(algebra, letters, choice), blabel)
+        if not center_echelon(algebra).contains(value):
+            return "neither", (_witness(algebra, letters, choice),
+                               _noncommuting_label(algebra, value))
     return ("identity", None) if all_zero else ("proper-central", None)
 
 
@@ -206,7 +208,9 @@ def is_central(algebra: GradedAlgebra, poly: FreePoly):
 
 
 def _component_rows(algebra, pg, central: bool):
-    """Evaluation rows over the n! monomials; optionally commutator-augmented."""
+    """Coordinate rows of the values of the n! monomials, taken modulo the
+    center when central (sum mu_t v_t is central iff sum mu_t reduce(v_t) = 0,
+    as reduction by the center's echelon form is linear)."""
     tuples = _substitution_tuples(algebra, pg.letters)
     if tuples is None:
         return None
@@ -215,38 +219,23 @@ def _component_rows(algebra, pg, central: bool):
     for choice in tuples:
         values = list(monomial_values(pg.monomials, dict(zip(pg.letters, choice)),
                                       algebra))
-        if not central:
-            coords = sorted({k for v in values for k in v})
-            for k in coords:
-                rows.append([v.get(k, zero) for v in values])
-        else:
-            for j in range(algebra.dim):
-                b = algebra.basis_vector(j)
-                comms = [None] * len(values)
-                coords = set()
-                for t, v in enumerate(values):
-                    left = algebra.mul_vec(v, b)
-                    right = algebra.mul_vec(b, v)
-                    diff = dict(left)
-                    for kk, c in right.items():
-                        diff[kk] = diff.get(kk, zero) - c
-                    diff = {kk: c for kk, c in diff.items() if not c.is_zero()}
-                    comms[t] = diff
-                    coords.update(diff)
-                for kk in sorted(coords):
-                    rows.append([comms[t].get(kk, zero) for t in range(len(values))])
+        if central:
+            values = [center_echelon(algebra).reduce(v) for v in values]
+        coords = sorted({k for v in values for k in v})
+        for k in coords:
+            rows.append([v.get(k, zero) for v in values])
     return rows
 
 
-def _space(algebra, degrees, central, bound):
+def _space(algebra, degrees, central):
     pg = MultidegreeBasis(algebra.group, degrees)
     n = len(pg.letters)
     if n < 1:
         raise PreconditionError("multidegree needs at least one variable")
-    if n > bound:
+    if n > DEFAULT_DEGREE_BOUND:
         raise ResourceRefusal(
             "multidegree of length %d exceeds bound %d (component dimension %d)" % (
-                n, bound, _factorial(n)))
+                n, DEFAULT_DEGREE_BOUND, _factorial(n)))
     seen = set()
     unique_rows = []
     # rows is None for a degree outside the support
@@ -256,11 +245,12 @@ def _space(algebra, degrees, central, bound):
             seen.add(key)
             unique_rows.append(r)
     if not unique_rows:
-        # every evaluation (or commutator) vanishes: the whole component
+        # every value vanishes (or is central): the whole component
         return Subspace(pg, [{k: Cyclo.one()} for k in range(pg.ncols)])
-    from .scalars import kernel_over_real_subfield
-
-    return Subspace(pg, kernel_over_real_subfield(unique_rows))
+    # the last free column first: all kernel vectors but at most one per row
+    # of the equations then pivot on their own free column, which no row in
+    # place has, so they enter without back-substitution
+    return Subspace(pg, reversed(scalars.kernel_over_real_subfield(unique_rows)))
 
 
 def _factorial(n):
@@ -270,14 +260,14 @@ def _factorial(n):
     return out
 
 
-def multilinear_identity_space(algebra, degrees, bound=DEFAULT_DEGREE_BOUND) -> Subspace:
+def multilinear_identity_space(algebra, degrees) -> Subspace:
     """Exact kernel of the evaluation map on the multilinear component."""
-    return _space(algebra, degrees, central=False, bound=bound)
+    return _space(algebra, degrees, central=False)
 
 
-def multilinear_central_space(algebra, degrees, bound=DEFAULT_DEGREE_BOUND) -> Subspace:
-    """Polynomials whose every admissible value is central."""
-    return _space(algebra, degrees, central=True, bound=bound)
+def multilinear_central_space(algebra, degrees) -> Subspace:
+    """Polynomials whose every admissible value lies in the center."""
+    return _space(algebra, degrees, central=True)
 
 
 # -- generator sets ----------------------------------------------------------------------
@@ -406,18 +396,18 @@ def _generic_instances(polys, pg, tideal):
         yield from _template_instances(template, pg, tideal)
 
 
-def tideal_consequences(generators, degrees, group=None, bound=DEFAULT_DEGREE_BOUND) -> Subspace:
+def tideal_consequences(generators, degrees, group=None) -> Subspace:
     """Span at one multidegree of all T-ideal substitution instances.
 
     generators: a GeneratorSet (members used) or list of polynomials; non-
     multilinear members are polarized first.
     """
-    return _consequence_space(generators, degrees, group, tideal=True, bound=bound)
+    return _consequence_space(generators, degrees, group, tideal=True)
 
 
-def tspace_consequences(generators, degrees, group=None, bound=DEFAULT_DEGREE_BOUND) -> Subspace:
+def tspace_consequences(generators, degrees, group=None) -> Subspace:
     """Span of substitution instances only (no outer multiplication)."""
-    return _consequence_space(generators, degrees, group, tideal=False, bound=bound)
+    return _consequence_space(generators, degrees, group, tideal=False)
 
 
 def _as_poly_list(generators):
@@ -430,15 +420,15 @@ def _as_poly_list(generators):
     return out
 
 
-def _consequence_space(generators, degrees, group, tideal, bound):
+def _consequence_space(generators, degrees, group, tideal):
     if isinstance(generators, GeneratorSet):
         group = generators.group
     if group is None:
         raise ValueError("group required when passing a raw polynomial list")
     pg = MultidegreeBasis(group, degrees)
-    if len(pg.letters) > bound:
+    if len(pg.letters) > DEFAULT_DEGREE_BOUND:
         raise ResourceRefusal("multidegree of length %d exceeds bound %d" % (
-            len(pg.letters), bound))
+            len(pg.letters), DEFAULT_DEGREE_BOUND))
     if isinstance(generators, GeneratorSet) and tideal == (generators.mode == "identities"):
         # the span the set is verified for: its own instance stages apply
         stages = _instance_stages(generators, pg, generators.mode)
@@ -994,13 +984,7 @@ class VerificationReport:
         return json.dumps(self.as_dict(), indent=2, sort_keys=False)
 
     def to_tsv(self):
-        lines = ["degrees\torbit\tdim_target\tdim_consequence\tequal\twitness"]
-        for r in self.records:
-            lines.append("%s\t%d\t%d\t%d\t%s\t%s" % (
-                ".".join(r.degrees) if r.degrees else "e", r.orbit, r.dim_target,
-                r.dim_consequence, "yes" if r.equal else "NO",
-                r.witness or ""))
-        return "\n".join(lines) + "\n"
+        return records_tsv(r.as_dict() for r in self.records)
 
     def summary(self):
         bad = [r for r in self.records if not r.equal]
@@ -1011,6 +995,17 @@ class VerificationReport:
                     "PASS" if self.ok else "FAIL (%d bad records, %d bad members)" % (
                         len(bad), len(mem_bad)),
                     len(self.records), len(self.membership), self.elapsed))
+
+
+def records_tsv(records):
+    """The TSV table, with no final newline, of records in their JSON form."""
+    lines = ["degrees\torbit\tdim_target\tdim_consequence\tequal\twitness"]
+    for r in records:
+        lines.append("%s\t%d\t%d\t%d\t%s\t%s" % (
+            ".".join(r["degrees"]) if r["degrees"] else "e", r["orbit"],
+            r["dim_target"], r["dim_consequence"], "yes" if r["equal"] else "NO",
+            r.get("witness") or ""))
+    return "\n".join(lines)
 
 
 def _orbit_size(degrees):
@@ -1061,26 +1056,32 @@ def _instance_stages(genset, pg, mode):
             m1 + m2, pg, tideal=(mode == "identities")))
 
 
-def _check_multidegree(algebra, genset, degrees, mode, bound):
+def _close_span(pg, stages, in_target, dim_target, order):
+    """Eliminate instance vectors, stage by stage, until their span reaches
+    dim_target; no stage after the one that closes it is consumed.  Returns
+    (consequence echelon, equal, witness naming an instance off the target)."""
+    cons = Echelon(pg.ncols)
+    for stage in stages:
+        for vec in stage:
+            if not in_target(vec):
+                return cons, False, "instance outside the target space: %s" % (
+                    pg.from_vector(vec, order))
+            cons.add(vec)
+            if cons.dim == dim_target:
+                return cons, True, None
+        if cons.dim == dim_target:
+            break
+    return cons, cons.dim == dim_target, None
+
+
+def _check_multidegree(algebra, genset, degrees, mode):
     pg = MultidegreeBasis(algebra.group, degrees)
     if mode == "identities":
-        target = multilinear_identity_space(algebra, degrees, bound)
+        target = multilinear_identity_space(algebra, degrees)
     else:
-        target = multilinear_central_space(algebra, degrees, bound)
-    cons = Echelon(pg.ncols)
-    witness = None
-    for stage in _instance_stages(genset, pg, mode):
-        for vec in stage:
-            if not target.contains(vec):
-                witness = "instance outside the target space: %s" % pg.from_vector(
-                    vec, genset.order)
-                break
-            cons.add(vec)
-            if cons.dim == target.dim:
-                break
-        if witness is not None or cons.dim == target.dim:
-            break
-    equal = cons.dim == target.dim and witness is None
+        target = multilinear_central_space(algebra, degrees)
+    cons, equal, witness = _close_span(pg, _instance_stages(genset, pg, mode),
+                                       target.contains, target.dim, genset.order)
     if witness is None and not equal:
         for v in target.echelon.sparse_basis():
             if not cons.contains(v):
@@ -1092,8 +1093,7 @@ def _check_multidegree(algebra, genset, degrees, mode, bound):
 
 
 def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
-                 bound=DEFAULT_DEGREE_BOUND, jobs: int = 1,
-                 progress=None) -> VerificationReport:
+                 jobs: int = 1, progress=None) -> VerificationReport:
     """Membership of every member, then per-multidegree completeness.
 
     For every multidegree over the support of total degree <= max_degree the
@@ -1104,11 +1104,12 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
     t0 = time.time()
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1, got %d" % max_degree)
-    if max_degree > bound:
+    if max_degree > DEFAULT_DEGREE_BOUND:
         raise ResourceRefusal(
             "max degree %d exceeds the dense-engine bound %d (component "
             "dimension %d); the large-multidegree path handles single "
-            "multidegrees beyond it" % (max_degree, bound, _factorial(max_degree)))
+            "multidegrees beyond it" % (max_degree, DEFAULT_DEGREE_BOUND,
+                                        _factorial(max_degree)))
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1, got %d" % jobs)
     if jobs > os.cpu_count():
@@ -1126,12 +1127,11 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             results = pool.starmap(
                 _check_multidegree,
-                [(algebra, genset, degrees, genset.mode, bound) for degrees in reps])
+                [(algebra, genset, degrees, genset.mode) for degrees in reps])
         records.extend(results)
     else:
         for degrees in reps:
-            records.append(_check_multidegree(algebra, genset, degrees,
-                                              genset.mode, bound))
+            records.append(_check_multidegree(algebra, genset, degrees, genset.mode))
             if progress is not None:
                 progress(records[-1])
     assumptions = list(genset.assumptions)
@@ -1434,23 +1434,10 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
     weights = [g.inv() for g in gamma]
     codim = 1 if all((w * gamma[0]).is_real() for w in weights) else 2
     dim_target = pg.ncols - codim
-    cons = Echelon(pg.ncols)
-    witness = None
-    for stage in source.stages(pg):
-        for vec in stage:
-            total = Cyclo.zero()
-            for k, c in vec.items():
-                total = total + c * weights[k]
-            if not total.is_zero():
-                witness = "instance outside the target space: %s" % pg.from_vector(
-                    vec, source.beta.order)
-                break
-            cons.add(vec)
-            if cons.dim == dim_target:
-                break
-        if witness is not None or cons.dim == dim_target:
-            break
-    equal = witness is None and cons.dim == dim_target
+    cons, equal, witness = _close_span(
+        pg, source.stages(pg),
+        lambda vec: sum((c * weights[k] for k, c in vec.items()), Cyclo.zero()).is_zero(),
+        dim_target, source.beta.order)
     if witness is None and not equal:
         witness = "consequence span has codimension %d, identities have codimension %d" % (
             pg.ncols - cons.dim, codim)

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from gradedpi import algebras
 from gradedpi.algebras import (
     build_catalog,
     catalog_ids,
     center,
+    center_echelon,
     check_graded_division,
     coarsen_by_quotient,
     complex_unit,
@@ -202,6 +204,21 @@ def test_complex_bicharacter_pauli3():
 def test_complex_bicharacter_is_memoized():
     alg = build_catalog("pauli", n=3)
     assert detect_complex_bicharacter(alg)[0] is detect_complex_bicharacter(alg)[0]
+
+
+def test_center_is_memoized(monkeypatch):
+    """center() solves its commutator system once per algebra, and
+    center_echelon() spans the same elements."""
+    alg = build_catalog("pauli", n=3)
+    kernel = algebras.kernel_over_real_subfield
+    calls = []
+    monkeypatch.setattr(algebras, "kernel_over_real_subfield",
+                        lambda rows: calls.append(rows) or kernel(rows))
+    assert center(alg) is center(alg)
+    assert center_echelon(alg) is center_echelon(alg)
+    assert center_echelon(alg).dim == len(center(alg)) == 2
+    assert all(center_echelon(alg).contains(h.coords) for h in center(alg))
+    assert len(calls) == 1
 
 
 def test_complex_unit_pauli():

@@ -63,8 +63,13 @@ _ONE_LABEL = {"labels": ["1"], "degrees": {"1": "e"}}
          basis=dict(_ONE_LABEL, mult={"1*1": [["q", "1"]]})),
     dict(_ALGEBRA_HEADER, group={"orders": [2]},
          basis=dict(_ONE_LABEL, mult={"1*1": [["1"]]})),
+    dict(_ALGEBRA_HEADER, cyclotomic_order=4, group={"orders": [2]},
+         basis={"labels": ["1", "j"], "degrees": {"1": "e", "j": "e"},
+                "mult": {"1*1": [["1", "1"]], "1*j": [["j", "1"]],
+                         "j*1": [["j", "1"]], "j*j": [["1", "z"]]},
+                "unit": [["1", "1"]]}),
 ], ids=["top-level-list", "catalog-without-id", "basis-without-labels",
-        "unknown-label-in-mult", "one-field-mult-entry"])
+        "unknown-label-in-mult", "one-field-mult-entry", "non-real-constant"])
 def test_malformed_algebra_spec_exit2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -186,6 +191,19 @@ def test_report_rerender(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.startswith("degrees\t")
     assert "\tyes\t" in text
+
+
+def test_tsv_report_same_on_stdout_in_file_and_rerendered(tmp_path, capsys):
+    argv = ["verify", "--algebra", "m2-elem", "--basis", "dv-lemma", "--max-degree", "2"]
+    tsv, report = tmp_path / "r.tsv", tmp_path / "r.json"
+    assert run(argv + ["--format", "tsv"]) == 0
+    stdout = capsys.readouterr().out
+    assert run(argv + ["--format", "tsv", "--out", str(tsv)]) == 0
+    assert run(argv + ["--out", str(report)]) == 0
+    capsys.readouterr()
+    assert run(["report", "--input", str(report)]) == 0
+    assert stdout == tsv.read_text() == capsys.readouterr().out
+    assert stdout.startswith("degrees\t") and stdout.endswith("\tyes\t\n")
 
 
 def test_corollary_basis_resolution():

@@ -22,6 +22,7 @@ from gradedpi.freealg import (
     commutator_poly,
     hall_poly,
     monomial_poly,
+    monomial_values,
     parse_poly,
     project_poly,
     standard_poly,
@@ -29,8 +30,8 @@ from gradedpi.freealg import (
 )
 from gradedpi.groups import FiniteAbelianGroup, quotient_by
 from gradedpi.pitool import (
-    DEFAULT_DEGREE_BOUND,
     GeneratorSet,
+    MultidegreeBasis,
     _check_multidegree,
     bp_basis,
     check_pauli_multidegree,
@@ -49,7 +50,7 @@ from gradedpi.pitool import (
     tspace_consequences,
     verify_basis,
 )
-from gradedpi.scalars import Cyclo
+from gradedpi.scalars import Cyclo, Echelon, kernel_over_real_subfield
 
 
 def trivial_field_algebra():
@@ -145,6 +146,47 @@ def test_central_space_pauli_offsupport_degree_equals_identity_space():
     zc = multilinear_central_space(p3, degs)
     zi = multilinear_identity_space(p3, degs)
     assert zc.dim == zi.dim
+
+
+def commutator_central_basis(algebra, degrees):
+    """Reference central space: the real kernel of the commutators
+    [value, b] of the monomial values with every basis element b."""
+    pg = MultidegreeBasis(algebra.group, degrees)
+    zero = Cyclo.zero()
+    rows = []
+    for choice in pitool._substitution_tuples(algebra, pg.letters) or ():
+        values = list(monomial_values(pg.monomials, dict(zip(pg.letters, choice)),
+                                      algebra))
+        for j in range(algebra.dim):
+            b = algebra.basis_vector(j)
+            comms = []
+            for v in values:
+                diff = dict(algebra.mul_vec(v, b))
+                for k, c in algebra.mul_vec(b, v).items():
+                    diff[k] = diff.get(k, zero) - c
+                comms.append({k: c for k, c in diff.items() if not c.is_zero()})
+            for k in sorted({k for d in comms for k in d}):
+                rows.append([d.get(k, zero) for d in comms])
+    rows = [r for r in rows if any(not c.is_zero() for c in r)]
+    ech = Echelon(pg.ncols)
+    for v in (kernel_over_real_subfield(rows) if rows
+              else [{k: Cyclo.one()} for k in range(pg.ncols)]):
+        ech.add(v)
+    return ech.basis()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("e-series", {"eps": -1, "n": 4}), ("m2-8", {}), ("m2c-z4", {}), ("h4", {}),
+    ("pauli", {"n": 3}), ("m2-elem", {}), ("c2@m2-4", {}),
+], ids=["e-series(-1,4)", "m2-8", "m2c-z4", "h4", "pauli-3", "m2-elem", "c2@m2-4"])
+def test_central_space_matches_commutator_reference(name, params):
+    """The central space taken modulo the center's echelon form equals the
+    commutator-row definition at every multidegree of length <= 2."""
+    alg = build_catalog(name, **params)
+    for n in (1, 2):
+        for degs in itertools.product(alg.support, repeat=n):
+            assert multilinear_central_space(alg, degs).basis() == \
+                commutator_central_basis(alg, degs), degs
 
 
 def test_empty_multidegree_rejected():
@@ -410,6 +452,17 @@ def test_verify_dv_on_elementary():
     assert "dim_target" in rep.to_tsv().splitlines()[0]
 
 
+def test_m2_8_degree_six_record():
+    """A record at the dense engine's degree bound: the regular family spans
+    the identities of m2-8 at six distinct degrees."""
+    alg = build_catalog("m2-8")
+    beta, _ = detect_regular(alg)
+    degs = [alg.group.word_to_element(w)
+            for w in ("a", "b", "a.b", "a^2", "a^3.b", "a^2.b")]
+    rec = _check_multidegree(alg, family_regular(beta, "identities"), degs, "identities")
+    assert rec.equal and (rec.dim_target, rec.dim_consequence) == (719, 719)
+
+
 def test_verify_detects_incomplete_basis():
     elem = build_catalog("m2-elem")
     group = elem.group
@@ -543,7 +596,7 @@ def test_check_pauli_multidegree_small(pauli_families, name, degs):
     consequence span of the emitted family."""
     algebra, fam = pauli_families[name]
     rec = check_pauli_multidegree(algebra, degs)
-    dense = _check_multidegree(algebra, fam, degs, "identities", DEFAULT_DEGREE_BOUND)
+    dense = _check_multidegree(algebra, fam, degs, "identities")
     assert dense.equal
     assert rec.dim_target == multilinear_identity_space(algebra, degs).dim
     assert (rec.equal, rec.dim_target, rec.dim_consequence) == (
