@@ -438,9 +438,8 @@ class Cyclo:
     def imag_over_i(self) -> "Cyclo":
         """The real number y with self = real_part + i*y; needs 4 | order."""
         n = _lcm(self.order, 4)
-        x = self.lift(n)
-        i = Cyclo.zeta(n, n // 4)
-        return (x - x.conj()) / (i + i)
+        # 1/(2i) = -i/2 = zeta_n^(3n/4) / 2
+        return (self - self.conj()) * _make(n, _power_table(n)[3 * n // 4], 2)
 
     def real_sign(self) -> int:
         """Exact sign of a real cyclotomic number (-1, 0, +1)."""

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from gradedpi import algebras
+from gradedpi import algebras, scalars
 from gradedpi.algebras import (
     build_catalog,
     catalog_ids,
@@ -210,9 +211,9 @@ def test_center_is_memoized(monkeypatch):
     """center() solves its commutator system once per algebra, and
     center_echelon() spans the same elements."""
     alg = build_catalog("pauli", n=3)
-    kernel = algebras.kernel_over_real_subfield
+    kernel = scalars.kernel_over_real_subfield
     calls = []
-    monkeypatch.setattr(algebras, "kernel_over_real_subfield",
+    monkeypatch.setattr(scalars, "kernel_over_real_subfield",
                         lambda rows: calls.append(rows) or kernel(rows))
     assert center(alg) is center(alg)
     assert center_echelon(alg) is center_echelon(alg)
@@ -335,3 +336,59 @@ def test_tensor_expression():
     beta, witness = detect_regular(t)
     assert witness is None
     assert beta.radical() == [(0, 0, 0), (1, 0, 0)]
+
+
+# -- associativity: Light's test against the full triple scan --------------------
+
+def _failing_triples(alg):
+    """Every basis triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k)."""
+    return [(i, j, k) for i, j, k in itertools.product(range(alg.dim), repeat=3)
+            if alg.mul_vec(alg.mul_basis(i, j), alg.basis_vector(k))
+            != alg.mul_vec(alg.basis_vector(i), alg.mul_basis(j, k))]
+
+
+_ASSOCIATIVITY_CASES = [(name, {}) for name in catalog_ids()
+                        if name not in ("pauli", "d-cyclic", "d-pair", "e-series")] + [
+    ("pauli", {"n": 2}), ("pauli", {"n": 3}),
+    ("e-series", {"eps": -1, "n": 4}), ("e-series", {"eps": 1, "n": 2}),
+    ("d-pair", {"k": 2, "l": 2, "mu": -1, "nu": -1}),
+    ("d-pair", {"k": 4, "l": 2, "mu": -1, "nu": 1}),
+    ("d-cyclic", {"m": 3, "eps": 1}), ("d-cyclic", {"m": 2, "eps": -1}),
+    ("c2@m2-4", {}),
+]
+
+
+def _perturbed(alg, rng):
+    """alg with one structure constant scaled by -1, 2 or 3, unvalidated.
+    The scaled product avoids the unit's support, so the unit, degree and
+    realness checks still pass and only associativity can fail."""
+    pairs = sorted((i, j) for i, j in alg.mult
+                   if i not in alg.unit and j not in alg.unit)
+    i, j = rng.choice(pairs)
+    k = rng.choice(sorted(alg.mult[(i, j)]))
+    mult = {key: dict(row) for key, row in alg.mult.items()}
+    mult[(i, j)][k] = mult[(i, j)][k] * cy(rng.choice((-1, 2, 3)))
+    return algebras.GradedAlgebra(alg.group, alg.order, alg.labels, alg.degrees, mult,
+                                  alg.unit, name=alg.name, validate=False)
+
+
+@pytest.mark.parametrize("name, params", _ASSOCIATIVITY_CASES,
+                         ids=["%s%s" % (n, "".join("-%s" % v for v in p.values()))
+                              for n, p in _ASSOCIATIVITY_CASES])
+def test_light_associativity_matches_triple_scan(name, params):
+    """validate() accepts exactly the tables the dim^3 scan accepts, and a
+    rejection names a basis triple that really fails."""
+    alg = build_catalog(name, **params)
+    assert _failing_triples(alg) == []
+    rng = random.Random("%s%s" % (name, sorted(params.items())))
+    for _ in range(4):
+        bad = _perturbed(alg, rng)
+        failing = _failing_triples(bad)
+        try:
+            bad.validate()
+        except ValueError as exc:
+            named = {"%s: associativity fails at (%s, %s, %s)" % (
+                bad.name, *(bad.labels[t] for t in triple)) for triple in failing}
+            assert str(exc) in named
+        else:
+            assert failing == []

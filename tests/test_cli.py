@@ -68,8 +68,16 @@ _ONE_LABEL = {"labels": ["1"], "degrees": {"1": "e"}}
                 "mult": {"1*1": [["1", "1"]], "1*j": [["j", "1"]],
                          "j*1": [["j", "1"]], "j*j": [["1", "z"]]},
                 "unit": [["1", "1"]]}),
+    # (a*a)*b = b*b = 0 but a*(a*b) = a*a = b
+    dict(_ALGEBRA_HEADER, group={"orders": [2]},
+         basis={"labels": ["1", "a", "b"], "degrees": {"1": "e", "a": "e", "b": "e"},
+                "mult": {"1*1": [["1", "1"]], "1*a": [["a", "1"]], "a*1": [["a", "1"]],
+                         "1*b": [["b", "1"]], "b*1": [["b", "1"]],
+                         "a*a": [["b", "1"]], "a*b": [["a", "1"]]},
+                "unit": [["1", "1"]]}),
 ], ids=["top-level-list", "catalog-without-id", "basis-without-labels",
-        "unknown-label-in-mult", "one-field-mult-entry", "non-real-constant"])
+        "unknown-label-in-mult", "one-field-mult-entry", "non-real-constant",
+        "non-associative"])
 def test_malformed_algebra_spec_exit2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

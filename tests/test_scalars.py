@@ -461,3 +461,17 @@ def test_equal_values_at_different_orders_hash_equally():
     sqrt2 = Cyclo.zeta(8) + Cyclo.zeta(8, 7)
     assert len({sqrt2, sqrt2.lift(16), sqrt2.lift(24)}) == 1
     assert len({Cyclo.zeta(3), Cyclo.zeta(6, 2), -Cyclo.zeta(6, 5)}) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((4, 8, 12, 16, 20, 24)).flatmap(cyclos))
+def test_imag_over_i_splits_off_the_real_part(x):
+    """x = real_part + i*y for the real y = imag_over_i, which is (x - conj x)/(2i)
+    in the same canonical form."""
+    n = lcm(x.order, 4)
+    i = Cyclo.zeta(n, n // 4)
+    y = x.imag_over_i()
+    assert y.is_real() and x.real_part().is_real()
+    assert x == x.real_part() + i * y
+    reference = (x - x.conj()) / (i + i)
+    assert (y.order, y.nums, y.den) == (reference.order, reference.nums, reference.den)
