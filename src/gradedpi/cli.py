@@ -128,11 +128,7 @@ def load_algebra_spec(path) -> GradedAlgebra:
             raise SpecParseError("bad degree map: %s" % exc)
         mult = {}
         for key, row in basis.get("mult", {}).items():
-            try:
-                la, lb = key.split("*")
-                i, j = index[la.strip()], index[lb.strip()]
-            except (ValueError, KeyError):
-                raise SpecParseError("bad product key %r" % key)
+            i, j = _product_key(key, index)
             entry = {}
             for lab, lit in row:
                 entry[index[lab]] = parse_cyclo(lit, order)
@@ -158,6 +154,23 @@ def load_algebra_spec(path) -> GradedAlgebra:
                 assumptions=entry.get("assumptions", []))
         algebra.file_gensets = sets
         return algebra
+
+
+def _product_key(key, index):
+    """The basis indices (i, j) of a product key "a*b".  Labels may contain
+    "*" themselves (the i*u[g] of a twisted group algebra), so the key is
+    read at the one "*" that splits it into two known labels."""
+    pairs = []
+    for cut, ch in enumerate(key):
+        if ch == "*":
+            la, lb = key[:cut].strip(), key[cut + 1:].strip()
+            if la in index and lb in index:
+                pairs.append((index[la], index[lb]))
+    if len(pairs) > 1:
+        raise SpecParseError("ambiguous product key %r" % key)
+    if not pairs:
+        raise SpecParseError("bad product key %r" % key)
+    return pairs[0]
 
 
 def algebra_spec_dict(algebra: GradedAlgebra) -> dict:

@@ -299,27 +299,44 @@ def poly_value(poly: FreePoly, assign, algebra):
 
     Nothing is validated; evaluate is the checked entry point.
     """
+    return linear_combination(poly.terms.values(),
+                              monomial_values(poly.terms, assign, algebra))
+
+
+def linear_combination(coeffs, values):
+    """sum c * v over paired coefficients and coordinate dicts, without zeros."""
     out = {}
-    for coeff, value in zip(poly.terms.values(),
-                            monomial_values(poly.terms, assign, algebra)):
+    for coeff, value in zip(coeffs, values):
         for k, c in value.items():
             prev = out.get(k)
             out[k] = coeff * c if prev is None else prev + coeff * c
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-def monomial_values(monomials, assign, algebra):
-    """Yield the value of each monomial under assign, reusing the products of
-    prefixes shared with earlier monomials.  Nothing is validated."""
-    cache = {(): dict(algebra.unit)}
-    for mono in monomials:
-        for cut in range(len(mono), -1, -1):
-            value = cache.get(mono[:cut])
-            if value is not None:
-                break
-        for k in range(cut, len(mono)):
-            value = algebra.mul_vec(value, assign[mono[k]])
-            cache[mono[: k + 1]] = value
+def monomial_values(words, assign, algebra, memo=None):
+    """Yield the value of each word, the product of assign[t] over its tokens t,
+    reusing the products of prefixes already in memo.
+
+    memo maps token words to their products and is filled as words are
+    evaluated.  A caller may share one memo between calls whose tokens stand
+    for the same elements (basis indices, say), so that a prefix met under
+    one substitution is not multiplied out again under the next; without
+    one, prefixes are shared only within this call.  Nothing is validated.
+    """
+    if memo is None:
+        memo = {}
+    if () not in memo:
+        memo[()] = dict(algebra.unit)
+    for word in words:
+        value = memo.get(word)
+        if value is None:
+            cut = len(word) - 1
+            while word[:cut] not in memo:
+                cut -= 1
+            value = memo[word[:cut]]
+            for k in range(cut, len(word)):
+                value = algebra.mul_vec(value, assign[word[k]])
+                memo[word[: k + 1]] = value
         yield value
 
 

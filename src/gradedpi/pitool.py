@@ -36,10 +36,10 @@ from .errors import PreconditionError, ResourceRefusal, VerificationFailure
 from .freealg import (
     FreePoly,
     lift_poly,
+    linear_combination,
     monomial_poly,
     monomial_values,
     multilinearize,
-    poly_value,
     reorder_scalar,
     transfer_phi,
 )
@@ -128,7 +128,8 @@ class Subspace:
 
 
 def _substitution_tuples(algebra, letters):
-    """Tuples of basis substitutions sufficient for identity questions.
+    """Tuples of basis indices, one per letter, whose substitutions suffice
+    for identity questions.
 
     Components with a central basis-permuting square root of -1 contribute one
     representative per (b, J b) pair: substituting J b scales every value by
@@ -139,8 +140,15 @@ def _substitution_tuples(algebra, letters):
         reps = algebra.substitution_reps(d)
         if not reps:
             return None  # empty component: everything vanishes
-        pools.append([algebra.basis_vector(i) for i in reps])
+        pools.append(reps)
     return itertools.product(*pools)
+
+
+def _basis_words(monomials, letters, choice):
+    """The basis-index word of each monomial when letters take the indices of
+    choice; its value is the product of those basis elements."""
+    index = dict(zip(letters, choice))
+    return [tuple(map(index.__getitem__, mono)) for mono in monomials]
 
 
 def _polarized(poly):
@@ -149,7 +157,11 @@ def _polarized(poly):
 
 def _substitution_values(algebra, poly):
     """(letters, choice, value) for every polarized piece of poly and every
-    representative basis substitution of its letters."""
+    representative basis substitution of its letters.  Values are products
+    of basis words, so one memo of word prefixes serves every piece and
+    every substitution."""
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    memo = {}
     for lin in _polarized(poly):
         letters = lin.letters()
         for d in {d for _, d in letters}:
@@ -157,12 +169,15 @@ def _substitution_values(algebra, poly):
         tuples = _substitution_tuples(algebra, letters)
         if tuples is None:
             continue
+        coeffs = list(lin.terms.values())
         for choice in tuples:
-            yield letters, choice, poly_value(lin, dict(zip(letters, choice)), algebra)
+            words = _basis_words(lin.terms, letters, choice)
+            yield letters, choice, linear_combination(
+                coeffs, monomial_values(words, basis, algebra, memo))
 
 
 def _witness(algebra, letters, choice):
-    return {lt: _vec_label(algebra, v) for lt, v in zip(letters, choice)}
+    return {lt: algebra.labels[i] for lt, i in zip(letters, choice)}
 
 
 def is_identity(algebra: GradedAlgebra, poly: FreePoly):
@@ -176,11 +191,6 @@ def is_identity(algebra: GradedAlgebra, poly: FreePoly):
         if value:
             return False, _witness(algebra, letters, choice)
     return True, None
-
-
-def _vec_label(algebra, vec):
-    return " + ".join("%s*%s" % (c, algebra.labels[k]) if not c.is_one()
-                      else algebra.labels[k] for k, c in sorted(vec.items()))
 
 
 def _noncommuting_label(algebra, value):
@@ -214,11 +224,13 @@ def _component_rows(algebra, pg, central: bool):
     tuples = _substitution_tuples(algebra, pg.letters)
     if tuples is None:
         return None
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    memo = {}
     rows = []
     zero = Cyclo.zero()
     for choice in tuples:
-        values = list(monomial_values(pg.monomials, dict(zip(pg.letters, choice)),
-                                      algebra))
+        words = _basis_words(pg.monomials, pg.letters, choice)
+        values = list(monomial_values(words, basis, algebra, memo))
         if central:
             values = [center_echelon(algebra).reduce(v) for v in values]
         coords = sorted({k for v in values for k in v})

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from gradedpi import cli
-from gradedpi.algebras import build_catalog
+from gradedpi.algebras import build_catalog, catalog_ids
 from gradedpi.cli import (
     algebra_spec_dict,
     load_algebra_spec,
@@ -42,6 +42,45 @@ def test_algebra_spec_roundtrip(tmp_path):
     assert loaded.group.orders == alg.group.orders
 
 
+_SPEC_CASES = [(name, {}) for name in catalog_ids()
+               if name not in ("pauli", "d-cyclic", "d-pair", "e-series")] + [
+    ("pauli", {"n": n}) for n in range(2, 7)] + [
+    ("d-cyclic", {"m": 3, "eps": 1}), ("d-cyclic", {"m": 2, "eps": -1}),
+    ("d-pair", {"k": 2, "l": 2, "mu": -1, "nu": -1}),
+    ("e-series", {"eps": -1, "n": 4}), ("e-series", {"eps": 1, "n": 2}),
+    ("c2@m2-4", {}), ("h4@m2-8", {}),
+]
+
+
+@pytest.mark.parametrize("name, params", _SPEC_CASES,
+                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
+                              for name, params in _SPEC_CASES])
+def test_written_spec_reloads_the_same_algebra(tmp_path, name, params):
+    """What `build --out` writes reads back with equal labels, degrees, table
+    and unit, also where labels such as i*u[g] contain the key separator."""
+    alg = build_catalog(name, **params)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra_spec_dict(alg), indent=2))
+    loaded = load_algebra_spec(str(path))
+    assert loaded.labels == alg.labels
+    assert loaded.degrees == alg.degrees
+    assert loaded.mult == alg.mult
+    assert loaded.unit == alg.unit
+    assert loaded.group.orders == alg.group.orders
+
+
+def test_build_out_then_build_from_the_file(tmp_path, capsys):
+    path = tmp_path / "p3.json"
+    assert run(["build", "--algebra", "pauli", "--n", "3", "--out", str(path)]) == 0
+    summary, wrote = capsys.readouterr().out.rsplit("}", 1)
+    assert wrote.strip() == "wrote %s" % path
+    from_catalog = json.loads(summary + "}")
+    assert run(["build", "--algebra", str(path)]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert from_file["dimension"] == from_catalog["dimension"] == 18
+    assert from_file["graded_division"] == from_catalog["graded_division"]
+
+
 def test_algebra_spec_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
@@ -75,9 +114,14 @@ _ONE_LABEL = {"labels": ["1"], "degrees": {"1": "e"}}
                          "1*b": [["b", "1"]], "b*1": [["b", "1"]],
                          "a*a": [["b", "1"]], "a*b": [["a", "1"]]},
                 "unit": [["1", "1"]]}),
+    # "a*b*c" splits into two known labels at both of its stars
+    dict(_ALGEBRA_HEADER, group={"orders": [2]},
+         basis={"labels": ["a", "a*b", "b*c", "c"],
+                "degrees": {"a": "e", "a*b": "e", "b*c": "e", "c": "e"},
+                "mult": {"a*b*c": [["a", "1"]]}, "unit": [["a", "1"]]}),
 ], ids=["top-level-list", "catalog-without-id", "basis-without-labels",
         "unknown-label-in-mult", "one-field-mult-entry", "non-real-constant",
-        "non-associative"])
+        "non-associative", "ambiguous-product-key"])
 def test_malformed_algebra_spec_exit2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -12,6 +12,8 @@ from gradedpi import pitool
 from gradedpi.algebras import (
     GradedAlgebra,
     build_catalog,
+    catalog_ids,
+    center_echelon,
     coarsen_by_quotient,
     detect_regular,
     tensor,
@@ -20,6 +22,7 @@ from gradedpi.errors import PreconditionError, ResourceRefusal
 from gradedpi.freealg import (
     FreePoly,
     commutator_poly,
+    evaluate,
     hall_poly,
     monomial_poly,
     monomial_values,
@@ -155,8 +158,8 @@ def commutator_central_basis(algebra, degrees):
     zero = Cyclo.zero()
     rows = []
     for choice in pitool._substitution_tuples(algebra, pg.letters) or ():
-        values = list(monomial_values(pg.monomials, dict(zip(pg.letters, choice)),
-                                      algebra))
+        assign = {lt: algebra.basis_vector(i) for lt, i in zip(pg.letters, choice)}
+        values = list(monomial_values(pg.monomials, assign, algebra))
         for j in range(algebra.dim):
             b = algebra.basis_vector(j)
             comms = []
@@ -187,6 +190,116 @@ def test_central_space_matches_commutator_reference(name, params):
         for degs in itertools.product(alg.support, repeat=n):
             assert multilinear_central_space(alg, degs).basis() == \
                 commutator_central_basis(alg, degs), degs
+
+
+# -- word-keyed evaluation against per-substitution references ---------------------
+
+_EVALUATION_CASES = [(name, {}) for name in catalog_ids()
+                     if name not in ("pauli", "d-cyclic", "d-pair", "e-series")] + [
+    ("pauli", {"n": 3}), ("e-series", {"eps": -1, "n": 4}),
+    ("d-cyclic", {"m": 3, "eps": 1}), ("d-pair", {"k": 2, "l": 2, "mu": -1, "nu": -1}),
+]
+
+
+def _assignments(algebra, letters):
+    """Each representative basis substitution of letters, as (choice, assign)
+    in itertools.product order, assign mapping letters to basis vectors."""
+    pools = [algebra.substitution_reps(d) for _, d in letters]
+    for choice in itertools.product(*pools):
+        yield choice, {lt: algebra.basis_vector(i) for lt, i in zip(letters, choice)}
+
+
+@pytest.mark.parametrize("name, params", _EVALUATION_CASES,
+                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
+                              for name, params in _EVALUATION_CASES])
+def test_word_evaluation_matches_evaluate(name, params):
+    """One memo of basis-index words per multidegree gives the values that
+    evaluate gives substitution by substitution, and _component_rows gives
+    the rows of a per-substitution loop, at every multidegree of length <= 3."""
+    alg = build_catalog(name, **params)
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    zero = Cyclo.zero()
+    for n in (1, 2, 3):
+        for degs in itertools.product(alg.support, repeat=n):
+            pg = MultidegreeBasis(alg.group, degs)
+            memo = {}
+            rows = {False: [], True: []}
+            for choice, assign in _assignments(alg, pg.letters):
+                expected = [evaluate(monomial_poly(alg.group, alg.order, m), assign, alg)
+                            for m in pg.monomials]
+                words = pitool._basis_words(pg.monomials, pg.letters, choice)
+                assert list(monomial_values(words, basis, alg, memo)) == expected, \
+                    (degs, choice)
+                for central in (False, True):
+                    values = [center_echelon(alg).reduce(v) for v in expected] \
+                        if central else expected
+                    for k in sorted({k for v in values for k in v}):
+                        rows[central].append([v.get(k, zero) for v in values])
+            for central in (False, True):
+                assert (pitool._component_rows(alg, pg, central) or []) == rows[central], \
+                    (degs, central)
+
+
+def _first_failure(algebra, poly, fails):
+    """The witness of the first substitution, in polarized-piece and then
+    itertools.product order, whose value fails, with that value."""
+    for lin in pitool._polarized(poly):
+        letters = lin.letters()
+        for choice, assign in _assignments(algebra, letters):
+            value = evaluate(lin, assign, algebra)
+            if fails(value):
+                return {lt: algebra.labels[i] for lt, i in zip(letters, choice)}, value
+    return None, None
+
+
+def test_failing_membership_reports_the_first_witness_in_product_order():
+    m24 = build_catalog("m2-4")
+    # the first polarized piece is an identity, the second is not
+    poly = parse_poly("x1:a*x1:a*x2:b - x2:b*x1:a*x1:a + x1:a*x2:b", m24.group, 1)
+    witness, _ = _first_failure(m24, poly, bool)
+    assert witness is not None
+    assert is_identity(m24, poly) == (False, witness)
+
+    e4 = build_catalog("e-series", eps=-1, n=4)
+    center = center_echelon(e4)
+    for text in ("x1:g*x1:g*x2:e", "x1:e*x2:g*x3:e - x3:e*x2:g*x1:e"):
+        poly = parse_poly(text, e4.group, 1)
+        witness, value = _first_failure(
+            e4, poly, lambda v: bool(v) and not center.contains(v))
+        label = next(e4.labels[j] for j in range(e4.dim)
+                     if e4.mul_vec(value, e4.basis_vector(j))
+                     != e4.mul_vec(e4.basis_vector(j), value))
+        assert is_central(e4, poly) == ("neither", (witness, label)), text
+        # not the first substitution, so the order is really pinned
+        assert witness != _first_failure(e4, poly, lambda v: True)[0], text
+
+
+def test_membership_multiplies_each_basis_word_prefix_once(monkeypatch):
+    """A padded central member of e-series(-1,4) costs one mul_vec per
+    distinct nonempty prefix of its basis-index words, not one per prefix of
+    every substitution."""
+    alg = build_catalog("e-series", eps=-1, n=4)
+    center_echelon(alg)  # solved once per algebra, before counting
+    poly = parse_poly("x1:e*x2:e*x3:e*x4:g^2 - x1:e*x3:e*x2:e*x4:g^2", alg.group, 1)
+    prefixes = set()
+    tuples = 0
+    for choice, _ in _assignments(alg, poly.letters()):
+        tuples += 1
+        index = dict(zip(poly.letters(), choice))
+        for mono in poly.terms:
+            word = tuple(index[lt] for lt in mono)
+            prefixes.update(word[:k] for k in range(1, len(word) + 1))
+    calls = [0]
+    mul_vec = GradedAlgebra.mul_vec
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return mul_vec(self, u, v)
+
+    monkeypatch.setattr(GradedAlgebra, "mul_vec", counted)
+    assert is_central(alg, poly)[0] != "neither"
+    assert calls[0] == len(prefixes)
+    assert calls[0] < tuples * sum(len(m) for m in poly.terms)
 
 
 def test_empty_multidegree_rejected():
