@@ -2,7 +2,9 @@
 campaigns, family printing, transfer, reduction, and report emission.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 precondition
-violation, 4 resource refusal.
+violation, 4 resource refusal, 5 internal error.  A closed stdout reader does
+not change them: the command drops the rest of its output and exits with its
+own status.
 """
 
 from __future__ import annotations
@@ -244,12 +246,26 @@ def _write_atomic(path, text):
         raise
 
 
+def _write_stdout(text):
+    """Write text and a newline to stdout.  A reader that has gone away (a
+    closed pipe, as under `| head`) is not the command's failure: stdout is
+    pointed at devnull, so neither a later write nor the flush at exit raises,
+    and the command goes on to end with its own status."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, text):
     """Write text and a newline to the --out file, atomically, or to stdout."""
     if args.out:
         _write_atomic(args.out, text + "\n")
     else:
-        sys.stdout.write(text + "\n")
+        _write_stdout(text)
 
 
 # -- algebra and basis resolution -------------------------------------------------------
@@ -338,10 +354,10 @@ def cmd_build(args):
     info["regular"] = beta is not None
     if beta is None and witness is not None:
         info["regularity_witness"] = witness.reason
-    print(json.dumps(info, indent=2))
     if args.out:
         _write_atomic(args.out, json.dumps(algebra_spec_dict(algebra), indent=2) + "\n")
-        print("wrote %s" % args.out)
+        print("wrote %s" % args.out, file=sys.stderr)
+    _write_stdout(json.dumps(info, indent=2))
     return 0
 
 
@@ -360,7 +376,7 @@ def cmd_verify(args):
     text = report.to_json() if args.format == "json" else report.to_tsv()
     _emit(args, text)
     print(report.summary(), file=sys.stderr)
-    return 0 if report.ok and all(r.equal for r in report.records) else 1
+    return 0 if report.ok else 1
 
 
 def _long_running_record(algebra):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 
@@ -50,6 +51,7 @@ __all__ = [
     "GeneratorSet",
     "MultidegreeBasis",
     "Subspace",
+    "Target",
     "VerificationReport",
     "is_identity",
     "is_central",
@@ -119,9 +121,6 @@ class Subspace:
 
     def contains(self, vec):
         return self.echelon.contains(vec)
-
-    def basis_polys(self, order=1):
-        return [self.pg.from_vector(v, order) for v in self.echelon.sparse_basis()]
 
 
 # -- membership -----------------------------------------------------------------------
@@ -239,6 +238,53 @@ def _component_rows(algebra, pg, central: bool):
     return rows
 
 
+class Target:
+    """The target space at one multidegree: the polynomials whose every
+    admissible value vanishes, or, when central, lies in the center.
+
+    It is held as its defining equations, the echelonized real rows of the
+    evaluation map: the dimension is n! less their rank, and membership is a
+    dot product with each of the few equations.  A spanning basis is built
+    from their kernel only when asked for, as for the witness of a failing
+    record; its reduced echelon form is unique, so it does not depend on how
+    it is built.
+    """
+
+    def __init__(self, algebra, pg: MultidegreeBasis, central: bool):
+        self.pg = pg
+        self.equations = Echelon(pg.ncols)
+        # no rows (None for a degree outside the support): the whole component
+        for row in scalars._real_rows(_component_rows(algebra, pg, central) or ()):
+            self.equations.add(row)
+        self._span = None
+
+    @property
+    def dim(self):
+        return self.pg.ncols - self.equations.dim
+
+    def contains(self, vec):
+        """Whether vec, a sparse dict or a coordinate list, solves every equation."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        items = [(k, c) for k, c in items if not c.is_zero()]
+        zero = Cyclo.zero()
+        return all(sum((c * row[k] for k, c in items if k in row), zero).is_zero()
+                   for row in self.equations.rows.values())
+
+    def span(self) -> Echelon:
+        """The spanning basis in reduced echelon form, built on first use."""
+        if self._span is None:
+            self._span = Echelon(self.pg.ncols)
+            for v in self.equations.kernel():
+                self._span.add(v)
+        return self._span
+
+    def basis(self):
+        return self.span().basis()
+
+    def basis_polys(self, order=1):
+        return [self.pg.from_vector(v, order) for v in self.span().sparse_basis()]
+
+
 def _space(algebra, degrees, central):
     pg = MultidegreeBasis(algebra.group, degrees)
     n = len(pg.letters)
@@ -247,37 +293,16 @@ def _space(algebra, degrees, central):
     if n > DEFAULT_DEGREE_BOUND:
         raise ResourceRefusal(
             "multidegree of length %d exceeds bound %d (component dimension %d)" % (
-                n, DEFAULT_DEGREE_BOUND, _factorial(n)))
-    seen = set()
-    unique_rows = []
-    # rows is None for a degree outside the support
-    for r in _component_rows(algebra, pg, central) or ():
-        key = tuple(r)
-        if key not in seen and any(not c.is_zero() for c in r):
-            seen.add(key)
-            unique_rows.append(r)
-    if not unique_rows:
-        # every value vanishes (or is central): the whole component
-        return Subspace(pg, [{k: Cyclo.one()} for k in range(pg.ncols)])
-    # the last free column first: all kernel vectors but at most one per row
-    # of the equations then pivot on their own free column, which no row in
-    # place has, so they enter without back-substitution
-    return Subspace(pg, reversed(scalars.kernel_over_real_subfield(unique_rows)))
+                n, DEFAULT_DEGREE_BOUND, math.factorial(n)))
+    return Target(algebra, pg, central)
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def multilinear_identity_space(algebra, degrees) -> Subspace:
+def multilinear_identity_space(algebra, degrees) -> Target:
     """Exact kernel of the evaluation map on the multilinear component."""
     return _space(algebra, degrees, central=False)
 
 
-def multilinear_central_space(algebra, degrees) -> Subspace:
+def multilinear_central_space(algebra, degrees) -> Target:
     """Polynomials whose every admissible value lies in the center."""
     return _space(algebra, degrees, central=True)
 
@@ -1024,9 +1049,9 @@ def _orbit_size(degrees):
     counts = {}
     for d in degrees:
         counts[d] = counts.get(d, 0) + 1
-    total = _factorial(len(degrees))
+    total = math.factorial(len(degrees))
     for v in counts.values():
-        total //= _factorial(v)
+        total //= math.factorial(v)
     return total
 
 
@@ -1087,15 +1112,15 @@ def _close_span(pg, stages, in_target, dim_target, order):
 
 
 def _check_multidegree(algebra, genset, degrees, mode):
-    pg = MultidegreeBasis(algebra.group, degrees)
     if mode == "identities":
         target = multilinear_identity_space(algebra, degrees)
     else:
         target = multilinear_central_space(algebra, degrees)
+    pg = target.pg
     cons, equal, witness = _close_span(pg, _instance_stages(genset, pg, mode),
                                        target.contains, target.dim, genset.order)
     if witness is None and not equal:
-        for v in target.echelon.sparse_basis():
+        for v in target.span().sparse_basis():
             if not cons.contains(v):
                 witness = "missing from consequences: %s" % pg.from_vector(
                     v, genset.order)
@@ -1121,7 +1146,7 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
             "max degree %d exceeds the dense-engine bound %d (component "
             "dimension %d); the large-multidegree path handles single "
             "multidegrees beyond it" % (max_degree, DEFAULT_DEGREE_BOUND,
-                                        _factorial(max_degree)))
+                                        math.factorial(max_degree)))
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1, got %d" % jobs)
     if jobs > os.cpu_count():
@@ -1432,26 +1457,21 @@ def okhitin_basis() -> GeneratorSet:
 
 def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationRecord:
     """Completeness of the Pauli family at one (possibly large) multidegree of
-    a Pauli-type grading, without building the identity space.
+    a Pauli-type grading, past the dense engine's degree bound.
 
-    The identity space is the real kernel of the functional
-    mu -> sum mu_k / gamma_k, with gamma_k the reordering scalars; it has
-    codimension 1 or 2.  The family's instance stages are consumed as in
-    verification, each instance checked against that functional and
-    eliminated sparsely, until the span reaches the identity space.
+    The identity space is the same target that verification uses, held as
+    its defining equations: the few real rows of the evaluation map.  The
+    family's instance stages are consumed as in verification, each instance
+    checked exactly against those equations and eliminated sparsely, until
+    the span reaches the identity space.  No kernel basis is built.
     """
     source = _pauli_source(algebra)
-    pg = MultidegreeBasis(source.beta.group, degrees)
-    gamma = list(_gamma_values(source.beta, pg.degrees).values())
-    weights = [g.inv() for g in gamma]
-    codim = 1 if all((w * gamma[0]).is_real() for w in weights) else 2
-    dim_target = pg.ncols - codim
-    cons, equal, witness = _close_span(
-        pg, source.stages(pg),
-        lambda vec: sum((c * weights[k] for k, c in vec.items()), Cyclo.zero()).is_zero(),
-        dim_target, source.beta.order)
+    pg = MultidegreeBasis(algebra.group, degrees)
+    target = Target(algebra, pg, central=False)
+    cons, equal, witness = _close_span(pg, source.stages(pg), target.contains,
+                                       target.dim, source.beta.order)
     if witness is None and not equal:
         witness = "consequence span has codimension %d, identities have codimension %d" % (
-            pg.ncols - cons.dim, codim)
-    return VerificationRecord(pg.words(), _orbit_size(pg.degrees), dim_target,
+            pg.ncols - cons.dim, target.equations.dim)
+    return VerificationRecord(pg.words(), _orbit_size(pg.degrees), target.dim,
                               cons.dim, equal, witness)

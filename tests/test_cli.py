@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -70,15 +72,53 @@ def test_written_spec_reloads_the_same_algebra(tmp_path, name, params):
 
 
 def test_build_out_then_build_from_the_file(tmp_path, capsys):
+    """`build --out` keeps stdout one JSON document and reports the file on
+    stderr; the file builds the same algebra."""
     path = tmp_path / "p3.json"
     assert run(["build", "--algebra", "pauli", "--n", "3", "--out", str(path)]) == 0
-    summary, wrote = capsys.readouterr().out.rsplit("}", 1)
-    assert wrote.strip() == "wrote %s" % path
-    from_catalog = json.loads(summary + "}")
+    out, err = capsys.readouterr()
+    assert err.strip() == "wrote %s" % path
+    from_catalog = json.loads(out)
     assert run(["build", "--algebra", str(path)]) == 0
     from_file = json.loads(capsys.readouterr().out)
     assert from_file["dimension"] == from_catalog["dimension"] == 18
     assert from_file["graded_division"] == from_catalog["graded_division"]
+
+
+def _partial_dv_genset(tmp_path):
+    """A generator-set file for m2-elem that lacks the odd reversal, so that
+    verification fails at degree 3."""
+    gs = {
+        "format": "gradedpi-genset", "version": 1, "name": "partial",
+        "mode": "identities", "cyclotomic_order": 2,
+        "s1": ["x1:e*x2:e - x2:e*x1:e"], "s2": [],
+    }
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(gs))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, status, written", [
+    (["build", "--algebra", "pauli", "--n", "3", "--out", "p3.json"], 0, "p3.json"),
+    (["verify", "--algebra", "m2-elem", "--basis", "partial.json",
+      "--mode", "identities", "--max-degree", "3"], 1, None),
+], ids=["build-out", "failing-verify"])
+def test_closed_stdout_keeps_the_command_status(tmp_path, argv, status, written):
+    """A reader that closes stdout before the output is written gets no
+    traceback and does not change the exit status; `build --out` still
+    writes its spec file."""
+    _partial_dv_genset(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "gradedpi.cli"] + argv,
+                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == status, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    if written:
+        assert (tmp_path / written).exists()
 
 
 def test_algebra_spec_parse_error(tmp_path):
@@ -174,17 +214,7 @@ def test_verify_cli_paths(tmp_path, capsys):
 
 
 def test_verify_failure_exit1(tmp_path):
-    # a basis on the wrong algebra: the regular family of m2-4 is not a basis
-    # for the quaternions with the same group... it actually is (same beta),
-    # so use an artificial genset file missing the triple family instead
-    gs = {
-        "format": "gradedpi-genset", "version": 1, "name": "partial",
-        "mode": "identities", "cyclotomic_order": 2,
-        "s1": ["x1:e*x2:e - x2:e*x1:e"], "s2": [],
-    }
-    path = tmp_path / "partial.json"
-    path.write_text(json.dumps(gs))
-    code = run(["verify", "--algebra", "m2-elem", "--basis", str(path),
+    code = run(["verify", "--algebra", "m2-elem", "--basis", _partial_dv_genset(tmp_path),
                 "--mode", "identities", "--max-degree", "3"])
     assert code == 1
 

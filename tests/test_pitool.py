@@ -15,6 +15,7 @@ from gradedpi.algebras import (
     catalog_ids,
     center_echelon,
     coarsen_by_quotient,
+    detect_complex_bicharacter,
     detect_regular,
     tensor,
 )
@@ -238,6 +239,48 @@ def test_word_evaluation_matches_evaluate(name, params):
             for central in (False, True):
                 assert (pitool._component_rows(alg, pg, central) or []) == rows[central], \
                     (degs, central)
+
+
+def kernel_span_reference(algebra, pg, central):
+    """The target as a spanning basis, built as before it was held as
+    equations: the distinct nonzero evaluation rows, their real kernel (the
+    whole component when there are none), echelonized."""
+    seen, rows = set(), []
+    for r in pitool._component_rows(algebra, pg, central) or ():
+        if tuple(r) not in seen and any(not c.is_zero() for c in r):
+            seen.add(tuple(r))
+            rows.append(r)
+    ech = Echelon(pg.ncols)
+    for v in (kernel_over_real_subfield(rows) if rows
+              else [{k: Cyclo.one()} for k in range(pg.ncols)]):
+        ech.add(v)
+    return ech
+
+
+_TARGET_CASES = _EVALUATION_CASES + [("c2@m2-4", {})]
+
+
+@pytest.mark.parametrize("name, params", _TARGET_CASES,
+                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
+                              for name, params in _TARGET_CASES])
+def test_target_equations_match_kernel_span_reference(name, params):
+    """The target held as equations has the dimension and the reduced basis
+    of the kernel-span construction, and the same membership on that basis
+    and on every unit vector, at every multidegree of length <= 3 in both
+    modes."""
+    alg = build_catalog(name, **params)
+    for n in (1, 2, 3):
+        for degs in itertools.product(alg.support, repeat=n):
+            for central in (False, True):
+                space = multilinear_central_space if central else multilinear_identity_space
+                target = space(alg, degs)
+                ref = kernel_span_reference(alg, target.pg, central)
+                assert target.dim == ref.dim, (degs, central)
+                assert target.basis() == ref.basis(), (degs, central)
+                assert all(target.contains(v) for v in ref.sparse_basis()), (degs, central)
+                for k in range(target.pg.ncols):
+                    unit = {k: Cyclo.one()}
+                    assert target.contains(unit) == ref.contains(unit), (degs, central, k)
 
 
 def _first_failure(algebra, poly, fails):
@@ -704,7 +747,7 @@ def pauli_families():
     pytest.param("pauli4", [(1, 0), (0, 1), (2, 1)], id="pauli4-x-y-x2y"),
 ])
 def test_check_pauli_multidegree_small(pauli_families, name, degs):
-    """check_pauli_multidegree, which never builds the identity space, agrees
+    """check_pauli_multidegree, which streams only the Pauli stages, agrees
     with the generic check against the exact identity space and the
     consequence span of the emitted family."""
     algebra, fam = pauli_families[name]
@@ -717,7 +760,7 @@ def test_check_pauli_multidegree_small(pauli_families, name, degs):
 
 
 def test_check_pauli_multidegree_reports_instance_outside_target(monkeypatch):
-    """An instance off the identity functional gives a FAIL record with a
+    """An instance off the identity space gives a FAIL record with a
     witness, not an exception."""
     p3 = build_catalog("pauli", n=3)
     monkeypatch.setattr(pitool._PauliSource, "stages",
@@ -742,9 +785,58 @@ def test_check_pauli_multidegree_reports_short_span(monkeypatch):
         % (6 - rec.dim_target))
 
 
+class ReorderingScalarReference:
+    """The identity space of a Pauli-type grading at one multidegree as the
+    reordering-scalar functional mu -> sum mu_k / gamma_k: its real
+    solutions have codimension 1 when every weight is a real multiple of one
+    number, and 2 otherwise.  On real vectors membership is the vanishing of
+    the functional."""
+
+    def __init__(self, algebra, degrees):
+        beta, _ = detect_complex_bicharacter(algebra)
+        gamma = list(pitool._gamma_values(beta, tuple(degrees)).values())
+        self.weights = [g.inv() for g in gamma]
+        self.codim = 1 if all((w * gamma[0]).is_real() for w in self.weights) else 2
+
+    def contains(self, vec):
+        return sum((c * self.weights[k] for k, c in vec.items()), Cyclo.zero()).is_zero()
+
+
+def _assert_target_matches_reordering_reference(algebra, degs):
+    """Equal dimensions and the target's basis inside the functional's real
+    kernel make the two spaces equal; unit vectors must agree too."""
+    target = multilinear_identity_space(algebra, degs)
+    ref = ReorderingScalarReference(algebra, degs)
+    assert target.dim == target.pg.ncols - ref.codim, degs
+    assert all(ref.contains(v) for v in target.span().sparse_basis()), degs
+    for k in range(target.pg.ncols):
+        unit = {k: Cyclo.one()}
+        assert target.contains(unit) == ref.contains(unit), (degs, k)
+
+
+@pytest.mark.parametrize("name", ["pauli3", "pauli4"])
+def test_target_matches_reordering_scalar_reference(pauli_families, name):
+    """On the Pauli gradings the target agrees with the reordering-scalar
+    functional, at every sorted multidegree of length <= 4."""
+    algebra, _ = pauli_families[name]
+    elements = sorted(algebra.group.elements())
+    for n in (1, 2, 3, 4):
+        for degs in itertools.combinations_with_replacement(elements, n):
+            _assert_target_matches_reordering_reference(algebra, list(degs))
+
+
+def test_target_matches_reordering_scalar_reference_pauli4_deg5(pauli_families):
+    """The same at the degree-five pauli-4 shape (y, x^3, y, x^3y, y)."""
+    algebra, _ = pauli_families["pauli4"]
+    _assert_target_matches_reordering_reference(
+        algebra, [(0, 1), (3, 0), (0, 1), (3, 1), (0, 1)])
+
+
 def test_check_pauli_multidegree_pauli3_sweep(pauli_families):
-    """Every sorted pauli-3 multidegree of length 2 and 3 reads complete,
-    against the exact identity space."""
+    """Every sorted pauli-3 multidegree of length 2 and 3 reads complete.
+    The target is verification's own, so the dimension check pins the two
+    entry points together; the reordering-scalar reference tests the target
+    itself."""
     algebra, _ = pauli_families["pauli3"]
     elements = sorted(algebra.group.elements())
     shapes = [list(d) for n in (2, 3)
