@@ -130,18 +130,33 @@ class GradedAlgebra:
         return self.mult.get((i, j), {})
 
     def mul_vec(self, u, v):
+        """The product of coordinate dicts u and v, without zero entries.
+
+        Structure constants are nonzero and the scalars form a field, so a
+        product term is zero only when an input coordinate is, and those are
+        skipped; only a sum of terms can then cancel to zero.
+        """
+        mult = self.mult
         out = {}
+        summed = False
         for i, ci in u.items():
             for j, cj in v.items():
-                row = self.mult.get((i, j))
+                row = mult.get((i, j))
                 if not row:
                     continue
                 c = ci * cj
+                if c.is_zero():
+                    continue
                 for k, ck in row.items():
                     s = out.get(k)
-                    s = c * ck if s is None else s + c * ck
-                    out[k] = s
-        return {k: c for k, c in out.items() if not c.is_zero()}
+                    if s is None:
+                        out[k] = c * ck
+                    else:
+                        out[k] = s + c * ck
+                        summed = True
+        if summed:
+            return {k: c for k, c in out.items() if not c.is_zero()}
+        return out
 
     def product_of_basis(self, indices):
         acc = None

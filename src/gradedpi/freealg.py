@@ -61,6 +61,7 @@ class FreePoly:
             else:
                 clean[mono] = coeff
         self.terms = clean
+        self._letters = None  # sorted letters, computed on first use
 
     # -- queries -------------------------------------------------------------
 
@@ -68,10 +69,13 @@ class FreePoly:
         return not self.terms
 
     def letters(self):
-        out = set()
-        for mono in self.terms:
-            out.update(mono)
-        return sorted(out)
+        """The sorted letters of the polynomial, as a new list on each call."""
+        if self._letters is None:
+            out = set()
+            for mono in self.terms:
+                out.update(mono)
+            self._letters = tuple(sorted(out))
+        return list(self._letters)
 
     def variable_indices(self):
         return sorted({i for mono in self.terms for i, _ in mono})

@@ -24,7 +24,6 @@ import math
 import os
 import time
 
-from . import scalars
 from .algebras import (
     GradedAlgebra,
     center,
@@ -143,10 +142,12 @@ def _substitution_tuples(algebra, letters):
     return itertools.product(*pools)
 
 
-def _basis_words(monomials, letters, choice):
-    """The basis-index word of each monomial when letters take the indices of
-    choice; its value is the product of those basis elements."""
-    index = dict(zip(letters, choice))
+def _letter_positions(monomials, letters):
+    """The tuple of positions in letters of each monomial's letters.  Under a
+    substitution choice (basis indices, one per letter) the basis-index word
+    of a monomial is then its positions read off choice, and its value is the
+    product of those basis elements."""
+    index = {lt: k for k, lt in enumerate(letters)}
     return [tuple(map(index.__getitem__, mono)) for mono in monomials]
 
 
@@ -169,8 +170,9 @@ def _substitution_values(algebra, poly):
         if tuples is None:
             continue
         coeffs = list(lin.terms.values())
+        positions = _letter_positions(lin.terms, letters)
         for choice in tuples:
-            words = _basis_words(lin.terms, letters, choice)
+            words = [tuple(map(choice.__getitem__, pos)) for pos in positions]
             yield letters, choice, linear_combination(
                 coeffs, monomial_values(words, basis, algebra, memo))
 
@@ -227,8 +229,9 @@ def _component_rows(algebra, pg, central: bool):
     memo = {}
     rows = []
     zero = Cyclo.zero()
+    positions = _letter_positions(pg.monomials, pg.letters)
     for choice in tuples:
-        words = _basis_words(pg.monomials, pg.letters, choice)
+        words = [tuple(map(choice.__getitem__, pos)) for pos in positions]
         values = list(monomial_values(words, basis, algebra, memo))
         if central:
             values = [center_echelon(algebra).reduce(v) for v in values]
@@ -254,7 +257,9 @@ class Target:
         self.pg = pg
         self.equations = Echelon(pg.ncols)
         # no rows (None for a degree outside the support): the whole component
-        for row in scalars._real_rows(_component_rows(algebra, pg, central) or ()):
+        # validate() admits only real structure constants, so every row is
+        # already real: fixed by conj, with no skew half to split off
+        for row in _component_rows(algebra, pg, central) or ():
             self.equations.add(row)
         self._span = None
 
@@ -404,14 +409,23 @@ def _sparse_vector(pg, terms):
 
 
 def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
-    """All substitution instances of one multilinear template at a multidegree."""
+    """All substitution instances of one multilinear template at a multidegree.
+
+    A T-space instance has no prefix or suffix, so its blocks partition the
+    target letters and the product of the template's letter degrees is the
+    product of the multidegree (the group is abelian).  A template whose
+    degree product differs yields nothing, so it is skipped before its block
+    assignments are enumerated.
+    """
     letters_t = template.letters()
+    degrees_t = [d for _, d in letters_t]
     group = pg.group
-    needed = sum(1 for _, d in letters_t if d != group.identity)
+    needed = sum(1 for d in degrees_t if d != group.identity)
     if needed > len(pg.letters):
         return
-    for blocks, prefix, suffix in _block_assignments(
-            pg.letters, [d for _, d in letters_t], tideal, group):
+    if not tideal and group.product(degrees_t) != group.product(pg.degrees):
+        return
+    for blocks, prefix, suffix in _block_assignments(pg.letters, degrees_t, tideal, group):
         by_letter = dict(zip(letters_t, blocks))
         vec = _sparse_vector(pg, (
             (prefix + tuple(x for lt in mono for x in by_letter[lt]) + suffix, c)

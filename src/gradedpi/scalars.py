@@ -328,10 +328,13 @@ class Cyclo:
             other = Cyclo.rational(other)
         if self.order == 1:
             a, da = self.nums[0], self.den
-            if other.order == 1:
-                return _make(1, (a * other.nums[0],), da * other.den)
             if a == 1 and da == 1:
                 return other
+            if other.order == 1:
+                b, db = other.nums[0], other.den
+                if b == 1 and db == 1:
+                    return self
+                return _make(1, (a * b,), da * db)
             return _make(other.order, tuple(a * c for c in other.nums), da * other.den)
         if other.order == 1:
             b, db = other.nums[0], other.den

@@ -392,3 +392,32 @@ def test_light_associativity_matches_triple_scan(name, params):
             assert str(exc) in named
         else:
             assert failing == []
+
+
+def _mul_vec_reference(alg, u, v):
+    """The product of coordinate dicts, summing every term and then dropping
+    zero entries."""
+    out = {}
+    for (i, ci), (j, cj) in itertools.product(u.items(), v.items()):
+        for k, ck in alg.mul_basis(i, j).items():
+            out[k] = out.get(k, Cyclo.zero()) + ci * cj * ck
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def test_mul_vec_never_returns_zero_entries():
+    alg = build_catalog("m2-elem")
+    e11, e22, e12, e21 = range(4)
+    # an explicit zero coordinate whose product row is nonzero
+    assert alg.mul_vec({e11: cy(0), e22: cy(1)}, {e12: cy(1), e21: cy(1)}) == {e21: cy(1)}
+    assert alg.mul_vec({e12: cy(1)}, {e22: cy(0)}) == {}
+    # products that cancel: e11 e12 - e12 e22 = 0
+    assert alg.mul_vec({e11: cy(1), e12: cy(1)}, {e12: cy(1), e22: cy(-1)}) == {}
+    rng = random.Random(13)
+    for name, params in (("m2-elem", {}), ("pauli", {"n": 3}), ("h4", {})):
+        alg = build_catalog(name, **params)
+        for _ in range(40):
+            u, v = ({k: cy(rng.choice((0, 0, 1, -1, 2))) for k in rng.sample(
+                range(alg.dim), rng.randint(1, alg.dim))} for _ in range(2))
+            got = alg.mul_vec(u, v)
+            assert got == _mul_vec_reference(alg, u, v)
+            assert all(not c.is_zero() for c in got.values())

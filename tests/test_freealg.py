@@ -367,3 +367,30 @@ def test_multilinearize_outputs_multilinear(n, data):
     f = FreePoly(g, 1, {tuple(m): 1 for m in monos})
     for p in multilinearize(f):
         assert p.is_multilinear()
+
+
+def test_letters_returns_a_fresh_list_each_call():
+    g = FiniteAbelianGroup((2,))
+    f = commutator_poly(g, degrees=[(1,), (0,)])
+    first = f.letters()
+    assert first == [(1, (1,)), (2, (0,))]
+    first.append((9, (0,)))
+    first.reverse()
+    assert f.letters() == [(1, (1,)), (2, (0,))]
+
+
+def test_evaluate_drops_explicit_zero_coordinates():
+    """A raw coordinate dict with an explicit zero gives the value of the
+    same dict without it, and no value holds a zero entry."""
+    alg = build_catalog("m2-elem")
+    g = alg.group
+    e11, e22, e12, e21 = range(4)
+    zero, one = Cyclo.zero(), Cyclo.one()
+    f = monomial_poly(g, 1, [(1, (0,)), (2, (1,))]) + monomial_poly(g, 1, [(2, (1,))])
+    with_zero = {(1, (0,)): {e11: one, e22: zero}, (2, (1,)): {e12: one, e21: zero}}
+    without = {(1, (0,)): {e11: one}, (2, (1,)): {e12: one}}
+    val = evaluate(f, with_zero, alg)
+    assert val == evaluate(f, without, alg) == {e12: Cyclo.rational(2)}
+    assert all(not c.is_zero() for c in val.values())
+    # a lone zero coordinate evaluates to zero
+    assert evaluate(f, {(1, (0,)): {e22: zero}, (2, (1,)): {e21: zero}}, alg) == {}

@@ -19,6 +19,7 @@ from gradedpi.algebras import (
     detect_regular,
     tensor,
 )
+from gradedpi.cli import resolve_basis
 from gradedpi.errors import PreconditionError, ResourceRefusal
 from gradedpi.freealg import (
     FreePoly,
@@ -225,10 +226,11 @@ def test_word_evaluation_matches_evaluate(name, params):
             pg = MultidegreeBasis(alg.group, degs)
             memo = {}
             rows = {False: [], True: []}
+            positions = pitool._letter_positions(pg.monomials, pg.letters)
             for choice, assign in _assignments(alg, pg.letters):
                 expected = [evaluate(monomial_poly(alg.group, alg.order, m), assign, alg)
                             for m in pg.monomials]
-                words = pitool._basis_words(pg.monomials, pg.letters, choice)
+                words = [tuple(choice[p] for p in pos) for pos in positions]
                 assert list(monomial_values(words, basis, alg, memo)) == expected, \
                     (degs, choice)
                 for central in (False, True):
@@ -281,6 +283,22 @@ def test_target_equations_match_kernel_span_reference(name, params):
                 for k in range(target.pg.ncols):
                     unit = {k: Cyclo.one()}
                     assert target.contains(unit) == ref.contains(unit), (degs, central, k)
+
+
+@pytest.mark.parametrize("name, params", _TARGET_CASES,
+                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
+                              for name, params in _TARGET_CASES])
+def test_component_rows_are_real(name, params):
+    """Every evaluation row, and every row taken modulo the center, is fixed
+    by conj at every multidegree of length <= 3: the target's equations need
+    no split over the real subfield."""
+    alg = build_catalog(name, **params)
+    for n in (1, 2, 3):
+        for degs in itertools.product(alg.support, repeat=n):
+            pg = MultidegreeBasis(alg.group, degs)
+            for central in (False, True):
+                for row in pitool._component_rows(alg, pg, central) or ():
+                    assert all(c.is_real() for c in row), (degs, central)
 
 
 def _first_failure(algebra, poly, fails):
@@ -387,6 +405,76 @@ def test_tspace_of_identity_family_takes_substitution_instances_only():
         assert via_family.dim == generic.dim
         assert all(generic.contains(v) for v in via_family.basis())
     assert tspace_consequences(fam, degs).dim < tideal_consequences(fam, degs).dim
+
+
+def _unpruned_instances(polys, pg, tideal):
+    """Reference for _generic_instances: the same template order, and the
+    block assignments of every template enumerated, with no test on its
+    degree product."""
+    def rank(p):
+        lts = p.letters()
+        exact = (len(lts) == len(pg.letters) and
+                 sorted(d for _, d in lts) == sorted(pg.degrees))
+        return (0 if exact else 1, len(lts))
+
+    group = pg.group
+    for template in sorted(polys, key=rank):
+        letters_t = template.letters()
+        if sum(1 for _, d in letters_t if d != group.identity) > len(pg.letters):
+            continue
+        for blocks, prefix, suffix in pitool._block_assignments(
+                pg.letters, [d for _, d in letters_t], tideal, group):
+            by_letter = dict(zip(letters_t, blocks))
+            vec = pitool._sparse_vector(pg, (
+                (prefix + tuple(x for lt in mono for x in by_letter[lt]) + suffix, c)
+                for mono, c in template.terms.items()))
+            if vec:
+                yield vec, (template, blocks, prefix, suffix)
+
+
+_CENTRAL_FAMILIES = [
+    ("e-series", {"eps": -1, "n": 4}, "corollary", 4),
+    ("m2-4", {}, "regular", 4),
+    ("m2c-z4", {}, "corollary", 3),
+    ("d-cyclic", {"m": 3, "eps": 1}, "regular", 3),
+    ("m2-elem", {}, "bp-centrals", 4),
+    ("m2-4", {}, "okhitin", 4),
+]
+
+
+@pytest.mark.parametrize("name, params, basis, max_length", _CENTRAL_FAMILIES,
+                         ids=["%s-%s" % (name, basis) for name, _, basis, _ in
+                              _CENTRAL_FAMILIES])
+def test_tspace_instances_match_unpruned_enumeration(name, params, basis, max_length):
+    """Skipping the T-space templates whose degree product misses the
+    multidegree's changes no instance and no order, at every multidegree."""
+    alg = build_catalog(name, **params)
+    genset = resolve_basis(basis, alg, "centrals", max_length)
+    m1, m2 = genset.multilinear_members()
+    for n in range(1, max_length + 1):
+        for degs in itertools.product(alg.support, repeat=n):
+            pg = MultidegreeBasis(alg.group, degs)
+            assert list(pitool._generic_instances(m1 + m2, pg, False)) == \
+                list(_unpruned_instances(m1 + m2, pg, False)), degs
+
+
+def test_tideal_instances_are_not_pruned():
+    """T-ideal instances are enumerated for every template, including those
+    whose degree product misses the multidegree's (a prefix or suffix makes
+    up the difference)."""
+    alg = build_catalog("m2-elem")
+    group = alg.group
+    genset = resolve_basis("bp-centrals", alg, "centrals", 4)
+    m1, m2 = genset.multilinear_members()
+    off_product = 0
+    for n in (1, 2, 3, 4):
+        for degs in itertools.product(alg.support, repeat=n):
+            pg = MultidegreeBasis(group, degs)
+            got = list(pitool._generic_instances(m1 + m2, pg, True))
+            assert got == list(_unpruned_instances(m1 + m2, pg, True)), degs
+            off_product += sum(group.product([d for _, d in t.letters()])
+                               != group.product(degs) for _, (t, _, _, _) in got)
+    assert off_product
 
 
 def test_tspace_padded_commutator_contains_its_shape():

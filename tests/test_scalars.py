@@ -475,3 +475,12 @@ def test_imag_over_i_splits_off_the_real_part(x):
     assert x == x.real_part() + i * y
     reference = (x - x.conj()) / (i + i)
     assert (y.order, y.nums, y.den) == (reference.order, reference.nums, reference.den)
+
+
+@pytest.mark.parametrize("x", [Cyclo.rational(Fraction(-3, 7)), Cyclo.rational(5),
+                               Cyclo.zeta(12) + Cyclo.rational(Fraction(1, 3))],
+                         ids=["rational", "integer", "order-12"])
+def test_multiplying_by_rational_one_returns_the_other_operand(x):
+    one = Cyclo.rational(1)
+    assert one * x is x
+    assert x * one is x
