@@ -338,6 +338,7 @@ class GeneratorSet:
         self.assumptions = list(assumptions)
         self.fast_source = fast_source
         self._multilinear = None
+        self._templates = None
 
     @property
     def members(self):
@@ -353,6 +354,13 @@ class GeneratorSet:
                 m2.extend(multilinearize(f))
             self._multilinear = (m1, m2)
         return self._multilinear
+
+    def templates(self):
+        """(multilinear members of s1 then s2, their _template_keys), computed once."""
+        if self._templates is None:
+            m1, m2 = self.multilinear_members()
+            self._templates = (m1 + m2, _template_keys(m1 + m2))
+        return self._templates
 
     def __repr__(self):
         return "GeneratorSet(%s, %s, |s1|=%d, |s2|=%d)" % (
@@ -434,17 +442,21 @@ def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
             yield vec, (template, blocks, prefix, suffix)
 
 
-def _generic_instances(polys, pg, tideal):
-    # templates whose variable count and degree multiset match the target give
-    # the direct relabelings; try those first
-    def rank(p):
-        lts = p.letters()
-        exact = (len(lts) == len(pg.letters) and
-                 sorted(d for _, d in lts) == sorted(pg.degrees))
-        return (0 if exact else 1, len(lts))
+def _template_keys(polys):
+    """(letter count, sorted letter degrees) of each template."""
+    return [(len(lts), sorted(d for _, d in lts)) for lts in (p.letters() for p in polys)]
 
-    for template in sorted(polys, key=rank):
-        yield from _template_instances(template, pg, tideal)
+
+def _generic_instances(polys, pg, tideal, keys=None):
+    """Instances of every template, templates whose letter count and degree
+    multiset match the target (the direct relabelings) first, then by letter
+    count.  keys are the templates' _template_keys, computed when not given."""
+    if keys is None:
+        keys = _template_keys(polys)
+    target = (len(pg.letters), sorted(pg.degrees))
+    ranks = [(0 if key == target else 1, key[0]) for key in keys]
+    for k in sorted(range(len(polys)), key=ranks.__getitem__):
+        yield from _template_instances(polys[k], pg, tideal)
 
 
 def tideal_consequences(generators, degrees, group=None) -> Subspace:
@@ -495,31 +507,45 @@ def _consequence_space(generators, degrees, group, tideal):
 # -- regular families -------------------------------------------------------------------------
 
 
+def _block_degrees(mono, group):
+    """deg[a][b]: the product degree of the block mono[a:b], for a < b; each
+    entry is one group operation past deg[a][b - 1]."""
+    op, n = group.op, len(mono)
+    out = []
+    for a in range(n):
+        row = [None] * (n + 1)
+        acc = group.identity
+        for b in range(a, n):
+            acc = row[b + 1] = op(acc, mono[b][1])
+        out.append(row)
+    return out
+
+
 def _adjacent_cuts(mono, group):
     """Cuts u|B1|B2|v of a monomial with B1 and B2 nonempty, as
     (d1, d2, u B2 B1 v) with di the product degree of Bi."""
     n = len(mono)
+    deg = _block_degrees(mono, group)
     for a in range(n):
         for b in range(a + 1, n + 1):
-            d1 = group.product([d for _, d in mono[a:b]])
+            d1 = deg[a][b]
             for c in range(b + 1, n + 1):
-                d2 = group.product([d for _, d in mono[b:c]])
-                yield d1, d2, mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
+                yield d1, deg[b][c], mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
 
 
 def _separated_cuts(mono, group):
     """Cuts u|B1|W|B2|v of a monomial with B1 and B2 nonempty of one product
     degree g and W possibly empty, as (u, B1, W, B2, v, g)."""
     n = len(mono)
+    deg = _block_degrees(mono, group)
     for a in range(n):
         for b in range(a + 1, n + 1):
-            b1 = mono[a:b]
-            g = group.product([d for _, d in b1])
-            for c in range(b, n + 1):
+            g = deg[a][b]
+            for c in range(b, n):
+                row = deg[c]
                 for d in range(c + 1, n + 1):
-                    b2 = mono[c:d]
-                    if group.product([x for _, x in b2]) == g:
-                        yield mono[:a], b1, mono[b:c], b2, mono[d:], g
+                    if row[d] == g:
+                        yield mono[:a], mono[a:b], mono[b:c], mono[c:d], mono[d:], g
 
 
 def _binomial(pg, mono, other, c):
@@ -608,10 +634,6 @@ def _gamma_values(beta, degrees):
     return out
 
 
-def _is_imaginary_unit(v: Cyclo) -> bool:
-    return (not v.is_real()) and (v * v) == Cyclo.rational(-1)
-
-
 def _quadratic_pair(val):
     """(p, q) = (-(val + conj val), val * conj val), so that x^2 + p x + q
     has the roots val and conj val."""
@@ -653,8 +675,12 @@ def _kernel_perm_vectors(beta, degrees):
     gammas = _gamma_values(beta, degrees)
     identity_perm = tuple(range(len(degrees)))
     one = Cyclo.one()
-    real_perms = [p for p, g in gammas.items() if g.is_real() and p != identity_perm]
-    nonreal_perms = [p for p, g in gammas.items() if not g.is_real()]
+    real_perms, nonreal_perms = [], []
+    for p, g in gammas.items():
+        if not g.is_real():
+            nonreal_perms.append(p)
+        elif p != identity_perm:
+            real_perms.append(p)
     out = []
     for p in real_perms:
         out.append([(identity_perm, one), (p, -gammas[p])])
@@ -703,6 +729,11 @@ class _PauliSource:
     instantiated on every ordered block partition whose merged degree tuple
     is admitted (the constructive content of the reduction lemmas).  Every
     vector yielded is a genuine instance of a family member.
+
+    Each fact is computed once per source: the commutation value of every
+    pair of degrees, the quadratic pair (p, q) of every nonreal value, and
+    the kernel shapes of every degree tuple (``kernel_shapes``), which the
+    family and every instance stage share.
     """
 
     exact = False  # stages are sound but may undershoot; callers fall back
@@ -711,8 +742,13 @@ class _PauliSource:
         self.beta = beta
         elements = beta.group.elements()
         self.values = {(g, h): beta.eval(g, h) for g in elements for h in elements}
-        self.i_present = any(_is_imaginary_unit(v) for v in self.values.values())
+        # the pairs with a nonreal value, to their (p, q); every other value is real
+        self.quadratic = {pair: _quadratic_pair(v) for pair, v in self.values.items()
+                          if not v.is_real()}
+        self.i_present = any(self.values[pair] * self.values[pair] == -1
+                             for pair in self.quadratic)
         self.max_repeat = 3 if self.i_present else 1
+        self._shapes = {}
 
     def admitted(self, degs):
         counts = {}
@@ -720,35 +756,47 @@ class _PauliSource:
             counts[d] = counts.get(d, 0) + 1
         return all(v <= self.max_repeat for v in counts.values())
 
+    def kernel_shapes(self, degrees):
+        """The kernel identities of _kernel_perm_vectors at a degree tuple,
+        built on first use and kept; every caller gets the same list, which
+        none may change."""
+        key = tuple(degrees)
+        shapes = self._shapes.get(key)
+        if shapes is None:
+            shapes = self._shapes[key] = _kernel_perm_vectors(self.beta, key)
+        return shapes
+
     def _pair_relations(self, pg):
         group = self.beta.group
         one = Cyclo.one()
+        values, quadratic = self.values, self.quadratic
         for mono in pg.monomials:
             for d1, d2, swapped in _adjacent_cuts(mono, group):
-                val = self.values[(d1, d2)]
-                if val.is_real():
+                if (d1, d2) not in quadratic:
                     # pair family: u(B1 B2 - val B2 B1)v
-                    vec = _binomial(pg, mono, swapped, val)
+                    vec = _binomial(pg, mono, swapped, values[(d1, d2)])
                     if vec:
                         yield vec
-            # triple family: u(B1 B2 W + p B1 W B2 + q W B1 B2)v
+            # one walk over the separated cuts: the triple instances as they
+            # come, the swap instances after all of them
+            swaps = []
             for u, b1, w, b2, v, g in _separated_cuts(mono, group):
+                if self.i_present:
+                    swaps.append(u + b2 + w + b1 + v)
                 if not w:
                     continue
-                val = self.values[(g, group.product([x for _, x in w]))]
-                if val.is_real():
-                    continue
-                p, q = _quadratic_pair(val)
-                vec = _sparse_vector(pg, ((u + b1 + b2 + w + v, one), (mono, p),
-                                          (u + w + b1 + b2 + v, q)))
-                if vec:
-                    yield vec
-            if self.i_present:
-                # swap family: u(B1 W B2 - B2 W B1)v
-                for u, b1, w, b2, v, _ in _separated_cuts(mono, group):
-                    vec = _binomial(pg, mono, u + b2 + w + b1 + v, one)
+                pq = quadratic.get((g, group.product([x for _, x in w])))
+                if pq is not None:
+                    # triple family: u(B1 B2 W + p B1 W B2 + q W B1 B2)v
+                    vec = _sparse_vector(pg, ((u + b1 + b2 + w + v, one), (mono, pq[0]),
+                                              (u + w + b1 + b2 + v, pq[1])))
                     if vec:
                         yield vec
+            for other in swaps:
+                # swap family: u(B1 W B2 - B2 W B1)v
+                vec = _binomial(pg, mono, other, one)
+                if vec:
+                    yield vec
 
     def _alternating_relations(self, pg):
         """Degree-seven alternating family: u x W1 x W2 x W3 x v + u x x x x
@@ -777,8 +825,8 @@ class _PauliSource:
     def _direct_kernel(self, pg):
         if not self.admitted(pg.degrees):
             return
-        combos = _kernel_perm_vectors(self.beta, list(pg.degrees))
-        yield from _kernel_vectors(pg, combos, [(lt,) for lt in pg.letters])
+        yield from _kernel_vectors(pg, self.kernel_shapes(pg.degrees),
+                                   [(lt,) for lt in pg.letters])
 
     def _partition_kernels(self, pg):
         """Kernel identities on merged blocks: for each ordered partition of
@@ -792,8 +840,8 @@ class _PauliSource:
                                                              True, group):
                 degs = [group.product([d for _, d in blk]) for blk in blocks]
                 if self.admitted(degs):
-                    combos = _kernel_perm_vectors(self.beta, degs)
-                    yield from _kernel_vectors(pg, combos, blocks, prefix, suffix)
+                    yield from _kernel_vectors(pg, self.kernel_shapes(degs), blocks,
+                                               prefix, suffix)
 
     def stages(self, pg):
         yield itertools.chain(self._direct_kernel(pg), self._pair_relations(pg),
@@ -820,6 +868,10 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     commutation value, and the general reordering identities at degree tuples
     obeying the applicable repeat bound (pairwise distinct when no commutation
     value is the imaginary unit; at most three repeats otherwise).
+
+    The members are read off the tables of the set's fast source (its
+    commutation values, quadratic pairs and kernel shapes), so verifying the
+    set reuses every kernel shape built here.
     """
     real_beta, _ = detect_regular(algebra)
     if real_beta is not None:
@@ -833,10 +885,10 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     s1 = []
     extras = []
     for (g, h), val in sorted(source.values.items()):
-        if val.is_real():
-            s1.append(_pair_member(group, order, g, h, val))
+        if (g, h) in source.quadratic:
+            s1.append(_triple_member(group, order, g, h, *source.quadratic[(g, h)]))
         else:
-            s1.append(_triple_member(group, order, g, h, *_quadratic_pair(val)))
+            s1.append(_pair_member(group, order, g, h, val))
         swap = _swap_member(group, order, g, h)
         if i_present:
             s1.append(swap)
@@ -857,7 +909,7 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
         for degrees in itertools.combinations_with_replacement(sorted(elements), n):
             if not source.admitted(degrees):
                 continue
-            for combo in _kernel_perm_vectors(beta, list(degrees)):
+            for combo in source.kernel_shapes(degrees):
                 s1.append(FreePoly(group, order, {
                     tuple((k + 1, degrees[k]) for k in perm): c for perm, c in combo}))
     name = "pauli-families(max_degree=%d)" % max_degree
@@ -1102,9 +1154,9 @@ def _instance_stages(genset, pg, mode):
         yield from genset.fast_source.stages(pg)
         exact = getattr(genset.fast_source, "exact", False)
     if not exact:
-        m1, m2 = genset.multilinear_members()
+        polys, keys = genset.templates()
         yield (vec for vec, _ in _generic_instances(
-            m1 + m2, pg, tideal=(mode == "identities")))
+            polys, pg, mode == "identities", keys))
 
 
 def _close_span(pg, stages, in_target, dim_target, order):

@@ -6,8 +6,9 @@ integer numerators over one positive integer denominator on the power basis
 Phi_N is monic over Z, so the arithmetic runs on Python ints with one gcd
 normalization per result.  Reduction modulo Phi_N (rather than zeta^N - 1)
 makes the representation a field with unique normal forms, so equality at a
-common order is literal tuple equality.  A nonzero x is inverted through
-its Galois norm: the product of x and its other conjugates is rational.
+common order is literal tuple equality.  A nonzero x is inverted as
+conj(x) / (x conj(x)) when x conj(x) is rational, and otherwise through its
+Galois norm: the product of x and its other conjugates is rational.
 There is no floating point anywhere.  ``Fraction`` appears only at the
 rational boundary (the constructor, ``rational``, ``rational_value`` and
 ``parse_cyclo``) and in ``real_sign``, which fixes the sign of a real value
@@ -354,14 +355,31 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
-        """Multiplicative inverse: for P = den * self with integer
-        coordinates, P times the product Q of its other Galois conjugates is
-        the norm N(P), a nonzero rational integer, so 1/self = den * Q / N(P)."""
+        """Multiplicative inverse.  When m = self * conj(self) is rational (a
+        root of unity, or any value of an imaginary quadratic field), it is
+        conj(self) / m; otherwise it is the Galois-norm inverse.  Either
+        result is checked by multiplying back."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.order == 1:
             a = self.nums[0]
             return _make(1, (self.den if a > 0 else -self.den,), abs(a))
+        c = self.conj()
+        m = self * c
+        if m.order == 1:
+            a = m.nums[0]
+            scale = m.den if a > 0 else -m.den
+            out = _make(self.order, tuple(v * scale for v in c.nums), c.den * abs(a))
+        else:
+            out = self._norm_inverse()
+        if not (out * self).is_one():
+            raise AssertionError("cyclotomic inverse check fails")
+        return out
+
+    def _norm_inverse(self) -> "Cyclo":
+        """1/self by the Galois norm: for P = den * self with integer
+        coordinates, P times the product Q of its other Galois conjugates is
+        the norm N(P), a nonzero rational integer, so 1/self = den * Q / N(P)."""
         n = self.order
         p = _make(n, self.nums, 1)
         q = _CYCLO_ONE
@@ -371,10 +389,7 @@ class Cyclo:
         if norm.order != 1 or norm.den != 1 or not norm.nums[0]:
             raise AssertionError("cyclotomic norm is not a nonzero rational integer")
         scale = self.den if norm.nums[0] > 0 else -self.den
-        out = _make(n, tuple(c * scale for c in q.nums), abs(norm.nums[0]))
-        if not (out * self).is_one():
-            raise AssertionError("cyclotomic inverse check fails")
-        return out
+        return _make(n, tuple(c * scale for c in q.nums), abs(norm.nums[0]))
 
     def __truediv__(self, other):
         if not isinstance(other, Cyclo):

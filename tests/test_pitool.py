@@ -936,6 +936,135 @@ def test_check_pauli_multidegree_pauli3_sweep(pauli_families):
         assert rec.dim_target == multilinear_identity_space(algebra, degs).dim, degs
 
 
+# -- the Pauli source's shared tables and the block cuts -----------------------
+
+
+def _slicing_adjacent_cuts(mono, group):
+    """Reference for _adjacent_cuts: each block degree as the product of its slice."""
+    n = len(mono)
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            d1 = group.product([d for _, d in mono[a:b]])
+            for c in range(b + 1, n + 1):
+                d2 = group.product([d for _, d in mono[b:c]])
+                yield d1, d2, mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
+
+
+def _slicing_separated_cuts(mono, group):
+    """Reference for _separated_cuts: each block degree as the product of its slice."""
+    n = len(mono)
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            b1 = mono[a:b]
+            g = group.product([d for _, d in b1])
+            for c in range(b, n + 1):
+                for d in range(c + 1, n + 1):
+                    b2 = mono[c:d]
+                    if group.product([x for _, x in b2]) == g:
+                        yield mono[:a], b1, mono[b:c], b2, mono[d:], g
+
+
+def _two_walk_pair_relations(source, pg):
+    """Reference for _PauliSource._pair_relations: conj on every cut, the
+    triple and swap families on two walks over the separated cuts."""
+    group, one = source.beta.group, Cyclo.one()
+    for mono in pg.monomials:
+        for d1, d2, swapped in _slicing_adjacent_cuts(mono, group):
+            val = source.beta.eval(d1, d2)
+            if val.is_real():
+                yield pitool._binomial(pg, mono, swapped, val)
+        for u, b1, w, b2, v, g in _slicing_separated_cuts(mono, group):
+            if w:
+                val = source.beta.eval(g, group.product([x for _, x in w]))
+                if not val.is_real():
+                    p, q = -(val + val.conj()), val * val.conj()
+                    yield pitool._sparse_vector(pg, ((u + b1 + b2 + w + v, one), (mono, p),
+                                                     (u + w + b1 + b2 + v, q)))
+        if source.i_present:
+            for u, b1, w, b2, v, _ in _slicing_separated_cuts(mono, group):
+                yield pitool._binomial(pg, mono, u + b2 + w + b1 + v, one)
+
+
+def _cut_multidegrees(algebra, seed):
+    """Multidegrees of every length up to five: a repeated degree, one with
+    the identity degree, and seeded random tuples."""
+    rng = random.Random(seed)
+    elements = sorted(algebra.group.elements())
+    out = []
+    for n in range(1, 6):
+        out.append([elements[1]] * n)
+        out.append([elements[0]] + [elements[-1]] * (n - 1))
+        out.extend([rng.choice(elements) for _ in range(n)] for _ in range(3))
+    return out
+
+
+@pytest.mark.parametrize("name", ["pauli3", "pauli4"])
+def test_cuts_match_the_slicing_reference(pauli_families, name):
+    """The block-degree-table cuts yield the slicing reference's tuples in the
+    same order, on every monomial of multidegrees of length up to five."""
+    algebra, _ = pauli_families[name]
+    group = algebra.group
+    for degs in _cut_multidegrees(algebra, seed=len(name)):
+        for mono in MultidegreeBasis(group, degs).monomials:
+            assert list(pitool._adjacent_cuts(mono, group)) == \
+                list(_slicing_adjacent_cuts(mono, group))
+            assert list(pitool._separated_cuts(mono, group)) == \
+                list(_slicing_separated_cuts(mono, group))
+
+
+@pytest.mark.parametrize("name", ["pauli3", "pauli4"])
+def test_pair_relations_match_the_two_walk_reference(pauli_families, name):
+    """The pair tables and the single walk over the separated cuts give the
+    reference's instance vectors in the same order, at lengths up to four
+    (pauli-4 has the swap family, pauli-3 does not)."""
+    algebra, fam = pauli_families[name]
+    source = fam.fast_source
+    assert source.i_present == (name == "pauli4")
+    for degs in _cut_multidegrees(algebra, seed=7)[:20]:
+        pg = MultidegreeBasis(algebra.group, degs)
+        assert list(source._pair_relations(pg)) == \
+            [vec for vec in _two_walk_pair_relations(source, pg) if vec]
+
+
+@pytest.mark.parametrize("name", ["pauli3", "pauli4"])
+def test_kernel_shapes_match_kernel_perm_vectors(pauli_families, name):
+    """kernel_shapes is _kernel_perm_vectors at every admitted sorted degree
+    tuple of length up to four (and, on pauli-3, at the reversed tuple), and
+    a second lookup returns the kept shapes."""
+    algebra, _ = pauli_families[name]
+    source = pitool._pauli_source(algebra)
+    elements = sorted(algebra.group.elements())
+    for n in range(1, 5):
+        for degs in itertools.combinations_with_replacement(elements, n):
+            if not source.admitted(degs):
+                continue
+            tuples = [degs, degs[::-1]] if name == "pauli3" else [degs]
+            for d in tuples:
+                shapes = source.kernel_shapes(d)
+                assert shapes == pitool._kernel_perm_vectors(source.beta, d)
+                assert source.kernel_shapes(list(d)) is shapes
+
+
+def test_family_and_verification_build_each_kernel_shape_once(monkeypatch):
+    """family_pauli followed by verify_basis builds the kernel shapes of each
+    distinct degree tuple once: the instance stages reuse the family's."""
+    builds = {}
+    build = pitool._kernel_perm_vectors
+
+    def counted(beta, degrees):
+        key = tuple(degrees)
+        builds[key] = builds.get(key, 0) + 1
+        return build(beta, degrees)
+
+    monkeypatch.setattr(pitool, "_kernel_perm_vectors", counted)
+    p3 = build_catalog("pauli", n=3)
+    fam = family_pauli(p3, 4)
+    from_family = set(builds)
+    assert verify_basis(p3, fam, 4).ok
+    assert set(builds.values()) == {1}
+    assert len(builds) > len(from_family)  # the partition stage adds unsorted tuples
+
+
 def test_complex_fastpath_matches_full_enumeration():
     """Identity/central spaces computed from one representative per (b, J b)
     pair agree with the full basis-tuple enumeration."""

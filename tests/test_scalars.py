@@ -484,3 +484,64 @@ def test_multiplying_by_rational_one_returns_the_other_operand(x):
     one = Cyclo.rational(1)
     assert one * x is x
     assert x * one is x
+
+
+# -- the inverse: conj(x) / (x conj(x)) against the Galois-norm inverse ----------
+
+INV_ORDERS = (1, 3, 4, 5, 8, 12, 16)
+
+
+def _galois_norm_inverse(x):
+    """1/x as the product of the other Galois conjugates of x over its norm."""
+    n = x.order
+    others = Cyclo.one()
+    for a in range(2, n):
+        if gcd(a, n) == 1:
+            others = others * x.galois(a)
+    norm = others * x
+    assert norm.is_rational() and not norm.is_zero()
+    return others * Cyclo.rational(1 / norm.rational_value())
+
+
+@st.composite
+def inv_values(draw):
+    """Nonzero values of Q(zeta_n): arbitrary ones, and rational multiples of
+    roots of unity (whose x conj(x) is rational at every order)."""
+    order = draw(st.sampled_from(INV_ORDERS))
+    if draw(st.booleans()):
+        scale = draw(small_rationals.filter(bool))
+        return Cyclo.zeta(order, draw(st.integers(0, order - 1))) * Cyclo.rational(scale)
+    x = Cyclo(order, [draw(small_rationals) for _ in range(_phi(order))])
+    return x if not x.is_zero() else Cyclo.zeta(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inv_values())
+def test_inverse_matches_galois_norm_inverse(x):
+    ref = _galois_norm_inverse(x)
+    out = x.inv()
+    assert (out.order, out.nums, out.den) == (ref.order, ref.nums, ref.den)
+    assert (x * out).is_one()
+
+
+def test_inverse_takes_the_conjugate_path_only_when_x_conj_x_is_rational(monkeypatch):
+    fallbacks = []
+    norm_inverse = Cyclo._norm_inverse
+
+    def counted(self):
+        fallbacks.append(self)
+        return norm_inverse(self)
+
+    monkeypatch.setattr(Cyclo, "_norm_inverse", counted)
+    for order in INV_ORDERS[1:]:
+        root = Cyclo.zeta(order, order - 1)
+        assert root.inv() == Cyclo.zeta(order)
+    assert (Cyclo.zeta(8, 3) * Cyclo.rational(Fraction(-2, 3))).inv() == \
+        Cyclo.zeta(8, 5) * Cyclo.rational(Fraction(-3, 2))
+    assert fallbacks == []
+    x = Cyclo.one() + Cyclo.zeta(12)
+    two_plus_sqrt3 = x * x.conj()
+    assert not two_plus_sqrt3.is_rational()
+    assert two_plus_sqrt3 * two_plus_sqrt3 - 4 * two_plus_sqrt3 == -1
+    assert x.inv() == _galois_norm_inverse(x)
+    assert fallbacks == [x]
