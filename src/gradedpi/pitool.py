@@ -181,13 +181,40 @@ def _witness(algebra, letters, choice):
     return {lt: algebra.labels[i] for lt, i in zip(letters, choice)}
 
 
-def is_identity(algebra: GradedAlgebra, poly: FreePoly):
+def _renamed_vector(lin, pg):
+    """The vector in pg of a multilinear polynomial of pg's degrees, its
+    letters sorted by (degree, index) and renamed in that order onto pg's
+    letters sorted the same way; None when its degrees are not pg's."""
+    letters = sorted(lin.letters(), key=lambda lt: (lt[1], lt[0]))
+    onto = sorted(pg.letters, key=lambda lt: (lt[1], lt[0]))
+    if [d for _, d in letters] != [d for _, d in onto]:
+        return None
+    rename = dict(zip(letters, onto))
+    return _sparse_vector(pg, ((tuple(map(rename.__getitem__, mono)), c)
+                               for mono, c in lin.terms.items()))
+
+
+def is_identity(algebra: GradedAlgebra, poly: FreePoly, target=None):
     """Exact graded-identity test; returns (bool, witness substitution or None).
 
     Non-multilinear input is fully polarized first (characteristic zero), and
     vanishing is checked on all representative basis substitutions, which
     suffices by multilinearity.
+
+    target, when given, is the identity space of algebra at one multidegree
+    (a Target with central False).  A polynomial whose every polarized piece,
+    renamed onto the target's letters (see _renamed_vector), solves the
+    target's equations is an identity without any evaluation: renaming
+    variables is a free-algebra automorphism, and those equations are the
+    rows of the very evaluations below.  Any other polynomial is evaluated
+    as without a target, so a failing verdict carries the same witness.
     """
+    if target is not None:
+        if target.central:
+            raise PreconditionError("is_identity needs an identity-space target")
+        vecs = [_renamed_vector(lin, target.pg) for lin in _polarized(poly)]
+        if all(v is not None and target.contains(v) for v in vecs):
+            return True, None
     for letters, choice, value in _substitution_values(algebra, poly):
         if value:
             return False, _witness(algebra, letters, choice)
@@ -255,6 +282,7 @@ class Target:
 
     def __init__(self, algebra, pg: MultidegreeBasis, central: bool):
         self.pg = pg
+        self.central = central
         self.equations = Echelon(pg.ncols)
         # no rows (None for a degree outside the support): the whole component
         # validate() admits only real structure constants, so every row is
@@ -521,11 +549,13 @@ def _block_degrees(mono, group):
     return out
 
 
-def _adjacent_cuts(mono, group):
+def _adjacent_cuts(mono, group, deg=None):
     """Cuts u|B1|B2|v of a monomial with B1 and B2 nonempty, as
-    (d1, d2, u B2 B1 v) with di the product degree of Bi."""
+    (d1, d2, u B2 B1 v) with di the product degree of Bi.  deg is the
+    monomial's _block_degrees table, built when not given."""
     n = len(mono)
-    deg = _block_degrees(mono, group)
+    if deg is None:
+        deg = _block_degrees(mono, group)
     for a in range(n):
         for b in range(a + 1, n + 1):
             d1 = deg[a][b]
@@ -533,11 +563,13 @@ def _adjacent_cuts(mono, group):
                 yield d1, deg[b][c], mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
 
 
-def _separated_cuts(mono, group):
+def _separated_cuts(mono, group, deg=None):
     """Cuts u|B1|W|B2|v of a monomial with B1 and B2 nonempty of one product
-    degree g and W possibly empty, as (u, B1, W, B2, v, g)."""
+    degree g and W possibly empty, as (u, B1, W, B2, v, g).  deg is the
+    monomial's _block_degrees table, built when not given."""
     n = len(mono)
-    deg = _block_degrees(mono, group)
+    if deg is None:
+        deg = _block_degrees(mono, group)
     for a in range(n):
         for b in range(a + 1, n + 1):
             g = deg[a][b]
@@ -771,7 +803,8 @@ class _PauliSource:
         one = Cyclo.one()
         values, quadratic = self.values, self.quadratic
         for mono in pg.monomials:
-            for d1, d2, swapped in _adjacent_cuts(mono, group):
+            deg = _block_degrees(mono, group)
+            for d1, d2, swapped in _adjacent_cuts(mono, group, deg):
                 if (d1, d2) not in quadratic:
                     # pair family: u(B1 B2 - val B2 B1)v
                     vec = _binomial(pg, mono, swapped, values[(d1, d2)])
@@ -780,12 +813,13 @@ class _PauliSource:
             # one walk over the separated cuts: the triple instances as they
             # come, the swap instances after all of them
             swaps = []
-            for u, b1, w, b2, v, g in _separated_cuts(mono, group):
+            for u, b1, w, b2, v, g in _separated_cuts(mono, group, deg):
                 if self.i_present:
                     swaps.append(u + b2 + w + b1 + v)
                 if not w:
                     continue
-                pq = quadratic.get((g, group.product([x for _, x in w])))
+                b = len(u) + len(b1)  # W is mono[b:b + len(w)]
+                pq = quadratic.get((g, deg[b][b + len(w)]))
                 if pq is not None:
                     # triple family: u(B1 B2 W + p B1 W B2 + q W B1 B2)v
                     vec = _sparse_vector(pg, ((u + b1 + b2 + w + v, one), (mono, pq[0]),
@@ -1121,22 +1155,25 @@ def _orbit_size(degrees):
     return total
 
 
-def _membership_entries(algebra, genset):
-    out = []
-    polys = [("s1", f) for f in genset.s1] + [("s2", f) for f in genset.s2] + \
-            [("extra", f) for f in genset.extras]
-    for part, f in polys:
-        if genset.mode == "identities" or part == "extra":
-            ok, witness = is_identity(algebra, f)
-            verdict = "identity" if ok else "not-an-identity"
-            wtxt = None if ok else _witness_text(witness)
-        else:
-            verdict, w = is_central(algebra, f)
-            ok = verdict in ("identity", "proper-central")
-            wtxt = None if ok else _witness_text(w[0]) + (" vs %s" % w[1])
-        out.append({"part": part, "poly": str(f), "verdict": verdict,
-                    "ok": ok, "witness": wtxt})
-    return out
+def _membership_entry(algebra, mode, part, f, target=None):
+    """The membership entry of one member; target, in identities mode, is
+    the identity space that decides it (see is_identity)."""
+    if mode == "identities" or part == "extra":
+        ok, witness = is_identity(algebra, f, target)
+        verdict = "identity" if ok else "not-an-identity"
+        wtxt = None if ok else _witness_text(witness)
+    else:
+        verdict, w = is_central(algebra, f)
+        ok = verdict in ("identity", "proper-central")
+        wtxt = None if ok else _witness_text(w[0]) + (" vs %s" % w[1])
+    return {"part": part, "poly": str(f), "verdict": verdict, "ok": ok, "witness": wtxt}
+
+
+def _member_degrees(poly):
+    """The sorted degrees shared by every monomial of poly, which are those
+    of each of its polarized pieces; None when the monomials differ."""
+    keys = {tuple(sorted(d for _, d in mono)) for mono in poly.terms}
+    return keys.pop() if len(keys) == 1 else None
 
 
 def _witness_text(witness):
@@ -1177,11 +1214,15 @@ def _close_span(pg, stages, in_target, dim_target, order):
     return cons, cons.dim == dim_target, None
 
 
-def _check_multidegree(algebra, genset, degrees, mode):
+def _check_multidegree(algebra, genset, degrees, mode, members=()):
+    """The record at one multidegree, and the membership entries of members,
+    (part, poly) pairs of that sorted multidegree in identities mode, each
+    decided on the record's target."""
     if mode == "identities":
         target = multilinear_identity_space(algebra, degrees)
     else:
         target = multilinear_central_space(algebra, degrees)
+    entries = [_membership_entry(algebra, mode, part, f, target) for part, f in members]
     pg = target.pg
     cons, equal, witness = _close_span(pg, _instance_stages(genset, pg, mode),
                                        target.contains, target.dim, genset.order)
@@ -1191,18 +1232,26 @@ def _check_multidegree(algebra, genset, degrees, mode):
                 witness = "missing from consequences: %s" % pg.from_vector(
                     v, genset.order)
                 break
-    return VerificationRecord(pg.words(), _orbit_size(degrees), target.dim,
-                              cons.dim, equal, witness)
+    record = VerificationRecord(pg.words(), _orbit_size(degrees), target.dim,
+                                cons.dim, equal, witness)
+    return record, entries
 
 
 def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
                  jobs: int = 1, progress=None) -> VerificationReport:
-    """Membership of every member, then per-multidegree completeness.
+    """Membership of every member and completeness at every multidegree.
 
     For every multidegree over the support of total degree <= max_degree the
     consequence span of the generator set is compared exactly with the
     identity (resp. central) space.  Work is done once per sorted orbit; the
     record carries the orbit size.
+
+    In identities mode a member whose monomials all have the sorted degrees
+    of some record is decided on that record's target (see is_identity), in
+    the same task as the record; every other member (centrals mode, or a
+    member longer than max_degree or with a degree off the support) is
+    evaluated directly, before the records.  The membership entries keep
+    the order of the members.
     """
     t0 = time.time()
     if max_degree < 1:
@@ -1218,25 +1267,37 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
     if jobs > os.cpu_count():
         raise ResourceRefusal("jobs %d exceeds the %d CPUs of this machine" % (
             jobs, os.cpu_count()))
-    membership = _membership_entries(algebra, genset)
     support = sorted(algebra.support)
     reps = []
     for n in range(1, max_degree + 1):
         reps.extend(itertools.combinations_with_replacement(support, n))
+    # the members each record decides, as positions in membership
+    positions = {degrees: [] for degrees in reps}
+    polys = [("s1", f) for f in genset.s1] + [("s2", f) for f in genset.s2] + \
+            [("extra", f) for f in genset.extras]
+    membership = [None] * len(polys)
+    for k, (part, f) in enumerate(polys):
+        at = positions.get(_member_degrees(f)) if genset.mode == "identities" else None
+        if at is None:
+            membership[k] = _membership_entry(algebra, genset.mode, part, f)
+        else:
+            at.append(k)
+    tasks = [(algebra, genset, degrees, genset.mode,
+              [polys[k] for k in positions[degrees]]) for degrees in reps]
     records = []
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            results = pool.starmap(
-                _check_multidegree,
-                [(algebra, genset, degrees, genset.mode) for degrees in reps])
-        records.extend(results)
+            results = pool.starmap(_check_multidegree, tasks)
     else:
-        for degrees in reps:
-            records.append(_check_multidegree(algebra, genset, degrees, genset.mode))
-            if progress is not None:
-                progress(records[-1])
+        results = (_check_multidegree(*task) for task in tasks)
+    for degrees, (record, entries) in zip(reps, results):
+        records.append(record)
+        for k, entry in zip(positions[degrees], entries):
+            membership[k] = entry
+        if progress is not None and jobs == 1:
+            progress(record)
     assumptions = list(genset.assumptions)
     if set(algebra.support) != set(algebra.group.elements()):
         assumptions.append("off-support degrees are trivially complete "

@@ -703,7 +703,7 @@ def test_m2_8_degree_six_record():
     beta, _ = detect_regular(alg)
     degs = [alg.group.word_to_element(w)
             for w in ("a", "b", "a.b", "a^2", "a^3.b", "a^2.b")]
-    rec = _check_multidegree(alg, family_regular(beta, "identities"), degs, "identities")
+    rec, _ = _check_multidegree(alg, family_regular(beta, "identities"), degs, "identities")
     assert rec.equal and (rec.dim_target, rec.dim_consequence) == (719, 719)
 
 
@@ -728,11 +728,124 @@ def test_verify_flags_non_identity_member():
     assert any(not m["ok"] for m in rep.membership)
 
 
+def _with_broken_member(genset, k):
+    """genset with its s1 member k given a doubled first coefficient."""
+    s1 = list(genset.s1)
+    s1[k] = _scaled_first_term(s1[k])
+    return GeneratorSet(genset.name, genset.mode, genset.group, genset.order, s1=s1,
+                        s2=genset.s2, extras=genset.extras,
+                        assumptions=genset.assumptions, fast_source=genset.fast_source)
+
+
+def _scaled_first_term(f):
+    terms = dict(f.terms)
+    mono = min(terms)
+    terms[mono] = terms[mono] * 2
+    return FreePoly(f.group, f.order, terms)
+
+
 def test_verify_parallel_matches_sequential():
+    """Records and membership entries agree at one and two jobs, also when
+    pool workers decide a broken member on a record's target."""
     elem = build_catalog("m2-elem")
-    rep1 = verify_basis(elem, dv_basis(elem.group), 3)
-    rep2 = verify_basis(elem, dv_basis(elem.group), 3, jobs=2)
-    assert [r.as_dict() for r in rep1.records] == [r.as_dict() for r in rep2.records]
+    p3 = build_catalog("pauli", n=3)
+    broken = _with_broken_member(family_pauli(p3, 3), 100)
+    for algebra, genset, degree in ((elem, dv_basis(elem.group), 3), (p3, broken, 3)):
+        rep1 = verify_basis(algebra, genset, degree)
+        rep2 = verify_basis(algebra, genset, degree, jobs=2)
+        assert [r.as_dict() for r in rep1.records] == [r.as_dict() for r in rep2.records]
+        assert rep1.membership == rep2.membership
+    assert [m["poly"] for m in rep1.membership if not m["ok"]] == [str(broken.s1[100])]
+
+
+# -- membership decided on the record's target ---------------------------------
+
+
+_DIFFERENTIAL_SETS = {
+    # name: (catalog id, parameters, basis, mode); None is the dv-lemma basis
+    # transferred along m2-4 onto m2-elem (x) m2-4
+    "pauli3": ("pauli", {"n": 3}, "pauli", "identities"),
+    "pauli4": ("pauli", {"n": 4}, "pauli", "identities"),
+    "m2-4-regular": ("m2-4", {}, "regular", "identities"),
+    "m2-8-regular": ("m2-8", {}, "regular", "identities"),
+    "m2-elem-dv": ("m2-elem", {}, "dv-lemma", "identities"),
+    "okhitin": ("m2r-triv", {}, "okhitin", "centrals"),
+    "lifted": ("m2c-z4", {}, "corollary", "identities"),
+    "lifted-centrals": ("m2c-z4", {}, "corollary", "centrals"),
+    "transferred": None,
+}
+
+
+@pytest.mark.parametrize("name", list(_DIFFERENTIAL_SETS))
+def test_membership_on_the_target_matches_evaluation(name):
+    """is_identity on a record's target gives the verdict and witness of
+    direct evaluation, for every member of the family whose degrees form a
+    record (length <= 5, over the support) and for two mutants of each: one
+    term scaled, one term dropped."""
+    spec = _DIFFERENTIAL_SETS[name]
+    if spec is None:
+        elem, m24 = build_catalog("m2-elem"), build_catalog("m2-4")
+        algebra = tensor(elem, m24)
+        genset = transfer_basis(dv_basis(elem.group), m24)
+    else:
+        cid, kw, basis, mode = spec
+        algebra = build_catalog(cid, **kw)
+        genset = resolve_basis(basis, algebra, mode, 3)
+    by_degrees = {}
+    for f in genset.s1 + genset.s2 + genset.extras:
+        degrees = pitool._member_degrees(f)
+        if degrees and len(degrees) <= 5 and set(degrees) <= set(algebra.support):
+            by_degrees.setdefault(degrees, []).append(f)
+    assert by_degrees
+    verdicts = set()
+    for degrees, members in by_degrees.items():
+        target = multilinear_identity_space(algebra, degrees)
+        for f in members:
+            dropped = FreePoly(f.group, f.order, dict(sorted(f.terms.items())[:-1]))
+            for g in (f, _scaled_first_term(f), dropped):
+                expected = is_identity(algebra, g)
+                assert is_identity(algebra, g, target) == expected, (degrees, str(g))
+                verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+def test_membership_target_of_other_degrees_falls_back():
+    """A target at other degrees, or a central target, decides nothing by
+    itself: the verdict is evaluation's, or the call is refused."""
+    p3 = build_catalog("pauli", n=3)
+    f = parse_poly("x1:x*x2:y - x2:y*x1:x", p3.group, 12)
+    expected = is_identity(p3, f)
+    other = multilinear_identity_space(p3, [(1, 0), (1, 0)])
+    assert is_identity(p3, f, other) == expected
+    with pytest.raises(PreconditionError):
+        is_identity(p3, f, multilinear_central_space(p3, [(1, 0), (0, 1)]))
+
+
+def test_passing_verify_evaluates_no_member(monkeypatch):
+    """On a passing pauli-3 campaign every member is decided on its record's
+    target; a broken member is the only one evaluated, and its entry carries
+    the witness that direct evaluation gives."""
+    p3 = build_catalog("pauli", n=3)
+    fam = family_pauli(p3, 3)
+    evaluated = []
+    real = pitool._substitution_values
+
+    def counted(algebra, poly):
+        evaluated.append(poly)
+        return real(algebra, poly)
+
+    monkeypatch.setattr(pitool, "_substitution_values", counted)
+    rep = verify_basis(p3, fam, 3)
+    assert rep.ok and len(rep.membership) == 514
+    assert evaluated == []
+    broken = _with_broken_member(fam, 100)
+    rep = verify_basis(p3, broken, 3)
+    assert evaluated == [broken.s1[100]]
+    bad = [m for m in rep.membership if not m["ok"]]
+    ok, witness = is_identity(p3, broken.s1[100])
+    assert not ok
+    assert bad == [{"part": "s1", "poly": str(broken.s1[100]), "verdict": "not-an-identity",
+                    "ok": False, "witness": pitool._witness_text(witness)}]
 
 
 # -- the reducer --------------------------------------------------------------------
@@ -840,7 +953,7 @@ def test_check_pauli_multidegree_small(pauli_families, name, degs):
     consequence span of the emitted family."""
     algebra, fam = pauli_families[name]
     rec = check_pauli_multidegree(algebra, degs)
-    dense = _check_multidegree(algebra, fam, degs, "identities")
+    dense, _ = _check_multidegree(algebra, fam, degs, "identities")
     assert dense.equal
     assert rec.dim_target == multilinear_identity_space(algebra, degs).dim
     assert (rec.equal, rec.dim_target, rec.dim_consequence) == (
@@ -1024,6 +1137,26 @@ def test_pair_relations_match_the_two_walk_reference(pauli_families, name):
         pg = MultidegreeBasis(algebra.group, degs)
         assert list(source._pair_relations(pg)) == \
             [vec for vec in _two_walk_pair_relations(source, pg) if vec]
+
+
+@pytest.mark.parametrize("name", ["pauli3", "pauli4"])
+def test_pair_relations_build_one_block_degree_table_per_monomial(pauli_families, name,
+                                                                  monkeypatch):
+    """Both cut walks of a monomial read one _block_degrees table."""
+    algebra, fam = pauli_families[name]
+    tables = []
+    real = pitool._block_degrees
+
+    def counted(mono, group):
+        tables.append(mono)
+        return real(mono, group)
+
+    monkeypatch.setattr(pitool, "_block_degrees", counted)
+    for degs in _cut_multidegrees(algebra, seed=7)[:20]:
+        pg = MultidegreeBasis(algebra.group, degs)
+        del tables[:]
+        list(fam.fast_source._pair_relations(pg))
+        assert tables == pg.monomials
 
 
 @pytest.mark.parametrize("name", ["pauli3", "pauli4"])
