@@ -148,12 +148,7 @@ def load_algebra_spec(path) -> GradedAlgebra:
             gname = entry.get("name")
             if not gname:
                 raise SpecParseError("generator_sets entries need a name")
-            mode = entry.get("mode", "identities")
-            sets[gname] = GeneratorSet(
-                gname, mode, algebra.group, entry.get("cyclotomic_order", order),
-                s1=[parse_poly(t, algebra.group, order) for t in entry.get("s1", [])],
-                s2=[parse_poly(t, algebra.group, order) for t in entry.get("s2", [])],
-                assumptions=entry.get("assumptions", []))
+            sets[gname] = _genset_from_doc(entry, gname, algebra)
         algebra.file_gensets = sets
         return algebra
 
@@ -199,17 +194,21 @@ def algebra_spec_dict(algebra: GradedAlgebra) -> dict:
     }
 
 
+def _genset_from_doc(doc, name, algebra: GradedAlgebra) -> GeneratorSet:
+    """The generator set of a generator-set document, a file of its own or an
+    entry of an algebra file: its parts s1, s2 and extras are polynomial
+    literals over the declared cyclotomic order (the algebra's by default)."""
+    order = doc.get("cyclotomic_order", algebra.order)
+    parts = {key: [parse_poly(t, algebra.group, order) for t in doc.get(key, [])]
+             for key in ("s1", "s2", "extras")}
+    return GeneratorSet(name, doc.get("mode", "identities"), algebra.group, order,
+                        assumptions=doc.get("assumptions", []), **parts)
+
+
 def load_genset_spec(path, algebra: GradedAlgebra) -> GeneratorSet:
     doc = _load_spec(path, GENSET_FORMAT)
     with _spec_content(path):
-        mode = doc.get("mode", "identities")
-        order = doc.get("cyclotomic_order", algebra.order)
-        group = algebra.group
-        s1 = [parse_poly(t, group, order) for t in doc.get("s1", [])]
-        s2 = [parse_poly(t, group, order) for t in doc.get("s2", [])]
-        return GeneratorSet(doc.get("name", os.path.basename(path)), mode, group,
-                            order, s1=s1, s2=s2,
-                            assumptions=doc.get("assumptions", []))
+        return _genset_from_doc(doc, doc.get("name", os.path.basename(path)), algebra)
 
 
 def genset_spec_dict(genset: GeneratorSet) -> dict:

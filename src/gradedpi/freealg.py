@@ -40,13 +40,20 @@ def letter(index: int, degree) -> tuple:
 
 
 class FreePoly:
-    """Element of the free G-graded algebra with cyclotomic coefficients."""
+    """Element of the free G-graded algebra with cyclotomic coefficients.
 
-    def __init__(self, group: FiniteAbelianGroup, order: int, terms=None):
+    terms is a dict {monomial: coefficient} or an iterable of (monomial,
+    coefficient) pairs, and the constructor is where like terms meet: the
+    coefficients of a repeated monomial are summed, zero coefficients are
+    skipped, and a monomial whose sum cancels is dropped.  Monomials keep
+    the order in which they first occur.
+    """
+
+    def __init__(self, group: FiniteAbelianGroup, order: int, terms=()):
         self.group = group
         self.order = int(order)
         clean = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
             if not isinstance(coeff, Cyclo):
                 coeff = Cyclo.rational(coeff)
             if coeff.is_zero():
@@ -55,12 +62,8 @@ class FreePoly:
             for _, d in mono:
                 group.check(d)
             prev = clean.get(mono)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero():
-                clean.pop(mono, None)
-            else:
-                clean[mono] = coeff
-        self.terms = clean
+            clean[mono] = coeff if prev is None else prev + coeff
+        self.terms = {mono: c for mono, c in clean.items() if not c.is_zero()}
         self._letters = None  # sorted letters, computed on first use
 
     # -- queries -------------------------------------------------------------
@@ -108,15 +111,8 @@ class FreePoly:
 
     def __add__(self, other):
         other = self._coerced(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            prev = out.get(mono)
-            c2 = c if prev is None else prev + c
-            if c2.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = c2
-        return FreePoly(self.group, _lcm(self.order, other.order), out)
+        return FreePoly(self.group, _lcm(self.order, other.order),
+                        itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-self._coerced(other))
@@ -132,22 +128,14 @@ class FreePoly:
 
     def __mul__(self, other):
         other = self._coerced(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 + m2
-                c = c1 * c2
-                prev = out.get(mono)
-                out[mono] = c if prev is None else prev + c
-        return FreePoly(self.group, _lcm(self.order, other.order), out)
+        return FreePoly(self.group, _lcm(self.order, other.order),
+                        ((m1 + m2, c1 * c2) for m1, c1 in self.terms.items()
+                         for m2, c2 in other.terms.items()))
 
     def with_group(self, group, degree_map) -> "FreePoly":
-        out = {}
-        for mono, c in self.terms.items():
-            new = tuple((i, tuple(degree_map(d))) for i, d in mono)
-            prev = out.get(new)
-            out[new] = c if prev is None else prev + c
-        return FreePoly(group, self.order, out)
+        return FreePoly(group, self.order,
+                        ((tuple((i, tuple(degree_map(d))) for i, d in mono), c)
+                         for mono, c in self.terms.items()))
 
     # -- comparison / display ---------------------------------------------------
 
@@ -398,16 +386,14 @@ def _linearize(piece: FreePoly):
     count = mono0.count(repeated)
     top = max(piece.variable_indices())
     fresh = [repeated] + [(top + k, repeated[1]) for k in range(1, count)]
-    new_terms = {}
+    new_terms = []
     for mono, coeff in piece.terms.items():
         positions = [p for p, lt in enumerate(mono) if lt == repeated]
         for assignment in itertools.permutations(fresh):
             new = list(mono)
             for p, nl in zip(positions, assignment):
                 new[p] = nl
-            key = tuple(new)
-            prev = new_terms.get(key)
-            new_terms[key] = coeff if prev is None else prev + coeff
+            new_terms.append((tuple(new), coeff))
     return _linearize(FreePoly(piece.group, piece.order, new_terms))
 
 
@@ -450,14 +436,12 @@ def transfer_phi(poly: FreePoly, h_tuple, beta_r: Bicharacter) -> FreePoly:
     h_tuple = [beta_r.group.check(tuple(h)) for h in h_tuple]
     pos_of = {lt: k for k, lt in enumerate(letters)}
     product_group = poly.group.direct_product(beta_r.group)
-    out = {}
+    out = []
     for mono, coeff in poly.terms.items():
         perm = tuple(pos_of[lt] for lt in mono)
         lam = reorder_scalar(perm, h_tuple, beta_r)
         new = tuple((i, tuple(d) + tuple(h_tuple[pos_of[(i, d)]])) for i, d in mono)
-        c = coeff * lam
-        prev = out.get(new)
-        out[new] = c if prev is None else prev + c
+        out.append((new, coeff * lam))
     return FreePoly(product_group, _lcm(poly.order, beta_r.order), out)
 
 
@@ -479,12 +463,9 @@ def lift_poly(poly: FreePoly, group, degree_choice) -> FreePoly:
     missing = [lt for lt in letters if lt not in degree_choice]
     if missing:
         raise ValueError("no preimage degree chosen for %s" % (missing,))
-    out = {}
-    for mono, c in poly.terms.items():
-        new = tuple((i, tuple(group.check(degree_choice[(i, d)]))) for i, d in mono)
-        prev = out.get(new)
-        out[new] = c if prev is None else prev + c
-    return FreePoly(group, poly.order, out)
+    return FreePoly(group, poly.order,
+                    ((tuple((i, degree_choice[(i, d)]) for i, d in mono), c)
+                     for mono, c in poly.terms.items()))
 
 
 # -- literal syntax --------------------------------------------------------------------

@@ -151,6 +151,13 @@ def _letter_positions(monomials, letters):
     return [tuple(map(index.__getitem__, mono)) for mono in monomials]
 
 
+def _shape(poly):
+    """The (positions, coefficient) pairs of poly's terms, positions as in
+    _letter_positions over its sorted letters: the form of a template that
+    _instance_terms substitutes blocks into."""
+    return list(zip(_letter_positions(poly.terms, poly.letters()), poly.terms.values()))
+
+
 def _polarized(poly):
     return [poly] if poly.is_multilinear() else multilinearize(poly)
 
@@ -318,15 +325,20 @@ class Target:
         return [self.pg.from_vector(v, order) for v in self.span().sparse_basis()]
 
 
-def _space(algebra, degrees, central):
-    pg = MultidegreeBasis(algebra.group, degrees)
+def _refuse_long(pg):
+    """Refuse (exit 4) a multidegree longer than the dense engine's bound."""
     n = len(pg.letters)
-    if n < 1:
-        raise PreconditionError("multidegree needs at least one variable")
     if n > DEFAULT_DEGREE_BOUND:
         raise ResourceRefusal(
             "multidegree of length %d exceeds bound %d (component dimension %d)" % (
                 n, DEFAULT_DEGREE_BOUND, math.factorial(n)))
+
+
+def _space(algebra, degrees, central):
+    pg = MultidegreeBasis(algebra.group, degrees)
+    if not pg.letters:
+        raise PreconditionError("multidegree needs at least one variable")
+    _refuse_long(pg)
     return Target(algebra, pg, central)
 
 
@@ -444,6 +456,15 @@ def _sparse_vector(pg, terms):
     return {k: c for k, c in vec.items() if not c.is_zero()}
 
 
+def _instance_terms(shape, blocks, prefix, suffix):
+    """The (monomial, coefficient) terms of one substitution instance of a
+    template shape (see _shape): the template's letter k, the k-th of its
+    sorted letters, is replaced by the block blocks[k], and every monomial is
+    put between prefix and suffix."""
+    for positions, c in shape:
+        yield prefix + tuple(x for k in positions for x in blocks[k]) + suffix, c
+
+
 def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
     """All substitution instances of one multilinear template at a multidegree.
 
@@ -461,11 +482,9 @@ def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
         return
     if not tideal and group.product(degrees_t) != group.product(pg.degrees):
         return
+    shape = _shape(template)
     for blocks, prefix, suffix in _block_assignments(pg.letters, degrees_t, tideal, group):
-        by_letter = dict(zip(letters_t, blocks))
-        vec = _sparse_vector(pg, (
-            (prefix + tuple(x for lt in mono for x in by_letter[lt]) + suffix, c)
-            for mono, c in template.terms.items()))
+        vec = _sparse_vector(pg, _instance_terms(shape, blocks, prefix, suffix))
         if vec:
             yield vec, (template, blocks, prefix, suffix)
 
@@ -517,12 +536,10 @@ def _consequence_space(generators, degrees, group, tideal):
     if group is None:
         raise ValueError("group required when passing a raw polynomial list")
     pg = MultidegreeBasis(group, degrees)
-    if len(pg.letters) > DEFAULT_DEGREE_BOUND:
-        raise ResourceRefusal("multidegree of length %d exceeds bound %d" % (
-            len(pg.letters), DEFAULT_DEGREE_BOUND))
+    _refuse_long(pg)
     if isinstance(generators, GeneratorSet) and tideal == (generators.mode == "identities"):
         # the span the set is verified for: its own instance stages apply
-        stages = _instance_stages(generators, pg, generators.mode)
+        stages = _instance_stages(generators, pg)
     else:
         stages = [(vec for vec, _ in _generic_instances(_as_poly_list(generators),
                                                         pg, tideal))]
@@ -742,11 +759,10 @@ def _kernel_perm_vectors(beta, degrees):
 
 def _kernel_vectors(pg, combos, blocks, prefix=(), suffix=()):
     """Instance vectors of kernel identities with variable t replaced by
-    blocks[t], between a fixed prefix and suffix."""
+    blocks[t], between a fixed prefix and suffix; each identity's
+    (permutation, coefficient) list is its template shape."""
     for combo in combos:
-        vec = _sparse_vector(pg, (
-            (prefix + tuple(x for t in perm for x in blocks[t]) + suffix, coeff)
-            for perm, coeff in combo))
+        vec = _sparse_vector(pg, _instance_terms(combo, blocks, prefix, suffix))
         if vec:
             yield vec
 
@@ -943,9 +959,9 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
         for degrees in itertools.combinations_with_replacement(sorted(elements), n):
             if not source.admitted(degrees):
                 continue
+            blocks = [((k + 1, d),) for k, d in enumerate(degrees)]
             for combo in source.kernel_shapes(degrees):
-                s1.append(FreePoly(group, order, {
-                    tuple((k + 1, degrees[k]) for k in perm): c for perm, c in combo}))
+                s1.append(FreePoly(group, order, _instance_terms(combo, blocks, (), ())))
     name = "pauli-families(max_degree=%d)" % max_degree
     assumptions = ["repeat bound %d per group element (imaginary commutation "
                    "value %s)" % (source.max_repeat, "present" if i_present else "absent")]
@@ -1181,7 +1197,7 @@ def _witness_text(witness):
                      for lt, val in sorted(witness.items()))
 
 
-def _instance_stages(genset, pg, mode):
+def _instance_stages(genset, pg):
     """Iterator of instance-vector stages; later stages are only consumed when
     earlier ones do not already close the span.  The generic template
     enumeration always comes last as the exhaustive fallback (it is skipped
@@ -1193,7 +1209,7 @@ def _instance_stages(genset, pg, mode):
     if not exact:
         polys, keys = genset.templates()
         yield (vec for vec, _ in _generic_instances(
-            polys, pg, mode == "identities", keys))
+            polys, pg, genset.mode == "identities", keys))
 
 
 def _close_span(pg, stages, in_target, dim_target, order):
@@ -1214,17 +1230,18 @@ def _close_span(pg, stages, in_target, dim_target, order):
     return cons, cons.dim == dim_target, None
 
 
-def _check_multidegree(algebra, genset, degrees, mode, members=()):
+def _check_multidegree(algebra, genset, degrees, members=()):
     """The record at one multidegree, and the membership entries of members,
     (part, poly) pairs of that sorted multidegree in identities mode, each
     decided on the record's target."""
+    mode = genset.mode
     if mode == "identities":
         target = multilinear_identity_space(algebra, degrees)
     else:
         target = multilinear_central_space(algebra, degrees)
     entries = [_membership_entry(algebra, mode, part, f, target) for part, f in members]
     pg = target.pg
-    cons, equal, witness = _close_span(pg, _instance_stages(genset, pg, mode),
+    cons, equal, witness = _close_span(pg, _instance_stages(genset, pg),
                                        target.contains, target.dim, genset.order)
     if witness is None and not equal:
         for v in target.span().sparse_basis():
@@ -1282,8 +1299,8 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
             membership[k] = _membership_entry(algebra, genset.mode, part, f)
         else:
             at.append(k)
-    tasks = [(algebra, genset, degrees, genset.mode,
-              [polys[k] for k in positions[degrees]]) for degrees in reps]
+    tasks = [(algebra, genset, degrees, [polys[k] for k in positions[degrees]])
+             for degrees in reps]
     records = []
     if jobs > 1:
         import multiprocessing
@@ -1311,18 +1328,7 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
 
 def instance_poly(member: FreePoly, prefix, blocks, suffix, group, order) -> FreePoly:
     """Substitution instance of a member: blocks align with its sorted letters."""
-    letters = member.letters()
-    by_letter = dict(zip(letters, blocks))
-    terms = {}
-    for mono, c in member.terms.items():
-        seq = list(prefix)
-        for lt in mono:
-            seq.extend(by_letter[lt])
-        seq.extend(suffix)
-        key = tuple(seq)
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
-    return FreePoly(group, order, terms)
+    return FreePoly(group, order, _instance_terms(_shape(member), blocks, prefix, suffix))
 
 
 def _rewrite_term(group, order, beta, coeff, mono, alpha, beta_lt, i_present):
@@ -1438,11 +1444,11 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
         alpha, beta_lt = pair[0], pair[1]
         new_letter = (alpha[0], beta.group.op(g, g))
         mono_records = []
-        collapsed_terms = {}
+        collapsed_terms = []
         for mono, coeff in sorted(current.terms.items()):
             uses_all = []
             worklist = [(coeff, mono)]
-            done_terms = {}
+            done_terms = []
             guard = 0
             while worklist:
                 guard += 1
@@ -1451,8 +1457,7 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
                 c, m = worklist.pop()
                 pa, pb = m.index(alpha), m.index(beta_lt)
                 if pb == pa + 1:
-                    prev = done_terms.get(m)
-                    done_terms[m] = c if prev is None else prev + c
+                    done_terms.append((m, c))
                     continue
                 new_terms, uses = _rewrite_term(poly.group, order, beta, c, m, alpha,
                                                 beta_lt, i_present)
@@ -1466,9 +1471,7 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
                 pa = m.index(alpha)
                 if m[pa + 1] != beta_lt:
                     raise AssertionError("rewritten monomial does not join the pair")
-                newm = m[:pa] + (new_letter,) + m[pa + 2:]
-                prev = collapsed_terms.get(newm)
-                collapsed_terms[newm] = c if prev is None else prev + c
+                collapsed_terms.append((m[:pa] + (new_letter,) + m[pa + 2:], c))
         result = FreePoly(poly.group, order, collapsed_terms)
         rounds.append({
             "degree": g, "alpha": alpha, "beta": beta_lt, "new": new_letter,
@@ -1491,12 +1494,10 @@ def replay_certificate(original: FreePoly, reduced: FreePoly, rounds) -> bool:
     current = original
     for rnd in rounds:
         alpha, beta_lt, new_letter = rnd["alpha"], rnd["beta"], rnd["new"]
-        total_before = FreePoly(group, order, {})
-        collapsed = FreePoly(group, order, {})
+        before_terms, collapsed_terms = [], []
         for rec in rnd["monomials"]:
-            before = FreePoly(group, order, {rec["before"]: rec["coeff"]})
-            total_before = total_before + before
-            claimed = before - rec["after"]
+            before_terms.append((rec["before"], rec["coeff"]))
+            claimed = FreePoly(group, order, {rec["before"]: rec["coeff"]}) - rec["after"]
             built = FreePoly(group, order, {})
             for member, prefix, blocks, suffix, coeff in rec["uses"]:
                 built = built + instance_poly(member, prefix, blocks, suffix,
@@ -1508,11 +1509,10 @@ def replay_certificate(original: FreePoly, reduced: FreePoly, rounds) -> bool:
                 if pa is None or m[pa + 1:pa + 2] != (beta_lt,):
                     raise VerificationFailure(
                         "rewritten monomial does not join the pair")
-                newm = m[:pa] + (new_letter,) + m[pa + 2:]
-                collapsed = collapsed + FreePoly(group, order, {newm: c})
-        if total_before != current:
+                collapsed_terms.append((m[:pa] + (new_letter,) + m[pa + 2:], c))
+        if FreePoly(group, order, before_terms) != current:
             raise VerificationFailure("round input does not match")
-        if collapsed != rnd["result"]:
+        if FreePoly(group, order, collapsed_terms) != rnd["result"]:
             raise VerificationFailure("round result does not assemble")
         current = rnd["result"]
     if current != reduced:

@@ -14,7 +14,6 @@ from gradedpi.cli import (
     main,
 )
 from gradedpi.errors import SpecParseError
-from gradedpi.pitool import dv_basis
 
 
 def run(argv):
@@ -233,15 +232,18 @@ def test_families_output(tmp_path, capsys):
 
 
 def test_families_json_roundtrip(tmp_path):
-    out = tmp_path / "genset.json"
-    code = run(["families", "--algebra", "m2-elem", "--basis", "bp-centrals",
-                "--mode", "centrals", "--out", str(out)])
-    assert code == 0
-    alg = build_catalog("m2-elem")
-    genset = load_genset_spec(str(out), alg)
-    original = dv_basis(alg.group)  # sanity of loader on another set
-    assert genset.mode == "centrals"
-    assert len(genset.s1) == 8 and len(genset.s2) == 1
+    """A written family reloads with its mode and all three parts; the
+    pauli-3 family keeps its 81 swap identities as extras."""
+    cases = [(["--algebra", "m2-elem", "--basis", "bp-centrals", "--mode", "centrals"],
+              build_catalog("m2-elem"), "centrals", (8, 1, 0)),
+             (["--algebra", "pauli", "--n", "3", "--basis", "pauli", "--max-degree", "3"],
+              build_catalog("pauli", n=3), "identities", (433, 0, 81))]
+    for args, alg, mode, sizes in cases:
+        out = tmp_path / "genset.json"
+        assert run(["families"] + args + ["--out", str(out)]) == 0
+        genset = load_genset_spec(str(out), alg)
+        assert genset.mode == mode
+        assert (len(genset.s1), len(genset.s2), len(genset.extras)) == sizes
 
 
 def test_transfer_cli(tmp_path):
@@ -324,21 +326,26 @@ def test_jobs_above_cpu_count_exit4():
                 "--jobs", str(os.cpu_count() + 1)]) == 4
 
 
-def test_algebra_file_with_named_generator_sets(tmp_path):
-    from gradedpi.cli import algebra_spec_dict
-
+def test_algebra_file_with_named_generator_sets(tmp_path, capsys):
+    """A named generator set of an algebra file is read as a generator-set
+    file is, extras included, and verify checks its extras too."""
     alg = build_catalog("m2-elem")
     doc = algebra_spec_dict(alg)
     doc["generator_sets"] = [{
         "name": "house-basis", "mode": "identities",
         "s1": ["x1:e*x2:e - x2:e*x1:e",
                "x1:a*x2:a*x3:a - x3:a*x2:a*x1:a"],
+        "extras": ["x1:e*x2:e*x3:e - x3:e*x2:e*x1:e"],
     }]
     path = tmp_path / "elem.json"
     path.write_text(json.dumps(doc))
+    genset = load_algebra_spec(str(path)).file_gensets["house-basis"]
+    assert [str(f) for f in genset.extras] == ["x1:e*x2:e*x3:e - x3:e*x2:e*x1:e"]
     code = run(["verify", "--algebra", str(path), "--basis", "house-basis",
                 "--mode", "identities", "--max-degree", "3"])
     assert code == 0
+    parts = [m["part"] for m in json.loads(capsys.readouterr().out)["membership"]]
+    assert parts == ["s1", "s1", "extra"]
 
 
 def test_internal_error_exit5(monkeypatch, capsys):

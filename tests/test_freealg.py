@@ -45,6 +45,21 @@ def test_equal_coefficients_at_two_orders_make_one_set_element():
     assert len({at4, at12}) == 1
 
 
+def test_freepoly_sums_repeated_monomials_of_pairs():
+    """Pairs with a repeated monomial are summed, a sum that cancels is
+    dropped, a zero coefficient is skipped (it places no monomial), and a
+    dict gives the same polynomial as its pairs."""
+    x, y, z = ((1, ()),), ((2, ()),), ((3, ()),)
+    q = Cyclo.rational
+    p = FreePoly(TRIV, 1, [(z, 0), (x, 2), (y, 1), (x, 3), (z, 4), (y, -1)])
+    assert p.terms == {x: q(5), z: q(4)}
+    assert list(p.terms) == [x, z]
+    assert FreePoly(TRIV, 1, [(x, 1), (x, -1)]).is_zero()
+    as_dict = {y: q(-1), x: q(2), z: q(0)}
+    for built in (FreePoly(TRIV, 1, as_dict), FreePoly(TRIV, 1, as_dict.items())):
+        assert built.terms == {y: q(-1), x: q(2)} and list(built.terms) == [y, x]
+
+
 def test_commutator():
     c = commutator_poly()
     assert len(c.terms) == 2

@@ -477,6 +477,38 @@ def test_tideal_instances_are_not_pruned():
     assert off_product
 
 
+def test_one_substitution_instance_through_every_path():
+    """One kernel member under one block assignment is the same instance
+    whether it comes from the generic template stream, the Pauli kernel
+    stage or certificate replay (instance_poly), and each is the literal
+    expansion of the member's shape."""
+    algebra = build_catalog("pauli", n=3)
+    source = pitool._pauli_source(algebra)
+    group, order = algebra.group, source.beta.order
+    pg = MultidegreeBasis(group, [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+    l1, l2, l3, l4, l5 = pg.letters
+    stage = list(source._partition_kernels(pg))
+    for blocks, prefix, suffix in (([(l2, l3), (l4,), (l5,)], (l1,), ()),
+                                   ([(l2,), (l3,), (l4, l5)], (), (l1,))):
+        degs = [group.product([d for _, d in blk]) for blk in blocks]
+        combo = max(source.kernel_shapes(degs), key=len)
+        assert len(combo) == 3  # a trinomial
+        member = FreePoly(group, order, {tuple((k + 1, degs[k]) for k in perm): c
+                                         for perm, c in combo})
+        expected = {}
+        for perm, c in combo:
+            mono = prefix + tuple(x for k in perm for x in blocks[k]) + suffix
+            expected[pg.index[mono]] = c
+
+        generic = [vec for vec, (_, b, p, q) in pitool._template_instances(member, pg, True)
+                   if (list(b), p, q) == (blocks, prefix, suffix)]
+        assert generic == [expected]
+        assert list(pitool._kernel_vectors(pg, [combo], blocks, prefix, suffix)) == [expected]
+        assert expected in stage
+        replayed = pitool.instance_poly(member, prefix, blocks, suffix, group, order)
+        assert replayed == pg.from_vector(expected, order)
+
+
 def test_tspace_padded_commutator_contains_its_shape():
     elem = build_catalog("m2-elem")
     bp = bp_basis(elem.group)
@@ -703,7 +735,7 @@ def test_m2_8_degree_six_record():
     beta, _ = detect_regular(alg)
     degs = [alg.group.word_to_element(w)
             for w in ("a", "b", "a.b", "a^2", "a^3.b", "a^2.b")]
-    rec, _ = _check_multidegree(alg, family_regular(beta, "identities"), degs, "identities")
+    rec, _ = _check_multidegree(alg, family_regular(beta, "identities"), degs)
     assert rec.equal and (rec.dim_target, rec.dim_consequence) == (719, 719)
 
 
@@ -953,7 +985,7 @@ def test_check_pauli_multidegree_small(pauli_families, name, degs):
     consequence span of the emitted family."""
     algebra, fam = pauli_families[name]
     rec = check_pauli_multidegree(algebra, degs)
-    dense, _ = _check_multidegree(algebra, fam, degs, "identities")
+    dense, _ = _check_multidegree(algebra, fam, degs)
     assert dense.equal
     assert rec.dim_target == multilinear_identity_space(algebra, degs).dim
     assert (rec.equal, rec.dim_target, rec.dim_consequence) == (
