@@ -109,40 +109,15 @@ def _parse_group(doc):
 
 def load_algebra_spec(path) -> GradedAlgebra:
     """Load an algebra from a spec file: either a catalog entry with
-    parameters or an explicit basis with degrees and multiplication table."""
+    parameters or an explicit basis with degrees and multiplication table,
+    and in either case the file's named generator sets."""
     doc = _load_spec(path, ALGEBRA_FORMAT)
     with _spec_content(path):
         if "catalog" in doc:
             entry = doc["catalog"]
-            return build_catalog(entry["id"], **entry.get("params", {}))
-        order = doc.get("cyclotomic_order", 1)
-        group = _parse_group(doc.get("group", {}))
-        basis = doc.get("basis")
-        if basis is None:
-            raise SpecParseError("spec file needs either 'catalog' or 'basis'")
-        labels = basis["labels"]
-        index = {lab: k for k, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise SpecParseError("duplicate basis labels")
-        try:
-            degrees = [group.word_to_element(basis["degrees"][lab]) for lab in labels]
-        except (KeyError, ValueError) as exc:
-            raise SpecParseError("bad degree map: %s" % exc)
-        mult = {}
-        for key, row in basis.get("mult", {}).items():
-            i, j = _product_key(key, index)
-            entry = {}
-            for lab, lit in row:
-                entry[index[lab]] = parse_cyclo(lit, order)
-            mult[(i, j)] = entry
-        unit = {}
-        for lab, lit in basis.get("unit", []):
-            unit[index[lab]] = parse_cyclo(lit, order)
-        try:
-            algebra = GradedAlgebra(group, order, labels, degrees, mult, unit,
-                                    name=doc.get("name", os.path.basename(path)))
-        except ValueError as exc:
-            raise SpecParseError("algebra fails construction invariants: %s" % exc)
+            algebra = build_catalog(entry["id"], **entry.get("params", {}))
+        else:
+            algebra = _explicit_algebra(doc, path)
         sets = {}
         for entry in doc.get("generator_sets", []):
             gname = entry.get("name")
@@ -151,6 +126,38 @@ def load_algebra_spec(path) -> GradedAlgebra:
             sets[gname] = _genset_from_doc(entry, gname, algebra)
         algebra.file_gensets = sets
         return algebra
+
+
+def _explicit_algebra(doc, path) -> GradedAlgebra:
+    """The algebra of a spec file's explicit basis, degrees and table."""
+    order = doc.get("cyclotomic_order", 1)
+    group = _parse_group(doc.get("group", {}))
+    basis = doc.get("basis")
+    if basis is None:
+        raise SpecParseError("spec file needs either 'catalog' or 'basis'")
+    labels = basis["labels"]
+    index = {lab: k for k, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise SpecParseError("duplicate basis labels")
+    try:
+        degrees = [group.word_to_element(basis["degrees"][lab]) for lab in labels]
+    except (KeyError, ValueError) as exc:
+        raise SpecParseError("bad degree map: %s" % exc)
+    mult = {}
+    for key, row in basis.get("mult", {}).items():
+        i, j = _product_key(key, index)
+        entry = {}
+        for lab, lit in row:
+            entry[index[lab]] = parse_cyclo(lit, order)
+        mult[(i, j)] = entry
+    unit = {}
+    for lab, lit in basis.get("unit", []):
+        unit[index[lab]] = parse_cyclo(lit, order)
+    try:
+        return GradedAlgebra(group, order, labels, degrees, mult, unit,
+                             name=doc.get("name", os.path.basename(path)))
+    except ValueError as exc:
+        raise SpecParseError("algebra fails construction invariants: %s" % exc)
 
 
 def _product_key(key, index):

@@ -720,6 +720,11 @@ def _kernel_perm_vectors(beta, degrees):
     ratios and trinomials with the exact real pair (p, q).  Each identity is
     a list of (permutation, coefficient); every one is a literal family shape
     and together they span all linear identities at the tuple.
+
+    The scalars are roots of unity with few distinct values (at most 4 among
+    the 120 of a pauli-4 tuple of length 5), and an identity's coefficients
+    depend only on its gamma_sigma, so each value's coefficients are
+    computed, and checked real and an identity, once.
     """
     gammas = _gamma_values(beta, degrees)
     identity_perm = tuple(range(len(degrees)))
@@ -736,25 +741,40 @@ def _kernel_perm_vectors(beta, degrees):
     if nonreal_perms:
         tau0 = nonreal_perms[0]
         g_tau = gammas[tau0]
+        b = g_tau.inv()
+        coefficients = {}  # gamma_sigma -> its binomial ratio or trinomial (p, q)
         for p in nonreal_perms[1:]:
             g_sig = gammas[p]
-            a, b = g_sig.inv(), g_tau.inv()
-            det = a * b.conj() - b * a.conj()
-            if det.is_zero():
-                # gamma ratios real: binomial with the real ratio
-                ratio = g_tau / g_sig
-                if not ratio.is_real():
-                    raise AssertionError("kernel binomial ratio is not real")
-                out.append([(p, one), (tau0, -ratio)])
+            coeffs = coefficients.get(g_sig)
+            if coeffs is None:
+                coeffs = coefficients[g_sig] = _kernel_coefficients(g_sig, g_tau, b)
+            if len(coeffs) == 1:
+                out.append([(p, one), (tau0, -coeffs[0])])
             else:
-                pp = (b - b.conj()) / det
-                qq = (a.conj() - a) / det
-                if not (pp.is_real() and qq.is_real()):
-                    raise AssertionError("kernel trinomial coefficients are not real")
-                if not (pp * a + qq * b + one).is_zero():
-                    raise AssertionError("kernel trinomial is not an identity")
-                out.append([(identity_perm, one), (p, pp), (tau0, qq)])
+                out.append([(identity_perm, one), (p, coeffs[0]), (tau0, coeffs[1])])
     return out
+
+
+def _kernel_coefficients(g_sig, g_tau, b):
+    """(ratio,) of the binomial sigma - ratio tau0 when g_tau / g_sig is real,
+    else (p, q) of the trinomial id + p sigma + q tau0, with b = 1 / g_tau;
+    each checked exactly (AssertionError otherwise)."""
+    one = Cyclo.one()
+    a = g_sig.inv()
+    det = a * b.conj() - b * a.conj()
+    if det.is_zero():
+        # gamma ratios real: binomial with the real ratio
+        ratio = g_tau / g_sig
+        if not ratio.is_real():
+            raise AssertionError("kernel binomial ratio is not real")
+        return (ratio,)
+    pp = (b - b.conj()) / det
+    qq = (a.conj() - a) / det
+    if not (pp.is_real() and qq.is_real()):
+        raise AssertionError("kernel trinomial coefficients are not real")
+    if not (pp * a + qq * b + one).is_zero():
+        raise AssertionError("kernel trinomial is not an identity")
+    return pp, qq
 
 
 def _kernel_vectors(pg, combos, blocks, prefix=(), suffix=()):
@@ -779,9 +799,10 @@ class _PauliSource:
     vector yielded is a genuine instance of a family member.
 
     Each fact is computed once per source: the commutation value of every
-    pair of degrees, the quadratic pair (p, q) of every nonreal value, and
-    the kernel shapes of every degree tuple (``kernel_shapes``), which the
-    family and every instance stage share.
+    pair of degrees, the quadratic pair (p, q) of every distinct nonreal
+    value, shared by the pairs that take it, and the kernel shapes of every
+    degree tuple (``kernel_shapes``), which the family and every instance
+    stage share.
     """
 
     exact = False  # stages are sound but may undershoot; callers fall back
@@ -790,9 +811,13 @@ class _PauliSource:
         self.beta = beta
         elements = beta.group.elements()
         self.values = {(g, h): beta.eval(g, h) for g in elements for h in elements}
-        # the pairs with a nonreal value, to their (p, q); every other value is real
-        self.quadratic = {pair: _quadratic_pair(v) for pair, v in self.values.items()
-                          if not v.is_real()}
+        # the pairs with a nonreal value, to their (p, q), computed once per
+        # value (i and -i on pauli-4's 96 such pairs); every other value is real
+        pairs = {}
+        for v in self.values.values():
+            if v not in pairs and not v.is_real():
+                pairs[v] = _quadratic_pair(v)
+        self.quadratic = {pair: pairs[v] for pair, v in self.values.items() if v in pairs}
         self.i_present = any(self.values[pair] * self.values[pair] == -1
                              for pair in self.quadratic)
         self.max_repeat = 3 if self.i_present else 1
@@ -1212,17 +1237,34 @@ def _instance_stages(genset, pg):
             polys, pg, genset.mode == "identities", keys))
 
 
+def _mirrored(vec, ncols):
+    """The sparse vec with column k moved to ncols - 1 - k, the columns of a
+    consequence span (see _close_span); mirroring twice is the identity."""
+    last = ncols - 1
+    return {last - k: c for k, c in vec.items()}
+
+
 def _close_span(pg, stages, in_target, dim_target, order):
     """Eliminate instance vectors, stage by stage, until their span reaches
     dim_target; no stage after the one that closes it is consumed.  Returns
-    (consequence echelon, equal, witness naming an instance off the target)."""
+    (consequence echelon, equal, witness naming an instance off the target).
+
+    The echelon holds each instance _mirrored, so a row's pivot, its leftmost
+    column there, is its last column here.  An instance mono - c * other
+    leads with the walked monomial mono, which many earlier instances share,
+    so a first-column pivot would have to be cleared from all of those rows:
+    on pauli-4 at (y, x^3, y, x^3y, y) that is 3,538 row subtractions, and
+    none from the last column.  A vector v is in the span when
+    cons.contains(_mirrored(v, pg.ncols)); the span and its dimension do not
+    depend on the mirror.
+    """
     cons = Echelon(pg.ncols)
     for stage in stages:
         for vec in stage:
             if not in_target(vec):
                 return cons, False, "instance outside the target space: %s" % (
                     pg.from_vector(vec, order))
-            cons.add(vec)
+            cons.add(_mirrored(vec, pg.ncols))
             if cons.dim == dim_target:
                 return cons, True, None
         if cons.dim == dim_target:
@@ -1245,7 +1287,7 @@ def _check_multidegree(algebra, genset, degrees, members=()):
                                        target.contains, target.dim, genset.order)
     if witness is None and not equal:
         for v in target.span().sparse_basis():
-            if not cons.contains(v):
+            if not cons.contains(_mirrored(v, pg.ncols)):
                 witness = "missing from consequences: %s" % pg.from_vector(
                     v, genset.order)
                 break

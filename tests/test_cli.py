@@ -348,6 +348,26 @@ def test_algebra_file_with_named_generator_sets(tmp_path, capsys):
     assert parts == ["s1", "s1", "extra"]
 
 
+def test_catalog_reference_file_with_named_generator_sets(tmp_path, capsys):
+    """A catalog-reference algebra file keeps its named generator sets, as an
+    explicit-basis file does."""
+    doc = dict(_ALGEBRA_HEADER, catalog={"id": "m2-elem"}, generator_sets=[{
+        "name": "house-basis", "mode": "identities",
+        "s1": ["x1:e*x2:e - x2:e*x1:e",
+               "x1:a*x2:a*x3:a - x3:a*x2:a*x1:a"],
+    }])
+    path = tmp_path / "elem-ref.json"
+    path.write_text(json.dumps(doc))
+    genset = load_algebra_spec(str(path)).file_gensets["house-basis"]
+    assert [str(f) for f in genset.s1] == doc["generator_sets"][0]["s1"]
+    code = run(["verify", "--algebra", str(path), "--basis", "house-basis",
+                "--mode", "identities", "--max-degree", "3"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [m["part"] for m in report["membership"]] == ["s1", "s1"]
+    assert report["ok"]
+
+
 def test_internal_error_exit5(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise AssertionError("broken invariant")

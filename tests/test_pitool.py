@@ -790,6 +790,104 @@ def test_verify_parallel_matches_sequential():
     assert [m["poly"] for m in rep1.membership if not m["ok"]] == [str(broken.s1[100])]
 
 
+# -- consequence-span elimination ------------------------------------------------
+
+
+def _column_order_record(algebra, genset, degrees):
+    """The record of one multidegree with the instance stages eliminated in a
+    plain Echelon, pivoting on each row's first column."""
+    if genset.mode == "identities":
+        target = multilinear_identity_space(algebra, degrees)
+    else:
+        target = multilinear_central_space(algebra, degrees)
+    pg = target.pg
+    cons = Echelon(pg.ncols)
+    witness = None
+    for stage in pitool._instance_stages(genset, pg):
+        for vec in stage:
+            if not target.contains(vec):
+                witness = "instance outside the target space: %s" % (
+                    pg.from_vector(vec, genset.order))
+                break
+            cons.add(vec)
+            if cons.dim == target.dim:
+                break
+        if witness is not None or cons.dim == target.dim:
+            break
+    equal = witness is None and cons.dim == target.dim
+    if witness is None and not equal:
+        witness = next("missing from consequences: %s" % pg.from_vector(v, genset.order)
+                       for v in target.span().sparse_basis() if not cons.contains(v))
+    return pitool.VerificationRecord(pg.words(), pitool._orbit_size(degrees), target.dim,
+                                     cons.dim, equal, witness)
+
+
+def _cut_pauli3_family():
+    """The pauli-3 degree-3 family with every third s1 member kept and no
+    fast source, as a written family file loads."""
+    fam = family_pauli(build_catalog("pauli", n=3), 3)
+    return GeneratorSet("pauli3-cut", "identities", fam.group, fam.order,
+                        s1=fam.s1[::3], s2=fam.s2, extras=fam.extras)
+
+
+@pytest.mark.parametrize("name, params, basis, mode", [
+    ("pauli", {"n": 3}, "pauli", "identities"),
+    ("m2-4", {}, "regular", "centrals"),
+    ("e-series", {"eps": -1, "n": 4}, "corollary", "centrals"),
+    ("pauli", {"n": 3}, None, "identities"),
+], ids=["pauli3", "m2-4-regular-centrals", "e-series-corollary-centrals", "pauli3-cut"])
+def test_mirrored_span_matches_column_order_elimination(name, params, basis, mode):
+    """_check_multidegree, which eliminates from each row's last column, gives
+    the record of first-column elimination at every sorted multidegree of
+    length <= 3, FAIL witnesses included."""
+    algebra = build_catalog(name, **params)
+    genset = _cut_pauli3_family() if basis is None else \
+        resolve_basis(basis, algebra, mode, 3)
+    support = sorted(algebra.support)
+    witnesses = []
+    for n in (1, 2, 3):
+        for degrees in itertools.combinations_with_replacement(support, n):
+            record, _ = _check_multidegree(algebra, genset, degrees)
+            reference = _column_order_record(algebra, genset, degrees)
+            assert record.as_dict() == reference.as_dict(), degrees
+            if not record.equal:
+                witnesses.append(record.witness)
+    if basis is None:
+        # the cut family leaves records open, each with a missing target vector
+        assert witnesses
+        assert all(w.startswith("missing from consequences: ") for w in witnesses)
+    else:
+        assert not witnesses
+
+
+def test_pauli4_deg5_consequence_span_makes_no_fill(monkeypatch):
+    """At pauli4-deg5's degrees the consequence span subtracts fewer than 100
+    rows (first-column pivots subtract 3,538); the equations of the target,
+    built before the span, are not counted."""
+    from gradedpi import scalars
+
+    calls, eliminating = [0], [False]
+    subtract, close_span = scalars._subtract_multiple, pitool._close_span
+
+    def counted(*args):
+        calls[0] += eliminating[0]
+        return subtract(*args)
+
+    def closing(*args):
+        eliminating[0] = True
+        try:
+            return close_span(*args)
+        finally:
+            eliminating[0] = False
+
+    monkeypatch.setattr(scalars, "_subtract_multiple", counted)
+    monkeypatch.setattr(pitool, "_close_span", closing)
+    rec = check_pauli_multidegree(build_catalog("pauli", n=4),
+                                  [(0, 1), (3, 0), (0, 1), (3, 1), (0, 1)])
+    assert rec.equal and rec.dim_consequence == 118
+    assert calls[0] < 100
+
+
 # -- membership decided on the record's target ---------------------------------
 
 
@@ -1208,6 +1306,55 @@ def test_kernel_shapes_match_kernel_perm_vectors(pauli_families, name):
                 shapes = source.kernel_shapes(d)
                 assert shapes == pitool._kernel_perm_vectors(source.beta, d)
                 assert source.kernel_shapes(list(d)) is shapes
+
+
+def _per_permutation_kernel_perm_vectors(beta, degrees):
+    """_kernel_perm_vectors with each nonreal permutation's coefficients
+    computed from its own scalar."""
+    gammas = pitool._gamma_values(beta, degrees)
+    identity_perm = tuple(range(len(degrees)))
+    one = Cyclo.one()
+    real_perms = [p for p, g in gammas.items() if g.is_real() and p != identity_perm]
+    nonreal_perms = [p for p, g in gammas.items() if not g.is_real()]
+    out = [[(identity_perm, one), (p, -gammas[p])] for p in real_perms]
+    if nonreal_perms:
+        tau0 = nonreal_perms[0]
+        g_tau = gammas[tau0]
+        for p in nonreal_perms[1:]:
+            g_sig = gammas[p]
+            a, b = g_sig.inv(), g_tau.inv()
+            det = a * b.conj() - b * a.conj()
+            if det.is_zero():
+                ratio = g_tau / g_sig
+                assert ratio.is_real()
+                out.append([(p, one), (tau0, -ratio)])
+            else:
+                pp = (b - b.conj()) / det
+                qq = (a.conj() - a) / det
+                assert pp.is_real() and qq.is_real()
+                assert (pp * a + qq * b + one).is_zero()
+                out.append([(identity_perm, one), (p, pp), (tau0, qq)])
+    return out
+
+
+def test_kernel_coefficients_once_per_value_match_per_permutation():
+    """_kernel_perm_vectors, which computes each distinct scalar's
+    coefficients once, equals the per-permutation computation at every
+    admitted sorted tuple of pauli-3 (length <= 4), pauli-4 and pauli-5
+    (length <= 3); the quadratic pairs, computed once per distinct value,
+    equal each pair's own _quadratic_pair on pauli-2 to pauli-5.  Only
+    pauli-5 has trinomials with p != q and two distinct quadratic pairs."""
+    for n, max_length in ((2, 0), (3, 4), (4, 3), (5, 3)):
+        source = pitool._pauli_source(build_catalog("pauli", n=n))
+        assert source.quadratic == {pair: pitool._quadratic_pair(v)
+                                    for pair, v in source.values.items()
+                                    if not v.is_real()}
+        elements = sorted(source.beta.group.elements())
+        for length in range(1, max_length + 1):
+            for degs in itertools.combinations_with_replacement(elements, length):
+                if source.admitted(degs):
+                    assert pitool._kernel_perm_vectors(source.beta, degs) == \
+                        _per_permutation_kernel_perm_vectors(source.beta, degs), degs
 
 
 def test_family_and_verification_build_each_kernel_shape_once(monkeypatch):
