@@ -103,23 +103,44 @@ class MultidegreeBasis:
 
 
 class Subspace:
-    """A subspace of a multidegree component, held in reduced echelon form."""
+    """A consequence span in a multidegree component, held in reduced echelon
+    form over the component's columns mirrored: column k is stored at
+    ncols - 1 - k, so a row's pivot, its leftmost stored column, is its last
+    column.  An instance mono - c * other leads with the walked monomial
+    mono, which many earlier instances share, so a first-column pivot would
+    have to be cleared from all of those rows: on pauli-4 at
+    (y, x^3, y, x^3y, y) that is 3,538 row subtractions, and none from the
+    last column.  Vectors (sparse dicts or coordinate lists) go in and come
+    out in the component's own columns; the span does not depend on the
+    mirror.
+    """
 
-    def __init__(self, pg: MultidegreeBasis, vectors=()):
+    def __init__(self, pg: MultidegreeBasis):
         self.pg = pg
-        self.echelon = Echelon(pg.ncols)
-        for v in vectors:
-            self.echelon.add(v)
+        self._last = pg.ncols - 1
+        self._echelon = Echelon(pg.ncols)
 
     @property
     def dim(self):
-        return self.echelon.dim
+        return self._echelon.dim
 
-    def basis(self):
-        return self.echelon.basis()
+    def add(self, vec):
+        """Insert vec if independent of the span; returns True if added."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return self._echelon.add({self._last - k: c for k, c in items})
 
     def contains(self, vec):
-        return self.echelon.contains(vec)
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return self._echelon.contains({self._last - k: c for k, c in items})
+
+    def sparse_basis(self):
+        return [{self._last - k: c for k, c in row.items()}
+                for row in self._echelon.sparse_basis()]
+
+    def basis(self):
+        zero = Cyclo.zero()
+        return [[row.get(k, zero) for k in range(self.pg.ncols)]
+                for row in self.sparse_basis()]
 
 
 # -- membership -----------------------------------------------------------------------
@@ -325,21 +346,22 @@ class Target:
         return [self.pg.from_vector(v, order) for v in self.span().sparse_basis()]
 
 
-def _refuse_long(pg):
-    """Refuse (exit 4) a multidegree longer than the dense engine's bound."""
-    n = len(pg.letters)
-    if n > DEFAULT_DEGREE_BOUND:
+def _component(group, degrees, bound=DEFAULT_DEGREE_BOUND):
+    """The component at degrees, refused (exit 3) when empty and (exit 4)
+    past bound letters, before its n! monomials are enumerated."""
+    degrees = list(degrees)
+    n = len(degrees)
+    if not n:
+        raise PreconditionError("multidegree needs at least one variable")
+    if n > bound:
         raise ResourceRefusal(
             "multidegree of length %d exceeds bound %d (component dimension %d)" % (
-                n, DEFAULT_DEGREE_BOUND, math.factorial(n)))
+                n, bound, math.factorial(n)))
+    return MultidegreeBasis(group, degrees)
 
 
 def _space(algebra, degrees, central):
-    pg = MultidegreeBasis(algebra.group, degrees)
-    if not pg.letters:
-        raise PreconditionError("multidegree needs at least one variable")
-    _refuse_long(pg)
-    return Target(algebra, pg, central)
+    return Target(algebra, _component(algebra.group, degrees), central)
 
 
 def multilinear_identity_space(algebra, degrees) -> Target:
@@ -520,32 +542,23 @@ def tspace_consequences(generators, degrees, group=None) -> Subspace:
     return _consequence_space(generators, degrees, group, tideal=False)
 
 
-def _as_poly_list(generators):
-    if isinstance(generators, GeneratorSet):
-        m1, m2 = generators.multilinear_members()
-        return m1 + m2
-    out = []
-    for p in generators:
-        out.extend(multilinearize(p))
-    return out
-
-
 def _consequence_space(generators, degrees, group, tideal):
-    if isinstance(generators, GeneratorSet):
-        group = generators.group
-    if group is None:
-        raise ValueError("group required when passing a raw polynomial list")
-    pg = MultidegreeBasis(group, degrees)
-    _refuse_long(pg)
-    if isinstance(generators, GeneratorSet) and tideal == (generators.mode == "identities"):
-        # the span the set is verified for: its own instance stages apply
-        stages = _instance_stages(generators, pg)
-    else:
-        stages = [(vec for vec, _ in _generic_instances(_as_poly_list(generators),
-                                                        pg, tideal))]
+    """The span of every instance stage of the generators taken as a set of
+    the asked mode: a set of that mode keeps its fast source, and a raw list
+    or a set of the other mode gets the generic substitution instances only."""
+    mode = "identities" if tideal else "centrals"
+    if not isinstance(generators, GeneratorSet):
+        if group is None:
+            raise ValueError("group required when passing a raw polynomial list")
+        # the order only prints witnesses, and a span has none
+        generators = GeneratorSet("generators", mode, group, 1, s1=generators)
+    elif generators.mode != mode:
+        generators = GeneratorSet(generators.name, mode, generators.group,
+                                  generators.order, s1=generators.s1, s2=generators.s2)
+    pg = _component(generators.group, degrees)
     sub = Subspace(pg)
-    for vec in itertools.chain.from_iterable(stages):
-        sub.echelon.add(vec)
+    for vec in itertools.chain.from_iterable(_instance_stages(generators, pg)):
+        sub.add(vec)
     return sub
 
 
@@ -1227,49 +1240,46 @@ def _instance_stages(genset, pg):
     earlier ones do not already close the span.  The generic template
     enumeration always comes last as the exhaustive fallback (it is skipped
     entirely for fast sources that are exact)."""
-    exact = False
-    if genset.fast_source is not None:
-        yield from genset.fast_source.stages(pg)
-        exact = getattr(genset.fast_source, "exact", False)
-    if not exact:
+    source = genset.fast_source
+    if source is not None:
+        yield from source.stages(pg)
+    if source is None or not source.exact:
         polys, keys = genset.templates()
         yield (vec for vec, _ in _generic_instances(
             polys, pg, genset.mode == "identities", keys))
 
 
-def _mirrored(vec, ncols):
-    """The sparse vec with column k moved to ncols - 1 - k, the columns of a
-    consequence span (see _close_span); mirroring twice is the identity."""
-    last = ncols - 1
-    return {last - k: c for k, c in vec.items()}
-
-
-def _close_span(pg, stages, in_target, dim_target, order):
-    """Eliminate instance vectors, stage by stage, until their span reaches
-    dim_target; no stage after the one that closes it is consumed.  Returns
-    (consequence echelon, equal, witness naming an instance off the target).
-
-    The echelon holds each instance _mirrored, so a row's pivot, its leftmost
-    column there, is its last column here.  An instance mono - c * other
-    leads with the walked monomial mono, which many earlier instances share,
-    so a first-column pivot would have to be cleared from all of those rows:
-    on pauli-4 at (y, x^3, y, x^3y, y) that is 3,538 row subtractions, and
-    none from the last column.  A vector v is in the span when
-    cons.contains(_mirrored(v, pg.ncols)); the span and its dimension do not
-    depend on the mirror.
-    """
-    cons = Echelon(pg.ncols)
+def _close_span(target, stages, order):
+    """Eliminate instance vectors into a Subspace, stage by stage, until
+    their span reaches the target's dimension; no stage after the one that
+    closes it is consumed.  Returns (span, equal, witness naming an
+    instance off the target)."""
+    pg, dim = target.pg, target.dim
+    cons = Subspace(pg)
     for stage in stages:
         for vec in stage:
-            if not in_target(vec):
+            if not target.contains(vec):
                 return cons, False, "instance outside the target space: %s" % (
                     pg.from_vector(vec, order))
-            cons.add(_mirrored(vec, pg.ncols))
-            if cons.dim == dim_target:
+            cons.add(vec)
+            if cons.dim == dim:
                 return cons, True, None
-        if cons.dim == dim_target:
+        if cons.dim == dim:
             break
-    return cons, cons.dim == dim_target, None
+    return cons, cons.dim == dim, None
+
+
+def _record(target, stages, order):
+    """The record of a target against instance stages.  A span that falls
+    short is named by the first vector of the target's basis it misses; that
+    basis is built only then."""
+    pg = target.pg
+    cons, equal, witness = _close_span(target, stages, order)
+    if witness is None and not equal:
+        missing = next(v for v in target.span().sparse_basis() if not cons.contains(v))
+        witness = "missing from consequences: %s" % pg.from_vector(missing, order)
+    return VerificationRecord(pg.words(), _orbit_size(pg.degrees), target.dim,
+                              cons.dim, equal, witness)
 
 
 def _check_multidegree(algebra, genset, degrees, members=()):
@@ -1282,17 +1292,7 @@ def _check_multidegree(algebra, genset, degrees, members=()):
     else:
         target = multilinear_central_space(algebra, degrees)
     entries = [_membership_entry(algebra, mode, part, f, target) for part, f in members]
-    pg = target.pg
-    cons, equal, witness = _close_span(pg, _instance_stages(genset, pg),
-                                       target.contains, target.dim, genset.order)
-    if witness is None and not equal:
-        for v in target.span().sparse_basis():
-            if not cons.contains(_mirrored(v, pg.ncols)):
-                witness = "missing from consequences: %s" % pg.from_vector(
-                    v, genset.order)
-                break
-    record = VerificationRecord(pg.words(), _orbit_size(degrees), target.dim,
-                                cons.dim, equal, witness)
+    record = _record(target, _instance_stages(genset, target.pg), genset.order)
     return record, entries
 
 
@@ -1625,22 +1625,16 @@ def okhitin_basis() -> GeneratorSet:
 
 
 def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationRecord:
-    """Completeness of the Pauli family at one (possibly large) multidegree of
-    a Pauli-type grading, past the dense engine's degree bound.
+    """Completeness of the Pauli family at one multidegree of a Pauli-type
+    grading, of length at most seven, the degree of the alternating family,
+    one past the dense engine's degree bound.
 
-    The identity space is the same target that verification uses, held as
-    its defining equations: the few real rows of the evaluation map.  The
-    family's instance stages are consumed as in verification, each instance
-    checked exactly against those equations and eliminated sparsely, until
-    the span reaches the identity space.  No kernel basis is built.
+    The record is verification's: the same target, held as its defining
+    equations, and the family's fast instance stages, with no generic
+    fallback and no membership.  A kernel basis is built only to name the
+    polynomial a failing record misses.
     """
+    pg = _component(algebra.group, degrees, bound=7)
     source = _pauli_source(algebra)
-    pg = MultidegreeBasis(algebra.group, degrees)
-    target = Target(algebra, pg, central=False)
-    cons, equal, witness = _close_span(pg, source.stages(pg), target.contains,
-                                       target.dim, source.beta.order)
-    if witness is None and not equal:
-        witness = "consequence span has codimension %d, identities have codimension %d" % (
-            pg.ncols - cons.dim, target.equations.dim)
-    return VerificationRecord(pg.words(), _orbit_size(pg.degrees), target.dim,
-                              cons.dim, equal, witness)
+    return _record(Target(algebra, pg, central=False), source.stages(pg),
+                   source.beta.order)

@@ -28,6 +28,7 @@ from gradedpi.freealg import (
     hall_poly,
     monomial_poly,
     monomial_values,
+    multilinearize,
     parse_poly,
     project_poly,
     standard_poly,
@@ -405,6 +406,92 @@ def test_tspace_of_identity_family_takes_substitution_instances_only():
         assert via_family.dim == generic.dim
         assert all(generic.contains(v) for v in via_family.basis())
     assert tspace_consequences(fam, degs).dim < tideal_consequences(fam, degs).dim
+
+
+def _first_column_span(generators, degrees, group, tideal):
+    """Reference for the public spans: every instance stage eliminated in a
+    plain Echelon, pivoting on each row's first column, a raw list or a set
+    of the other mode taking the generic instances of its polarized
+    members."""
+    if isinstance(generators, GeneratorSet):
+        group = generators.group
+    pg = MultidegreeBasis(group, degrees)
+    if isinstance(generators, GeneratorSet) and tideal == (generators.mode == "identities"):
+        stages = pitool._instance_stages(generators, pg)
+    else:
+        polys = generators.members if isinstance(generators, GeneratorSet) else generators
+        polys = [piece for p in polys for piece in multilinearize(p)]
+        stages = [(vec for vec, _ in pitool._generic_instances(polys, pg, tideal))]
+    span = Echelon(pg.ncols)
+    for vec in itertools.chain.from_iterable(stages):
+        span.add(vec)
+    return span
+
+
+@pytest.mark.parametrize("case, dims", [
+    ("m2-8-set", {True: 119, False: 96}),
+    ("m2-8-list", {True: 119, False: 96}),
+    ("bp-centrals", {False: 20}),
+    ("pauli3", {True: 22}),
+], ids=["m2-8-set", "m2-8-list", "bp-centrals", "pauli3"])
+def test_public_spans_match_first_column_elimination(case, dims):
+    """tideal_consequences and tspace_consequences (dims keyed by tideal),
+    held mirrored in a Subspace, span what first-column elimination spans."""
+    group = None
+    if case.startswith("m2-8"):
+        fam = family_regular(detect_regular(build_catalog("m2-8"))[0], "identities")
+        words = ["a", "b", "a.b", "a^2", "a^3.b"]
+        if case == "m2-8-list":
+            fam, group = fam.members, fam.group
+    elif case == "bp-centrals":
+        fam = bp_basis(build_catalog("m2-elem").group)
+        words = ["a", "e", "e", "a"]
+    else:
+        fam = family_pauli(build_catalog("pauli", n=3), 3)
+        words = ["x", "y", "x.y", "x^2"]
+    degrees = [(group or fam.group).word_to_element(w) for w in words]
+    for tideal, dim in dims.items():
+        span = tideal_consequences if tideal else tspace_consequences
+        sub = span(fam, degrees, group=group)
+        reference = _first_column_span(fam, degrees, group, tideal)
+        assert sub.dim == reference.dim == dim
+        assert all(reference.contains(v) for v in sub.sparse_basis())
+        assert all(sub.contains(v) for v in reference.basis())
+
+
+def _entry_points():
+    """The five entry points that build a multidegree component, each with
+    the least length it refuses and a degree to repeat up to it."""
+    m2 = build_catalog("m2-elem")
+    dv = dv_basis(m2.group)
+    p3 = build_catalog("pauli", n=3)
+    return [
+        (9, (0,), lambda degs: multilinear_identity_space(m2, degs)),
+        (9, (0,), lambda degs: multilinear_central_space(m2, degs)),
+        (9, (0,), lambda degs: tideal_consequences(dv, degs)),
+        (9, (0,), lambda degs: tspace_consequences(dv, degs)),
+        (8, (1, 0), lambda degs: check_pauli_multidegree(p3, degs)),
+    ]
+
+
+def test_long_multidegrees_refused_before_enumerating(monkeypatch):
+    """Spaces and spans refuse past 6 letters and the long record past 7,
+    before the n! monomials of the component are listed."""
+    def enumerate_component(*args):
+        raise RuntimeError("component enumerated before its length was checked")
+
+    entry_points = _entry_points()
+    monkeypatch.setattr(pitool, "MultidegreeBasis", enumerate_component)
+    for length, degree, entry in entry_points:
+        with pytest.raises(ResourceRefusal):
+            entry([degree] * length)
+
+
+def test_empty_multidegree_refused():
+    """No entry point reads an empty multidegree as a vacuous PASS."""
+    for _, _, entry in _entry_points():
+        with pytest.raises(PreconditionError):
+            entry([])
 
 
 def _unpruned_instances(polys, pg, tideal):
@@ -1102,18 +1189,21 @@ def test_check_pauli_multidegree_reports_instance_outside_target(monkeypatch):
 
 
 def test_check_pauli_multidegree_reports_short_span(monkeypatch):
-    """Stages that fall short of the identity space give a FAIL record with
-    both codimensions."""
+    """Stages that fall short of the identity space give a FAIL record whose
+    witness, as in verify, names an identity the span misses."""
     p3 = build_catalog("pauli", n=3)
     degs = [(1, 0), (0, 1), (1, 1)]
     monkeypatch.setattr(pitool._PauliSource, "stages", lambda self, pg: iter([iter([])]))
     rec = check_pauli_multidegree(p3, degs)
     assert not rec.equal
     assert rec.dim_consequence == 0
-    assert rec.dim_target == multilinear_identity_space(p3, degs).dim
-    assert rec.witness == (
-        "consequence span has codimension 6, identities have codimension %d"
-        % (6 - rec.dim_target))
+    target = multilinear_identity_space(p3, degs)
+    assert rec.dim_target == target.dim
+    prefix = "missing from consequences: "
+    assert rec.witness.startswith(prefix)
+    order = pitool._pauli_source(p3).beta.order
+    missing = parse_poly(rec.witness[len(prefix):], p3.group, order)
+    assert target.contains(target.pg.to_vector(missing))
 
 
 class ReorderingScalarReference:
