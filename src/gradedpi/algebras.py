@@ -55,10 +55,6 @@ def vec_scale(u, c):
     return {k: c * x for k, x in u.items()}
 
 
-def vec_is_zero(u):
-    return not u
-
-
 class HomogeneousElement:
     """A coordinate vector supported on basis indices of a single degree."""
 
@@ -123,9 +119,6 @@ class GradedAlgebra:
     def basis_vector(self, idx):
         return {idx: Cyclo.one()}
 
-    def homogeneous(self, degree, coords) -> HomogeneousElement:
-        return HomogeneousElement(self, degree, coords)
-
     def mul_basis(self, i, j):
         return self.mult.get((i, j), {})
 
@@ -157,12 +150,6 @@ class GradedAlgebra:
         if summed:
             return {k: c for k, c in out.items() if not c.is_zero()}
         return out
-
-    def product_of_basis(self, indices):
-        acc = None
-        for idx in indices:
-            acc = self.basis_vector(idx) if acc is None else self.mul_vec(acc, self.basis_vector(idx))
-        return self.unit if acc is None else acc
 
     def validate(self):
         g = self.group
@@ -374,37 +361,83 @@ class RegularityWitness:
             self.reason, self.pair, self.elements)
 
 
-def _commutation_scalar(algebra, g, h):
-    """The scalar lam with uv = lam * vu across all basis pairs, or a witness."""
-    lam = None
-    witness_pair = None
-    any_nonzero = False
-    for i in algebra.component(g):
-        for j in algebra.component(h):
-            uv = algebra.mul_basis(i, j)
-            vu = algebra.mul_basis(j, i)
-            if not vu:
-                if uv:
-                    return None, RegularityWitness(
-                        "uv != 0 but vu = 0", (g, h), (algebra.labels[i], algebra.labels[j]))
-                continue
-            any_nonzero = True
-            k = next(iter(vu))
-            cand = uv.get(k, Cyclo.zero()) / vu[k]
-            if uv != vec_scale(vu, cand):
-                return None, RegularityWitness(
-                    "no scalar relates uv and vu", (g, h),
-                    (algebra.labels[i], algebra.labels[j]))
+def _commutation_scalar(uv, vu, jvu):
+    """(l1, l2) with uv = l1 vu + l2 J vu, or None when there is none.  jvu is
+    J vu, or None when there is no J: then l2 is None and l1 is the ratio of
+    one coordinate, real because the structure constants are."""
+    if jvu is None:
+        k = next(iter(vu))
+        lam = (uv.get(k, Cyclo.zero()) / vu[k], None)
+    else:
+        rows = [[vu.get(k, Cyclo.zero()), jvu.get(k, Cyclo.zero()), -uv.get(k, Cyclo.zero())]
+                for k in set(vu) | set(jvu) | set(uv)]
+        sols = [v for v in scalars.kernel_over_real_subfield(rows) if not v[2].is_zero()]
+        if not sols:
+            return None
+        sol = sols[0]
+        lam = (sol[0] / sol[2], sol[1] / sol[2])
+    return lam if uv == _commuted(vu, jvu, lam) else None
+
+
+def _commuted(vu, jvu, lam):
+    """l1 vu + l2 J vu."""
+    if jvu is None:
+        return vec_scale(vu, lam[0])
+    return vec_add(vec_scale(vu, lam[0]), vec_scale(jvu, lam[1]))
+
+
+def _commutation_bicharacter(algebra, j_vec, order):
+    """The commutation bicharacter over Q(zeta_order), or (None, witness).
+
+    For each pair of degrees (g, h), the first basis pair u, v with vu != 0
+    fixes a scalar solving uv = l1 vu + l2 J vu (no l2 term when j_vec, the
+    central J, is None), and every basis pair must satisfy it; the scalar is
+    l1 + l2 i.  The scalars must be multiplicative, and the bicharacter is
+    read off the generators.
+    """
+    support = algebra.support
+    group = algebra.group
+    if set(support) != set(group.elements()):
+        return None, RegularityWitness("support is a proper subset of the grading group")
+    i_scalar = None if j_vec is None else Cyclo.zeta(order, order // 4)
+    values = {}
+    for g in support:
+        for h in support:
+            lam = first = None
+            for i in algebra.component(g):
+                for j in algebra.component(h):
+                    pair = (algebra.labels[i], algebra.labels[j])
+                    uv = algebra.mul_basis(i, j)
+                    vu = algebra.mul_basis(j, i)
+                    if not vu:
+                        if uv:
+                            return None, RegularityWitness("uv != 0 but vu = 0", (g, h), pair)
+                        continue
+                    jvu = None if j_vec is None else algebra.mul_vec(j_vec, vu)
+                    if lam is None:
+                        lam, first = _commutation_scalar(uv, vu, jvu), pair
+                        if lam is None:
+                            return None, RegularityWitness(
+                                "no scalar relates uv and vu", (g, h), pair)
+                    elif uv != _commuted(vu, jvu, lam):
+                        if _commutation_scalar(uv, vu, jvu) is None:
+                            return None, RegularityWitness(
+                                "no scalar relates uv and vu", (g, h), pair)
+                        return None, RegularityWitness(
+                            "commutation scalar differs between basis pairs", (g, h),
+                            (first, pair))
             if lam is None:
-                lam = cand
-                witness_pair = (algebra.labels[i], algebra.labels[j])
-            elif lam != cand:
-                return None, RegularityWitness(
-                    "commutation scalar differs between basis pairs", (g, h),
-                    (witness_pair, (algebra.labels[i], algebra.labels[j])))
-    if not any_nonzero:
-        return None, RegularityWitness("all products of the components vanish (P1)", (g, h))
-    return lam, None
+                return None, RegularityWitness("all products of the components vanish (P1)",
+                                               (g, h))
+            l1, l2 = lam
+            values[(g, h)] = l1 if l2 is None else l1 + l2 * i_scalar
+    table = [[values[(group.generator(i), group.generator(j))]
+              for j in range(group.rank)] for i in range(group.rank)]
+    beta = Bicharacter(group, order, table)
+    for (g, h), lam in values.items():
+        if beta.eval(g, h) != lam:
+            raise AssertionError("commutation function is not multiplicative")
+    return beta, None
 
 
 def detect_regular(algebra: GradedAlgebra):
@@ -413,35 +446,15 @@ def detect_regular(algebra: GradedAlgebra):
     Checks that a single real scalar per degree pair relates uv and vu for all
     homogeneous basis pairs, and that products of components never vanish.
     """
-    support = algebra.support
-    group = algebra.group
-    if set(support) != set(group.elements()):
-        return None, RegularityWitness("support is a proper subset of the grading group")
-    values = {}
-    for g in support:
-        for h in support:
-            lam, witness = _commutation_scalar(algebra, g, h)
-            if witness is not None:
-                # a complex scalar through a central J may still exist; if so,
-                # report the sharper reason (regular over C but not over R)
-                cbeta, _ = detect_complex_bicharacter(algebra)
-                if cbeta is not None:
-                    val = cbeta.eval(*witness.pair) if witness.pair else None
-                    return None, RegularityWitness(
-                        "commutation scalar is not real", witness.pair, scalar=val)
-                return None, witness
-            if not lam.is_real():
-                return None, RegularityWitness(
-                    "commutation scalar is not real", (g, h), scalar=lam)
-            values[(g, h)] = lam
-    n = _lcm(2, algebra.order)
-    table = [[values[(group.generator(i), group.generator(j))]
-              for j in range(group.rank)] for i in range(group.rank)]
-    beta = Bicharacter(group, n, table)
-    for (g, h), lam in values.items():
-        if beta.eval(g, h) != lam:
-            raise AssertionError("commutation function is not multiplicative")
-    return beta, None
+    beta, witness = _commutation_bicharacter(algebra, None, _lcm(2, algebra.order))
+    if witness is not None and witness.pair is not None:
+        # a complex scalar through a central J may still exist; if so, report
+        # the sharper reason (regular over C but not over R)
+        cbeta, _ = detect_complex_bicharacter(algebra)
+        if cbeta is not None:
+            return None, RegularityWitness("commutation scalar is not real", witness.pair,
+                                           scalar=cbeta.eval(*witness.pair))
+    return beta, witness
 
 
 def complex_unit(algebra: GradedAlgebra):
@@ -479,52 +492,8 @@ def _detect_complex_bicharacter(algebra):
     j_vec = complex_unit(algebra)
     if j_vec is None:
         return None, RegularityWitness("no central square root of -1")
-    n = _lcm(algebra.order, 4)
-    i_scalar = Cyclo.zeta(n, n // 4)
-    support = algebra.support
-    group = algebra.group
-    if set(support) != set(group.elements()):
-        return None, RegularityWitness("support is a proper subset of the grading group")
-    values = {}
-    for g in support:
-        for h in support:
-            lam = None
-            for i in algebra.component(g):
-                for j in algebra.component(h):
-                    uv = algebra.mul_basis(i, j)
-                    vu = algebra.mul_basis(j, i)
-                    if not vu:
-                        if uv:
-                            return None, RegularityWitness("uv != 0 but vu = 0", (g, h))
-                        continue
-                    jvu = algebra.mul_vec(j_vec, vu)
-                    if lam is None:
-                        rows = []
-                        for k in set(vu) | set(jvu) | set(uv):
-                            rows.append([vu.get(k, Cyclo.zero()), jvu.get(k, Cyclo.zero()),
-                                         -uv.get(k, Cyclo.zero())])
-                        sols = [v for v in scalars.kernel_over_real_subfield(rows)
-                                if not v[2].is_zero()]
-                        if not sols:
-                            return None, RegularityWitness(
-                                "no complex commutation scalar", (g, h))
-                        sol = sols[0]
-                        lam = (sol[0] / sol[2], sol[1] / sol[2])
-                    l1, l2 = lam
-                    expect = vec_add(vec_scale(vu, l1), vec_scale(jvu, l2))
-                    if uv != expect:
-                        return None, RegularityWitness(
-                            "complex commutation scalar differs between pairs", (g, h))
-            if lam is None:
-                return None, RegularityWitness("all products vanish (P1)", (g, h))
-            values[(g, h)] = lam[0] + lam[1] * i_scalar
-    table = [[values[(group.generator(i), group.generator(j))]
-              for j in range(group.rank)] for i in range(group.rank)]
-    beta = Bicharacter(group, n, table)
-    for (g, h), lam in values.items():
-        if beta.eval(g, h) != lam:
-            raise AssertionError("complex commutation function is not multiplicative")
-    return beta, j_vec
+    beta, witness = _commutation_bicharacter(algebra, j_vec, _lcm(algebra.order, 4))
+    return (None, witness) if beta is None else (beta, j_vec)
 
 
 # -- graded division certificates --------------------------------------------------
@@ -632,7 +601,7 @@ def _classify_identity_component(algebra: GradedAlgebra):
                     return None, "symmetrized product is not scalar"
                 c = coeffs[0] * Cyclo.rational(Fraction(1, 2))
                 p = vec_add(p, vec_scale(p1, -(c / d1)))
-                if vec_is_zero(p):
+                if not p:
                     continue
                 res2 = pure_part(p)
                 if res2 is None:

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from contextlib import contextmanager
 
 from .algebras import (
@@ -44,6 +45,7 @@ from .pitool import (
     family_pauli,
     family_regular,
     lift_basis,
+    long_running_degrees,
     okhitin_basis,
     pauli_reduce,
     records_tsv,
@@ -51,7 +53,7 @@ from .pitool import (
     transfer_basis,
     verify_basis,
 )
-from .scalars import Cyclo, parse_cyclo
+from .scalars import parse_cyclo
 
 ALGEBRA_FORMAT = "gradedpi-algebra"
 GENSET_FORMAT = "gradedpi-genset"
@@ -373,34 +375,17 @@ def cmd_verify(args):
     if genset.mode != args.mode:
         raise PreconditionError(
             "basis %s has mode %s, requested %s" % (genset.name, genset.mode, args.mode))
+    long_degrees = long_running_degrees(genset) if args.long_running else None
     report = verify_basis(algebra, genset, args.max_degree, jobs=args.jobs)
     report.assumptions.extend(GLOBAL_ASSUMPTIONS)
-    if args.long_running:
-        record = _long_running_record(algebra)
-        if record is not None:
-            report.records.append(record)
+    if long_degrees is not None:
+        t0 = time.time()
+        report.records.append(check_pauli_multidegree(algebra, long_degrees))
+        report.elapsed += time.time() - t0
     text = report.to_json() if args.format == "json" else report.to_tsv()
     _emit(args, text)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _long_running_record(algebra):
-    """The degree-seven multidegree of the alternating family, when the
-    algebra has commutation value i (the optional long check)."""
-    from .algebras import detect_complex_bicharacter
-
-    beta, _ = detect_complex_bicharacter(algebra)
-    if beta is None:
-        return None
-    group = beta.group
-    i_val = Cyclo.zeta(beta.order, beta.order // 4)
-    for g in group.elements():
-        partners = [h for h in group.elements() if beta.eval(g, h) == i_val]
-        if len(partners) >= 3:
-            h1, h2, h3 = partners[:3]
-            return check_pauli_multidegree(algebra, [g, h1, g, h2, g, h3, g])
-    return None
 
 
 def cmd_families(args):
@@ -478,7 +463,7 @@ def make_parser():
                     "for real graded division algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, basis=False):
+    def algebra_options(p):
         p.add_argument("--algebra", help="catalog id (%s; tensor with '@'), or "
                                          "a .json algebra spec file" % ", ".join(catalog_ids()))
         p.add_argument("--n", type=int, help="catalog parameter n")
@@ -488,45 +473,57 @@ def make_parser():
         p.add_argument("--eps", type=int, help="catalog parameter eps (+1/-1)")
         p.add_argument("--mu", type=int, help="catalog parameter mu (+1/-1)")
         p.add_argument("--nu", type=int, help="catalog parameter nu (+1/-1)")
+
+    def output_options(p, formats=False):
         p.add_argument("--out", help="output path (written atomically)")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        if basis:
-            p.add_argument("--basis", required=True,
-                           help="named basis or a .json generator-set file")
-            p.add_argument("--mode", choices=("identities", "centrals"),
-                           default="identities")
-            p.add_argument("--max-degree", type=int, default=3)
-            p.add_argument("--jobs", type=int, default=1)
-            p.add_argument("--long-running", action="store_true",
-                           help="include the degree-seven check for gradings "
-                                "with commutation value i")
+        if formats:
+            p.add_argument("--format", choices=("json", "tsv"), default="json")
+
+    def basis_options(p):
+        p.add_argument("--basis", required=True,
+                       help="named basis or a .json generator-set file")
+        p.add_argument("--mode", choices=("identities", "centrals"), default="identities")
+        p.add_argument("--max-degree", type=int, default=3)
 
     p = sub.add_parser("build", help="construct and validate an algebra")
-    common(p)
+    algebra_options(p)
+    output_options(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="membership and completeness of a basis")
-    common(p, basis=True)
+    algebra_options(p)
+    output_options(p, formats=True)
+    basis_options(p)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--long-running", action="store_true",
+                   help="add the degree-seven record of the pauli family, for "
+                        "gradings with three commutation partners of value i")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("families", help="print a generator family")
-    common(p, basis=True)
+    algebra_options(p)
+    output_options(p, formats=True)
+    basis_options(p)
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("transfer", help="transport a basis along a regular tensor factor")
-    common(p, basis=True)
+    algebra_options(p)
+    output_options(p, formats=True)
+    basis_options(p)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--with", dest="with_algebra", help="catalog id of the regular factor")
     p.add_argument("--verify", action="store_true",
                    help="also verify the transferred basis on the tensor product")
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("reduce", help="merge repeated degrees with a replayable certificate")
-    common(p)
+    algebra_options(p)
+    output_options(p)
     p.add_argument("--poly", help="polynomial literal to reduce")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("report", help="re-render a JSON report as TSV")
-    common(p)
+    output_options(p)
     p.add_argument("--input", help="JSON report file")
     p.set_defaults(func=cmd_report)
     return parser

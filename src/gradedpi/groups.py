@@ -76,9 +76,6 @@ class FiniteAbelianGroup:
     def inverse(self, g):
         return tuple((-x) % o for x, o in zip(g, self.orders))
 
-    def power(self, g, k: int):
-        return tuple((x * k) % o for x, o in zip(g, self.orders))
-
     def product(self, elems):
         acc = self.identity
         for e in elems:

@@ -84,15 +84,6 @@ class MultidegreeBasis:
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self.ncols = len(self.monomials)
 
-    def to_vector(self, poly: FreePoly):
-        vec = [Cyclo.zero()] * self.ncols
-        for mono, c in poly.terms.items():
-            k = self.index.get(mono)
-            if k is None:
-                raise ValueError("monomial outside this multidegree component")
-            vec[k] = vec[k] + c
-        return vec
-
     def from_vector(self, vec, order=1) -> FreePoly:
         """The polynomial of a sparse vector {column: coefficient}."""
         return FreePoly(self.group, order,
@@ -811,11 +802,13 @@ class _PauliSource:
     is admitted (the constructive content of the reduction lemmas).  Every
     vector yielded is a genuine instance of a family member.
 
-    Each fact is computed once per source: the commutation value of every
-    pair of degrees, the quadratic pair (p, q) of every distinct nonreal
-    value, shared by the pairs that take it, and the kernel shapes of every
-    degree tuple (``kernel_shapes``), which the family and every instance
-    stage share.
+    This is the one place that derives the grading's Pauli facts, each once
+    per source: the commutation value of every pair of degrees, the
+    quadratic pair (p, q) of every distinct nonreal value, shared by the
+    pairs that take it, the i-partners of every degree g (the h with
+    beta(g, h) = i) with the degree-seven record shape they give, and the
+    kernel shapes of every degree tuple (``kernel_shapes``).  The family,
+    every instance stage, the reducer and the degree-seven record read them.
     """
 
     exact = False  # stages are sound but may undershoot; callers fall back
@@ -831,10 +824,25 @@ class _PauliSource:
             if v not in pairs and not v.is_real():
                 pairs[v] = _quadratic_pair(v)
         self.quadratic = {pair: pairs[v] for pair, v in self.values.items() if v in pairs}
-        self.i_present = any(self.values[pair] * self.values[pair] == -1
-                             for pair in self.quadratic)
+        i_val = Cyclo.zeta(beta.order, beta.order // 4)
+        self.partners = {g: [] for g in elements}
+        for g, h in self.quadratic:
+            if self.values[(g, h)] == i_val:
+                self.partners[g].append(h)
+        # beta(g, h^-1) = 1 / beta(g, h), so -i is a value exactly when i is
+        self.i_present = any(self.partners.values())
         self.max_repeat = 3 if self.i_present else 1
+        # the multidegree of the degree-seven record: g h1 g h2 g h3 g at the
+        # first degree with three i-partners
+        self.long_shape = next(((g, ps[0], g, ps[1], g, ps[2], g)
+                                for g, ps in self.partners.items() if len(ps) >= 3), None)
         self._shapes = {}
+
+    def imaginary(self, g, h):
+        """Whether beta(g, h) is i or -i: the nonreal roots of unity whose
+        quadratic pair has p = -2 Re beta(g, h) = 0."""
+        pq = self.quadratic.get((g, h))
+        return pq is not None and pq[0].is_zero()
 
     def admitted(self, degs):
         counts = {}
@@ -893,7 +901,6 @@ class _PauliSource:
         if not self.i_present or len(pg.letters) < 7:
             return
         group = self.beta.group
-        i_val = Cyclo.zeta(self.beta.order, self.beta.order // 4)
         one = Cyclo.one()
         for mono in pg.monomials:
             by_degree = {}
@@ -904,8 +911,9 @@ class _PauliSource:
                     continue
                 p1, p2, p3, p4 = positions
                 blocks = [mono[p1 + 1:p2], mono[p2 + 1:p3], mono[p3 + 1:p4]]
-                if all(blk and self.values[(g, group.product([d for _, d in blk]))]
-                       == i_val for blk in blocks):
+                partners = self.partners[g]
+                if all(blk and group.product([d for _, d in blk]) in partners
+                       for blk in blocks):
                     other = (mono[:p1] + tuple(mono[p] for p in positions)
                              + blocks[0] + blocks[1] + blocks[2] + mono[p4 + 1:])
                     yield _sparse_vector(pg, ((mono, one), (other, one)))
@@ -958,8 +966,8 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     value is the imaginary unit; at most three repeats otherwise).
 
     The members are read off the tables of the set's fast source (its
-    commutation values, quadratic pairs and kernel shapes), so verifying the
-    set reuses every kernel shape built here.
+    commutation values, quadratic pairs, i-partners and kernel shapes), so
+    verifying the set reuses every kernel shape built here.
     """
     real_beta, _ = detect_regular(algebra)
     if real_beta is not None:
@@ -982,17 +990,14 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
             s1.append(swap)
         else:
             extras.append(swap)
-    if i_present:
-        # degree-seven alternating family at triples with value i
-        i_val = Cyclo.zeta(order, order // 4)
-        for g in elements:
-            partners = [h for h in elements if source.values[(g, h)] == i_val]
-            for h1, h2, h3 in itertools.product(partners, repeat=3):
-                lts = {1: (1, g), 2: (2, h1), 3: (3, g), 4: (4, h2),
-                       5: (5, g), 6: (6, h3), 7: (7, g)}
-                m1 = monomial_poly(group, order, [lts[k] for k in (1, 2, 3, 4, 5, 6, 7)])
-                m2 = monomial_poly(group, order, [lts[k] for k in (1, 3, 5, 7, 2, 4, 6)])
-                s1.append(m1 + m2)
+    # degree-seven alternating family at triples with value i
+    for g, partners in source.partners.items():
+        for h1, h2, h3 in itertools.product(partners, repeat=3):
+            lts = {1: (1, g), 2: (2, h1), 3: (3, g), 4: (4, h2),
+                   5: (5, g), 6: (6, h3), 7: (7, g)}
+            m1 = monomial_poly(group, order, [lts[k] for k in (1, 2, 3, 4, 5, 6, 7)])
+            m2 = monomial_poly(group, order, [lts[k] for k in (1, 3, 5, 7, 2, 4, 6)])
+            s1.append(m1 + m2)
     for n in range(2, max_degree + 1):
         for degrees in itertools.combinations_with_replacement(sorted(elements), n):
             if not source.admitted(degrees):
@@ -1373,12 +1378,14 @@ def instance_poly(member: FreePoly, prefix, blocks, suffix, group, order) -> Fre
     return FreePoly(group, order, _instance_terms(_shape(member), blocks, prefix, suffix))
 
 
-def _rewrite_term(group, order, beta, coeff, mono, alpha, beta_lt, i_present):
-    """One elementary rewrite moving alpha and beta_lt together.
+def _rewrite_term(source, group, order, coeff, mono, alpha, beta_lt):
+    """One elementary rewrite moving alpha and beta_lt together, reading the
+    commutation values and quadratic pairs off the Pauli source.
 
     Returns (new_terms, uses): the exact claim is
     coeff*mono - new_terms == sum of the use instances.
     """
+    values, quadratic = source.values, source.quadratic
     g = alpha[1]
     pa = mono.index(alpha)
     pb = mono.index(beta_lt)
@@ -1388,23 +1395,21 @@ def _rewrite_term(group, order, beta, coeff, mono, alpha, beta_lt, i_present):
     if not between:
         if (first, second) == (alpha, beta_lt):
             return [(coeff, mono)], []
-        member = _pair_member(group, order, g, g, beta.eval(g, g))
-        if not beta.eval(g, g).is_one():
+        if not values[(g, g)].is_one():
             raise AssertionError("same-component elements must commute")
+        member = _pair_member(group, order, g, g, values[(g, g)])
         swapped = mono[:lo] + (alpha, beta_lt) + mono[hi + 1:]
         use = (member, mono[:lo], ((beta_lt,), (alpha,)), mono[hi + 1:], coeff)
         return [(coeff, swapped)], [use]
     h = group.product([d for _, d in between])
-    val = beta.eval(g, h)
-    if val.is_real():
+    if (g, h) not in quadratic:
+        val = values[(g, h)]
         member = _pair_member(group, order, g, h, val)
         moved = mono[:lo] + between + (first, second) + mono[hi + 1:]
         use = (member, mono[:lo], ((first,), between), (second,) + mono[hi + 1:], coeff)
         return [(coeff * val, moved)], [use]
-    if not (val * val) == Cyclo.rational(-1):
-        p, q = _quadratic_pair(val)
-        if p.is_zero():
-            raise AssertionError("triple rewrite needs a nonzero middle coefficient")
+    if not source.imaginary(g, h):
+        p, q = quadratic[(g, h)]
         member = _triple_member(group, order, g, h, p, q)
         front = mono[:lo] + (first, second) + between + mono[hi + 1:]
         back = mono[:lo] + between + (first, second) + mono[hi + 1:]
@@ -1413,24 +1418,21 @@ def _rewrite_term(group, order, beta, coeff, mono, alpha, beta_lt, i_present):
                coeff * pinv)
         return [(-coeff * pinv, front), (-coeff * q * pinv, back)], [use]
     # imaginary commutation value: detour through other same-degree letters
-    if not i_present or len([t for t, lt in enumerate(mono) if lt[1] == g]) < 4:
+    gpos = [t for t, lt in enumerate(mono) if lt[1] == g]
+    if len(gpos) < 4:
         raise PreconditionError(
             "cannot merge across an imaginary commutation value with fewer "
             "than four occurrences of the degree")
-    gpos = [t for t, lt in enumerate(mono) if lt[1] == g]
     slots = None
     for j in range(len(gpos) - 1):
         seg = mono[gpos[j] + 1: gpos[j + 1]]
-        segdeg = group.product([d for _, d in seg])
-        v = beta.eval(g, segdeg)
-        if not (v * v) == Cyclo.rational(-1):
+        if not source.imaginary(g, group.product([d for _, d in seg])):
             slots = (gpos[j], gpos[j + 1])
             break
     if slots is None:
         slots = (gpos[0], gpos[2])
         seg = mono[slots[0] + 1: slots[1]]
-        segdeg = group.product([d for _, d in seg])
-        if not beta.eval(g, segdeg).is_real():
+        if (g, group.product([d for _, d in seg])) in quadratic:
             raise AssertionError("composite block must be real-valued")
     # bring alpha and beta_lt onto the slots with swap-family instances
     targets = {alpha, beta_lt}
@@ -1469,9 +1471,8 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
     if not poly.is_multilinear():
         raise PreconditionError("pauli_reduce needs a multilinear polynomial")
     source = _pauli_source(algebra)
-    beta, i_present = source.beta, source.i_present
     threshold = source.max_repeat + 1
-    order = _lcm(poly.order, beta.order)
+    order = _lcm(poly.order, source.beta.order)
     current = FreePoly(poly.group, order, poly.terms)
     rounds = []
     while True:
@@ -1484,7 +1485,7 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
             break
         pair = sorted(counts[g])[-2:]
         alpha, beta_lt = pair[0], pair[1]
-        new_letter = (alpha[0], beta.group.op(g, g))
+        new_letter = (alpha[0], poly.group.op(g, g))
         mono_records = []
         collapsed_terms = []
         for mono, coeff in sorted(current.terms.items()):
@@ -1501,8 +1502,8 @@ def pauli_reduce(algebra: GradedAlgebra, poly: FreePoly):
                 if pb == pa + 1:
                     done_terms.append((m, c))
                     continue
-                new_terms, uses = _rewrite_term(poly.group, order, beta, c, m, alpha,
-                                                beta_lt, i_present)
+                new_terms, uses = _rewrite_term(source, poly.group, order, c, m, alpha,
+                                                beta_lt)
                 uses_all.extend(uses)
                 worklist.extend(new_terms)
             after = FreePoly(poly.group, order, done_terms)
@@ -1638,3 +1639,20 @@ def check_pauli_multidegree(algebra: GradedAlgebra, degrees) -> VerificationReco
     source = _pauli_source(algebra)
     return _record(Target(algebra, pg, central=False), source.stages(pg),
                    source.beta.order)
+
+
+def long_running_degrees(genset: GeneratorSet):
+    """The multidegree of the degree-seven record of ``verify --long-running``,
+    read off the set's Pauli source.  Refused (exit 3) when the set is not
+    the built-in Pauli family, whose stages the record streams, and when its
+    grading has no degree with three commutation partners of value i."""
+    source = genset.fast_source
+    if not isinstance(source, _PauliSource):
+        raise PreconditionError(
+            "the degree-seven record streams the pauli family's stages; basis %s "
+            "is not that family" % genset.name)
+    if source.long_shape is None:
+        raise PreconditionError(
+            "no degree-seven record: no degree has three commutation partners of "
+            "value i")
+    return source.long_shape

@@ -27,7 +27,7 @@ from gradedpi.algebras import (
     tensor,
 )
 from gradedpi.errors import VerificationFailure
-from gradedpi.freealg import FreePoly, evaluate, transfer_phi
+from gradedpi.freealg import FreePoly, evaluate, monomial_values, transfer_phi
 from gradedpi.groups import bichar_tensor
 from gradedpi.pitool import (
     bp_basis,
@@ -269,7 +269,8 @@ def test_criterion_3_transfer(algebras):
                 lhs = evaluate(phi, subst, big)
                 fa = evaluate(f, {lt: elem.basis_vector(choice_a[k])
                                   for k, lt in enumerate(letters)}, elem)
-                rr = r.product_of_basis([choice_r[k] for k in range(len(letters))])
+                rr = next(monomial_values([choice_r], {k: r.basis_vector(k) for k in choice_r},
+                                          r))
                 rhs = {}
                 for k1, c1 in fa.items():
                     for k2, c2 in rr.items():

@@ -421,3 +421,159 @@ def test_mul_vec_never_returns_zero_entries():
             got = alg.mul_vec(u, v)
             assert got == _mul_vec_reference(alg, u, v)
             assert all(not c.is_zero() for c in got.values())
+
+
+# -- the merged commutation detector against the two walks it replaced ----------
+
+
+def _reference_commutation_scalar(algebra, g, h):
+    """The real detector's per-pair walk, kept as the reference."""
+    lam = None
+    witness_pair = None
+    any_nonzero = False
+    for i in algebra.component(g):
+        for j in algebra.component(h):
+            uv = algebra.mul_basis(i, j)
+            vu = algebra.mul_basis(j, i)
+            if not vu:
+                if uv:
+                    return None, algebras.RegularityWitness(
+                        "uv != 0 but vu = 0", (g, h), (algebra.labels[i], algebra.labels[j]))
+                continue
+            any_nonzero = True
+            k = next(iter(vu))
+            cand = uv.get(k, Cyclo.zero()) / vu[k]
+            if uv != algebras.vec_scale(vu, cand):
+                return None, algebras.RegularityWitness(
+                    "no scalar relates uv and vu", (g, h),
+                    (algebra.labels[i], algebra.labels[j]))
+            if lam is None:
+                lam = cand
+                witness_pair = (algebra.labels[i], algebra.labels[j])
+            elif lam != cand:
+                return None, algebras.RegularityWitness(
+                    "commutation scalar differs between basis pairs", (g, h),
+                    (witness_pair, (algebra.labels[i], algebra.labels[j])))
+    if not any_nonzero:
+        return None, algebras.RegularityWitness(
+            "all products of the components vanish (P1)", (g, h))
+    return lam, None
+
+
+def _reference_bicharacter(group, n, values):
+    table = [[values[(group.generator(i), group.generator(j))]
+              for j in range(group.rank)] for i in range(group.rank)]
+    beta = algebras.Bicharacter(group, n, table)
+    assert all(beta.eval(g, h) == lam for (g, h), lam in values.items())
+    return beta
+
+
+def _reference_detect_regular(algebra):
+    support = algebra.support
+    group = algebra.group
+    if set(support) != set(group.elements()):
+        return None, algebras.RegularityWitness(
+            "support is a proper subset of the grading group")
+    values = {}
+    for g in support:
+        for h in support:
+            lam, witness = _reference_commutation_scalar(algebra, g, h)
+            if witness is not None:
+                cbeta, _ = _reference_detect_complex(algebra)
+                if cbeta is not None:
+                    val = cbeta.eval(*witness.pair) if witness.pair else None
+                    return None, algebras.RegularityWitness(
+                        "commutation scalar is not real", witness.pair, scalar=val)
+                return None, witness
+            if not lam.is_real():
+                return None, algebras.RegularityWitness(
+                    "commutation scalar is not real", (g, h), scalar=lam)
+            values[(g, h)] = lam
+    return _reference_bicharacter(group, algebras._lcm(2, algebra.order), values), None
+
+
+def _reference_detect_complex(algebra):
+    j_vec = complex_unit(algebra)
+    if j_vec is None:
+        return None, algebras.RegularityWitness("no central square root of -1")
+    n = algebras._lcm(algebra.order, 4)
+    i_scalar = Cyclo.zeta(n, n // 4)
+    support = algebra.support
+    group = algebra.group
+    if set(support) != set(group.elements()):
+        return None, algebras.RegularityWitness(
+            "support is a proper subset of the grading group")
+    values = {}
+    for g in support:
+        for h in support:
+            lam = None
+            for i in algebra.component(g):
+                for j in algebra.component(h):
+                    uv = algebra.mul_basis(i, j)
+                    vu = algebra.mul_basis(j, i)
+                    if not vu:
+                        if uv:
+                            return None, algebras.RegularityWitness("uv != 0 but vu = 0", (g, h))
+                        continue
+                    jvu = algebra.mul_vec(j_vec, vu)
+                    if lam is None:
+                        rows = [[vu.get(k, Cyclo.zero()), jvu.get(k, Cyclo.zero()),
+                                 -uv.get(k, Cyclo.zero())] for k in set(vu) | set(jvu) | set(uv)]
+                        sols = [v for v in scalars.kernel_over_real_subfield(rows)
+                                if not v[2].is_zero()]
+                        if not sols:
+                            return None, algebras.RegularityWitness(
+                                "no complex commutation scalar", (g, h))
+                        sol = sols[0]
+                        lam = (sol[0] / sol[2], sol[1] / sol[2])
+                    l1, l2 = lam
+                    expect = algebras.vec_add(algebras.vec_scale(vu, l1),
+                                              algebras.vec_scale(jvu, l2))
+                    if uv != expect:
+                        return None, algebras.RegularityWitness(
+                            "complex commutation scalar differs between pairs", (g, h))
+            if lam is None:
+                return None, algebras.RegularityWitness("all products vanish (P1)", (g, h))
+            values[(g, h)] = lam[0] + lam[1] * i_scalar
+    return _reference_bicharacter(group, n, values), j_vec
+
+
+_DETECTOR_CASES = (
+    [(name, {}) for name in catalog_ids() if name not in ("pauli", "d-cyclic", "d-pair",
+                                                          "e-series")]
+    + [("pauli", {"n": n}) for n in (2, 3, 4)]
+    + [("d-cyclic", {"m": m, "eps": eps}) for m in (2, 3, 4) for eps in (1, -1)]
+    + [("d-pair", {"k": k, "l": l, "mu": mu, "nu": nu})
+       for k, l in ((2, 2), (4, 2)) for mu in (1, -1) for nu in (1, -1)]
+    + [("e-series", {"eps": eps, "n": n}) for n in (2, 4) for eps in (1, -1)]
+    + [("c2@m2-4", {}), ("h4@m2-8", {}), ("m2-elem@m2-4", {}),
+       # a central J whose complex walk fails: at vu = 0, and between basis pairs
+       ("pauli@m2-elem", {"n": 2}), ("pauli@e-series", {"n": 2})])
+
+
+@pytest.mark.parametrize("name, params", _DETECTOR_CASES,
+                         ids=["%s%s" % (n, "".join("-%s%s" % kv for kv in p.items()))
+                              for n, p in _DETECTOR_CASES])
+def test_merged_detector_matches_the_two_walks(name, params):
+    """The one commutation walk gives the generator tables of both former
+    walks, or None where they gave None; detect_regular also keeps its
+    witness (reason, pair and basis labels), which `build` prints, and the
+    complex detector its failing pair of degrees (its reasons now take the
+    shared wording)."""
+    alg = build_catalog(name, **params)
+    beta, witness = detect_regular(alg)
+    ref_beta, ref_witness = _reference_detect_regular(alg)
+    assert (beta is None) == (ref_beta is None)
+    if beta is None:
+        assert (witness.reason, witness.pair, witness.elements, witness.scalar) == \
+            (ref_witness.reason, ref_witness.pair, ref_witness.elements, ref_witness.scalar)
+    else:
+        assert (beta.order, beta.table) == (ref_beta.order, ref_beta.table)
+    cbeta, j_vec = detect_complex_bicharacter(alg)
+    ref_cbeta, ref_j_vec = _reference_detect_complex(alg)
+    assert (cbeta is None) == (ref_cbeta is None)
+    if cbeta is None:
+        assert j_vec.pair == ref_j_vec.pair
+    else:
+        assert (cbeta.order, cbeta.table, j_vec) == (ref_cbeta.order, ref_cbeta.table,
+                                                     ref_j_vec)

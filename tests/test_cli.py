@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -377,3 +378,70 @@ def test_internal_error_exit5(monkeypatch, capsys):
                 "--mode", "identities", "--max-degree", "2"])
     assert code == 5
     assert "internal error: broken invariant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algebra", "pauli", "--n", "3", "--basis", "pauli"],
+    ["--algebra", "m2-4", "--basis", "regular"],
+], ids=["pauli3-no-i", "m2-4-regular"])
+def test_long_running_without_a_degree_seven_record_exit3(monkeypatch, capsys, argv):
+    """No vacuous pass: a grading with no degree-seven shape, or a family
+    other than the Pauli one, is refused before anything is verified."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verified before the refusal")
+
+    monkeypatch.setattr(cli, "verify_basis", unreachable)
+    assert run(["verify", *argv, "--max-degree", "1", "--long-running"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "precondition violated" in captured.err
+
+
+def test_long_running_refuses_a_basis_other_than_the_pauli_family(tmp_path, monkeypatch,
+                                                                    capsys):
+    """The record streams the Pauli family's stages, so it cannot stand for
+    a one-member generator-set file."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"format": "gradedpi-genset", "version": 1, "name": "one",
+                                "mode": "identities", "s1": ["x1:e*x2:e - x2:e*x1:e"]}))
+    monkeypatch.setattr(cli, "check_pauli_multidegree", None)
+    assert run(["verify", "--algebra", "pauli", "--n", "4", "--basis", str(path),
+                "--max-degree", "1", "--long-running"]) == 3
+    assert "not that family" in capsys.readouterr().err
+
+
+def test_long_record_time_is_in_elapsed_seconds(monkeypatch, capsys):
+    from gradedpi.pitool import VerificationRecord
+
+    shapes = []
+
+    def slow_record(algebra, degrees):
+        shapes.append(tuple(degrees))
+        time.sleep(0.5)
+        return VerificationRecord(["x"] * 7, 1, 1, 1, True)
+
+    monkeypatch.setattr(cli, "check_pauli_multidegree", slow_record)
+    assert run(["verify", "--algebra", "pauli", "--n", "4", "--basis", "pauli",
+                "--max-degree", "1", "--long-running"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert len(shapes) == 1 and len(shapes[0]) == 7
+    assert report["records"][-1]["degrees"] == ["x"] * 7
+    assert report["elapsed_seconds"] >= 0.5
+    summary_seconds = float(captured.err.strip().rsplit(", ", 1)[1].rstrip("s)"))
+    assert summary_seconds >= 0.5
+
+
+@pytest.mark.parametrize("command, option", [
+    ("report", ["--algebra", "m2-4"]), ("report", ["--n", "3"]), ("report", ["--m", "3"]),
+    ("report", ["--k", "2"]), ("report", ["--l", "2"]), ("report", ["--eps", "1"]),
+    ("report", ["--mu", "1"]), ("report", ["--nu", "1"]), ("report", ["--format", "tsv"]),
+    ("build", ["--format", "tsv"]), ("reduce", ["--format", "tsv"]),
+    ("families", ["--jobs", "99"]), ("families", ["--long-running"]),
+    ("transfer", ["--long-running"]),
+], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+def test_subcommands_refuse_options_they_do_not_read(capsys, command, option):
+    required = ["--basis", "regular"] if command in ("families", "transfer") else []
+    with pytest.raises(SystemExit) as exc:
+        run([command, *required, *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(option) in capsys.readouterr().err

@@ -130,7 +130,7 @@ def test_identity_space_elementary_aaa_contains_reversal():
     elem = build_catalog("m2-elem")
     sp = multilinear_identity_space(elem, [(1,), (1,), (1,)])
     f = parse_poly("x1:a*x2:a*x3:a - x3:a*x2:a*x1:a", elem.group, 2)
-    assert sp.contains(sp.pg.to_vector(f))
+    assert sp.contains(pitool._sparse_vector(sp.pg, f.terms.items()))
 
 
 def test_single_variable_space_trivial_on_support():
@@ -601,7 +601,7 @@ def test_tspace_padded_commutator_contains_its_shape():
     bp = bp_basis(elem.group)
     sub = tspace_consequences(bp, [(1,), (0,), (0,), (1,)])
     target = parse_poly("x1:a*x2:e*x3:e*x4:a - x1:a*x3:e*x2:e*x4:a", elem.group, 2)
-    assert sub.contains(sub.pg.to_vector(target))
+    assert sub.contains(pitool._sparse_vector(sub.pg, target.terms.items()))
 
 
 def test_conservativity_regular():
@@ -678,7 +678,7 @@ def test_family_pauli_extras_are_consequences():
         assert ok
         degrees = [d for _, d in f.letters()]
         cons = tideal_consequences(fam, degrees)
-        assert cons.contains(cons.pg.to_vector(f))
+        assert cons.contains(pitool._sparse_vector(cons.pg, f.terms.items()))
 
 
 # -- transfer ---------------------------------------------------------------------
@@ -1203,7 +1203,7 @@ def test_check_pauli_multidegree_reports_short_span(monkeypatch):
     assert rec.witness.startswith(prefix)
     order = pitool._pauli_source(p3).beta.order
     missing = parse_poly(rec.witness[len(prefix):], p3.group, order)
-    assert target.contains(target.pg.to_vector(missing))
+    assert target.contains(pitool._sparse_vector(target.pg, missing.terms.items()))
 
 
 class ReorderingScalarReference:
@@ -1570,3 +1570,28 @@ def test_pauli3_family_members_vanish_on_explicit_matrices():
                     m = matmul(m, assign[lt])
                 total = matadd(total, matscale(coeff.lift(12), m))
             assert total == zero_mat, str(f)
+
+
+def test_pauli_source_tables_match_the_bicharacter():
+    """The i-partners, i_present, the imaginary pairs and the degree-seven
+    record shape that _PauliSource derives once equal their definitions by
+    the bicharacter on pauli-2 to pauli-5: h is an i-partner of g when
+    beta(g, h) = i, and the shape is g h1 g h2 g h3 g at the first g with
+    three partners h1, h2, h3."""
+    for n in (2, 3, 4, 5):
+        source = pitool._pauli_source(build_catalog("pauli", n=n))
+        beta = source.beta
+        elements = beta.group.elements()
+        i_val = Cyclo.zeta(beta.order, beta.order // 4)
+        partners = {g: [h for h in elements if beta.eval(g, h) == i_val] for g in elements}
+        assert source.partners == partners
+        assert source.i_present == any(beta.eval(g, h) * beta.eval(g, h) == -1
+                                       for g in elements for h in elements)
+        assert source.i_present == (n == 4)
+        for g in elements:
+            for h in elements:
+                assert source.imaginary(g, h) == (beta.eval(g, h) * beta.eval(g, h) == -1)
+        shape = next(((g, ps[0], g, ps[1], g, ps[2], g)
+                      for g in elements for ps in [partners[g]] if len(ps) >= 3), None)
+        assert source.long_shape == shape
+        assert (shape is None) == (n != 4)
