@@ -807,23 +807,17 @@ def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
     the commutation scalars are compared with beta below.
     """
     group = beta.group
-    for i in range(group.rank):
-        if not beta.table[i][i].is_one():
-            raise PreconditionError(
-                "twisted group algebra needs an alternating bicharacter "
-                "(beta(g,g) = 1 on generators)")
+    exps = beta.table_exponents
+    if any(exps[i][i] for i in range(group.rank)):
+        raise PreconditionError(
+            "twisted group algebra needs an alternating bicharacter "
+            "(beta(g,g) = 1 on generators)")
     n = _lcm(beta.order, 4) if order is None else order
     i_s = Cyclo.zeta(n, n // 4)
 
     def sigma(g, h):
-        out = Cyclo.one()
-        for i in range(group.rank):
-            if not g[i]:
-                continue
-            for j in range(group.rank):
-                if j < i and h[j]:
-                    out = out * beta.table[i][j] ** (g[i] * h[j])
-        return out
+        k = sum(g[i] * h[j] * exps[i][j] for i in range(group.rank) for j in range(i))
+        return beta.powers[k % beta.order]
 
     elements = group.elements()
     labels = []

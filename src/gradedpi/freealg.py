@@ -402,7 +402,9 @@ def _linearize(piece: FreePoly):
 
 def reorder_scalar(perm, degrees, beta: Bicharacter) -> Cyclo:
     """The scalar lam with r_1...r_n = lam * r_perm(1)...r_perm(n) whenever the
-    r_i commute by beta: the product of beta(d_u, d_v) over inverted pairs.
+    r_i commute by beta: the product of beta(d_u, d_v) over inverted pairs,
+    which is zeta_N to the sum of their exponents, one of beta's shared
+    powers.
 
     perm is 0-indexed: perm[k] is the variable placed at position k.
     """
@@ -412,12 +414,13 @@ def reorder_scalar(perm, degrees, beta: Bicharacter) -> Cyclo:
     pos = [0] * n
     for k, v in enumerate(perm):
         pos[v] = k
-    out = Cyclo.one()
+    degrees = [tuple(d) for d in degrees]
+    total = 0
     for u in range(n):
         for v in range(u + 1, n):
             if pos[u] > pos[v]:
-                out = out * beta.eval(tuple(degrees[u]), tuple(degrees[v]))
-    return out
+                total += beta.exponent(degrees[u], degrees[v])
+    return beta.powers[total % beta.order]
 
 
 def transfer_phi(poly: FreePoly, h_tuple, beta_r: Bicharacter) -> FreePoly:

@@ -256,62 +256,82 @@ def quotient_by(group: FiniteAbelianGroup, g):
 class Bicharacter:
     """Skew-symmetric bicharacter on a finite abelian group, by generator table.
 
-    The table entry (i, j) is beta(g_i, g_j) as a root of unity in Q(zeta_N);
-    the value on arbitrary elements is the multiplicative extension.
-    Construction validates skew-symmetry, order consistency with the cyclic
-    factors, and that every entry is a root of unity of order dividing N.
+    The table entry (i, j) is beta(g_i, g_j), an N-th root of unity
+    zeta_N^E_ij in Q(zeta_N).  The exponents E_ij are found exactly, once, at
+    construction, and every value is read off them: beta(g, h) is
+    zeta_N^exponent(g, h) with exponent(g, h) = sum g_i h_j E_ij mod N, one of
+    the N shared powers in ``powers``.  Construction validates that every
+    entry is an N-th root of unity, order consistency with the cyclic factors
+    (o_i E_ij = 0 mod N) and skew-symmetry (E_ij + E_ji = 0 mod N).
     """
 
     def __init__(self, group: FiniteAbelianGroup, order: int, table):
+        if not isinstance(order, int) or order < 1:
+            raise ValueError("bicharacter order must be a positive integer, got %r" % (order,))
         self.group = group
         self.order = order
-        table = [[v if isinstance(v, Cyclo) else Cyclo.rational(v) for v in row]
-                 for row in table]
         k = group.rank
+        table = [list(row) for row in table]
         if len(table) != k or any(len(row) != k for row in table):
             raise ValueError("generator table must be %d x %d" % (k, k))
-        one = Cyclo.one()
+        self.powers = tuple(Cyclo.zeta(order, e) for e in range(order))
+        logs = {v: e for e, v in enumerate(self.powers)}
+        exps = []
+        for i, row in enumerate(table):
+            exps.append([])
+            for j, v in enumerate(row):
+                try:
+                    e = logs.get(v if isinstance(v, Cyclo) else Cyclo.rational(v))
+                except TypeError:  # not an exact number, such as a float
+                    e = None
+                if e is None:
+                    raise ValueError(
+                        "table entry (%d,%d) is not an N-th root of unity" % (i, j))
+                exps[i].append(e)
         for i in range(k):
             for j in range(k):
-                v = table[i][j]
-                if not (v ** order).is_one():
-                    raise ValueError("table entry (%d,%d) is not an N-th root of unity" % (i, j))
-                if not (v ** group.orders[i]).is_one() or not (v ** group.orders[j]).is_one():
+                e = exps[i][j]
+                if e * group.orders[i] % order or e * group.orders[j] % order:
                     raise ValueError(
                         "entry (%d,%d) inconsistent with factor orders" % (i, j))
-                if not (table[j][i] * v).is_one():
+                # at i = j this also asks beta(g_i, g_i) to square to 1
+                if (e + exps[j][i]) % order:
                     raise ValueError("table is not skew-symmetric at (%d,%d)" % (i, j))
-            if not (table[i][i] * table[i][i]).is_one():
-                raise ValueError("diagonal entry (%d,%d) must square to 1" % (i, i))
-        self.table = tuple(tuple(row) for row in table)
-        self._values = {}
+        self.table_exponents = tuple(tuple(row) for row in exps)
+        self.table = tuple(tuple(self.powers[e] for e in row) for row in exps)
+        self._exponents = {}
 
     @staticmethod
     def trivial(group: FiniteAbelianGroup) -> "Bicharacter":
         one = Cyclo.one()
         return Bicharacter(group, 1, [[one] * group.rank for _ in range(group.rank)])
 
-    def eval(self, g, h) -> Cyclo:
-        """beta(g, h), memoized per pair once both are checked group elements."""
+    def exponent(self, g, h) -> int:
+        """The k with beta(g, h) = zeta_N^k, memoized per pair once both are
+        checked group elements."""
+        try:
+            return self._exponents[g, h]
+        except (KeyError, TypeError):
+            # a pair not seen yet, or an unhashable key that check refuses
+            pass
         self.group.check(g)
         self.group.check(h)
-        out = self._values.get((g, h))
-        if out is None:
-            out = Cyclo.one()
-            for i, gi in enumerate(g):
-                if not gi:
-                    continue
-                for j, hj in enumerate(h):
-                    if hj:
-                        out = out * self.table[i][j] ** (gi * hj)
-            self._values[g, h] = out
+        exps = self.table_exponents
+        out = sum(gi * hj * exps[i][j]
+                  for i, gi in enumerate(g) if gi
+                  for j, hj in enumerate(h) if hj) % self.order
+        self._exponents[g, h] = out
         return out
+
+    def eval(self, g, h) -> Cyclo:
+        """beta(g, h), one of the shared powers of zeta_N."""
+        return self.powers[self.exponent(g, h)]
 
     def radical(self):
         """All h' with beta(h', h) = 1 for every h; always a subgroup."""
         gens = self.group.generators()
         out = [g for g in self.group.elements()
-               if all(self.eval(g, t).is_one() for t in gens)]
+               if not any(self.exponent(g, t) for t in gens)]
         return sorted(out)
 
     def is_nondegenerate(self) -> bool:
@@ -336,12 +356,8 @@ def bichar_tensor(beta_a: Bicharacter, beta_b: Bicharacter) -> Bicharacter:
     ka, kb = beta_a.group.rank, beta_b.group.rank
     one = Cyclo.one()
     table = [[one] * (ka + kb) for _ in range(ka + kb)]
-    for i in range(ka):
-        for j in range(ka):
-            table[i][j] = beta_a.table[i][j].lift(n) if beta_a.table[i][j].order != n \
-                else beta_a.table[i][j]
-    for i in range(kb):
-        for j in range(kb):
-            v = beta_b.table[i][j]
-            table[ka + i][ka + j] = v.lift(n) if v.order != n else v
+    for i, row in enumerate(beta_a.table):
+        table[i][:ka] = row
+    for i, row in enumerate(beta_b.table):
+        table[ka + i][ka:] = row
     return Bicharacter(group, n, table)

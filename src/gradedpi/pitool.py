@@ -726,16 +726,21 @@ def _kernel_perm_vectors(beta, degrees):
     and together they span all linear identities at the tuple.
 
     The scalars are roots of unity with few distinct values (at most 4 among
-    the 120 of a pauli-4 tuple of length 5), and an identity's coefficients
-    depend only on its gamma_sigma, so each value's coefficients are
-    computed, and checked real and an identity, once.
+    the 120 of a pauli-4 tuple of length 5), each one of beta's shared
+    powers, and an identity's coefficients depend only on its gamma_sigma, so
+    each value's realness and coefficients are computed, and the
+    coefficients checked real and an identity, once.
     """
     gammas = _gamma_values(beta, degrees)
     identity_perm = tuple(range(len(degrees)))
     one = Cyclo.one()
     real_perms, nonreal_perms = [], []
+    realness = {}  # gamma_sigma -> whether it is real
     for p, g in gammas.items():
-        if not g.is_real():
+        real = realness.get(g)
+        if real is None:
+            real = realness[g] = g.is_real()
+        if not real:
             nonreal_perms.append(p)
         elif p != identity_perm:
             real_perms.append(p)
@@ -815,20 +820,26 @@ class _PauliSource:
 
     def __init__(self, beta):
         self.beta = beta
+        order = beta.order  # a multiple of 4, since J squares to -1
         elements = beta.group.elements()
-        self.values = {(g, h): beta.eval(g, h) for g in elements for h in elements}
-        # the pairs with a nonreal value, to their (p, q), computed once per
-        # value (i and -i on pauli-4's 96 such pairs); every other value is real
-        pairs = {}
-        for v in self.values.values():
-            if v not in pairs and not v.is_real():
-                pairs[v] = _quadratic_pair(v)
-        self.quadratic = {pair: pairs[v] for pair, v in self.values.items() if v in pairs}
-        i_val = Cyclo.zeta(beta.order, beta.order // 4)
+        self.values = {}
+        # the pairs with a nonreal value zeta_N^k (2k != 0 mod N), to their
+        # (p, q), computed once per value (i and -i on pauli-4's 96 such
+        # pairs); the i-partners are the pairs with k = N/4
+        self.quadratic = {}
         self.partners = {g: [] for g in elements}
-        for g, h in self.quadratic:
-            if self.values[(g, h)] == i_val:
-                self.partners[g].append(h)
+        pairs = {}
+        for g in elements:
+            for h in elements:
+                k = beta.exponent(g, h)
+                v = self.values[(g, h)] = beta.powers[k]
+                if 2 * k % order:
+                    pq = pairs.get(k)
+                    if pq is None:
+                        pq = pairs[k] = _quadratic_pair(v)
+                    self.quadratic[(g, h)] = pq
+                    if 4 * k == order:
+                        self.partners[g].append(h)
         # beta(g, h^-1) = 1 / beta(g, h), so -i is a value exactly when i is
         self.i_present = any(self.partners.values())
         self.max_repeat = 3 if self.i_present else 1
@@ -1257,21 +1268,31 @@ def _instance_stages(genset, pg):
 def _close_span(target, stages, order):
     """Eliminate instance vectors into a Subspace, stage by stage, until
     their span reaches the target's dimension; no stage after the one that
-    closes it is consumed.  Returns (span, equal, witness naming an
-    instance off the target)."""
+    closes it is consumed.  Returns (span, its dimension, witness naming an
+    instance off the target); the span is None with a witness.
+
+    An instance is checked against the target only when it enters the span.
+    Every instance checked before it lies in the target, so their span does,
+    and an instance that adds nothing lies in that span: the first instance
+    off the target always enters it.  So the verdict, the dimension and the
+    witness are those of checking every instance, and a passing record makes
+    one check per kept row.  The failing instance has entered the span when
+    it is checked, so the dimension given with its witness is one less.
+    """
     pg, dim = target.pg, target.dim
     cons = Subspace(pg)
     for stage in stages:
         for vec in stage:
+            if not cons.add(vec):
+                continue
             if not target.contains(vec):
-                return cons, False, "instance outside the target space: %s" % (
+                return None, cons.dim - 1, "instance outside the target space: %s" % (
                     pg.from_vector(vec, order))
-            cons.add(vec)
             if cons.dim == dim:
-                return cons, True, None
+                return cons, dim, None
         if cons.dim == dim:
             break
-    return cons, cons.dim == dim, None
+    return cons, cons.dim, None
 
 
 def _record(target, stages, order):
@@ -1279,12 +1300,13 @@ def _record(target, stages, order):
     short is named by the first vector of the target's basis it misses; that
     basis is built only then."""
     pg = target.pg
-    cons, equal, witness = _close_span(target, stages, order)
+    cons, dim, witness = _close_span(target, stages, order)
+    equal = witness is None and dim == target.dim
     if witness is None and not equal:
         missing = next(v for v in target.span().sparse_basis() if not cons.contains(v))
         witness = "missing from consequences: %s" % pg.from_vector(missing, order)
     return VerificationRecord(pg.words(), _orbit_size(pg.degrees), target.dim,
-                              cons.dim, equal, witness)
+                              dim, equal, witness)
 
 
 def _check_multidegree(algebra, genset, degrees, members=()):

@@ -577,3 +577,60 @@ def test_merged_detector_matches_the_two_walks(name, params):
     else:
         assert (cbeta.order, cbeta.table, j_vec) == (ref_cbeta.order, ref_cbeta.table,
                                                      ref_j_vec)
+
+
+def _table_extension(beta, g, h):
+    """beta(g, h) as the product of generator-table entries raised to
+    g_i h_j, as Bicharacter.eval computed it before it read exponents."""
+    out = Cyclo.one()
+    for i, gi in enumerate(g):
+        if not gi:
+            continue
+        for j, hj in enumerate(h):
+            if hj:
+                out = out * beta.table[i][j] ** (gi * hj)
+    return out
+
+
+def _assert_eval_is_the_table_extension(beta):
+    elements = beta.group.elements()
+    for g in elements:
+        for h in elements:
+            value = beta.eval(g, h)
+            assert value == _table_extension(beta, g, h), (g, h)
+            assert value is beta.powers[beta.exponent(g, h)]
+
+
+_EVAL_CASES = _DETECTOR_CASES + [("pauli", {"n": 5})]
+
+
+@pytest.mark.parametrize("name, params", _EVAL_CASES,
+                         ids=["%s%s" % (n, "".join("-%s%s" % kv for kv in p.items()))
+                              for n, p in _EVAL_CASES])
+def test_bicharacter_eval_matches_the_table_extension(name, params):
+    """eval, read off the generator-table exponents, equals the Cyclo-power
+    extension of the table on every pair, for every bicharacter the
+    detectors find, real and complex."""
+    alg = build_catalog(name, **params)
+    found = [beta for beta, _ in (detect_regular(alg), detect_complex_bicharacter(alg))
+             if beta is not None]
+    for beta in found:
+        _assert_eval_is_the_table_extension(beta)
+    if name in ("m2-4", "pauli"):
+        assert found
+
+
+def test_tensor_and_trivial_eval_match_the_table_extension():
+    m24 = detect_regular(build_catalog("m2-4"))[0]
+    p3 = detect_complex_bicharacter(build_catalog("pauli", n=3))[0]
+    c2 = detect_regular(build_catalog("c2"))[0]
+    for beta_a, beta_b in ((m24, p3), (p3, c2), (c2, m24)):
+        beta = bichar_tensor(beta_a, beta_b)
+        _assert_eval_is_the_table_extension(beta)
+        ka = beta_a.group.rank
+        for g, h in itertools.product(beta.group.elements(), repeat=2):
+            assert beta.eval(g, h) == (beta_a.eval(g[:ka], h[:ka])
+                                       * beta_b.eval(g[ka:], h[ka:]))
+    trivial = algebras.Bicharacter.trivial(p3.group)
+    _assert_eval_is_the_table_extension(trivial)
+    assert trivial.radical() == p3.group.elements()

@@ -1,9 +1,16 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedpi.algebras import build_catalog, build_twisted_group_algebra, detect_regular, tensor
+from gradedpi.algebras import (
+    build_catalog,
+    build_twisted_group_algebra,
+    detect_complex_bicharacter,
+    detect_regular,
+    tensor,
+)
 from gradedpi.errors import SpecParseError
 from gradedpi.freealg import (
     FreePoly,
@@ -204,6 +211,41 @@ def test_reorder_scalar_transposition():
     beta = beta_m2_4()
     lam = reorder_scalar((1, 0), [(1, 0), (0, 1)], beta)
     assert lam == Cyclo.rational(-1)
+
+
+def _parent_reorder_scalar(perm, degrees, beta):
+    """reorder_scalar as a chain of Cyclo products of the generator-table
+    extension, as it was computed before it summed exponents."""
+    n = len(perm)
+    pos = [0] * n
+    for k, v in enumerate(perm):
+        pos[v] = k
+    out = Cyclo.one()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if pos[u] > pos[v]:
+                for i, gi in enumerate(degrees[u]):
+                    for j, hj in enumerate(degrees[v]):
+                        if gi and hj:
+                            out = out * beta.table[i][j] ** (gi * hj)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reorder_scalar_matches_the_cyclo_product(n):
+    """The exponent sum gives the product of table powers over the inverted
+    pairs, for every permutation of length <= 5 of sampled pauli-n degree
+    tuples, and is one of beta's shared powers."""
+    beta, _ = detect_complex_bicharacter(build_catalog("pauli", n=n))
+    elements = beta.group.elements()
+    rng = random.Random(n)
+    for length in range(1, 6):
+        for _ in range(4):
+            degrees = [rng.choice(elements) for _ in range(length)]
+            for perm in itertools.permutations(range(length)):
+                lam = reorder_scalar(perm, degrees, beta)
+                assert lam == _parent_reorder_scalar(perm, degrees, beta), (degrees, perm)
+                assert any(lam is power for power in beta.powers)
 
 
 def eval_word_in_algebra(alg, idxs):

@@ -147,6 +147,20 @@ def test_bichar_eval_memo_agrees_with_the_table_and_still_checks():
             beta.eval(g.generator(0), bad)
 
 
+def test_bichar_table_keeps_its_entries_given_at_any_order():
+    """Each entry is found among the N powers of zeta_N however it was
+    given, so the table, and eval on generators, keep the given values."""
+    g = FiniteAbelianGroup((3, 6))
+    one = Cyclo.one()
+    z3, z6 = Cyclo.zeta(3), Cyclo.zeta(6)
+    given = [[one, z3], [z3.inv(), -one]]
+    beta = Bicharacter(g, 12, [[one, z3.lift(12)], [z6 ** 4, Cyclo.rational(-1)]])
+    assert beta.table == tuple(tuple(row) for row in given)
+    assert beta.table_exponents == ((0, 4), (8, 6))
+    a, b = g.generators()
+    assert [beta.eval(a, b), beta.eval(b, a), beta.eval(b, b)] == [z3, z3.inv(), -one]
+
+
 def test_bichar_table_validation():
     g = FiniteAbelianGroup((2, 2))
     one = Cyclo.one()
@@ -157,6 +171,18 @@ def test_bichar_table_validation():
     # not skew-symmetric: beta(a,b) = -1 but beta(b,a) = 1
     with pytest.raises(ValueError):
         Bicharacter(g, 2, [[one, -one], [one, one]])
+    g4 = FiniteAbelianGroup((4, 4))
+    z8 = Cyclo.zeta(8)
+    for order, table, reason in (
+            (4, [[one, 2], [Cyclo.rational(1) / 2, one]], "not an N-th root of unity"),
+            (4, [[one, z8], [z8.inv(), one]], "not an N-th root of unity"),
+            (4, [[one, i], [i, one]], "not skew-symmetric"),
+            (4, [[i, one], [one, one]], "not skew-symmetric"),
+            (8, [[one, z8], [z8.inv(), one]], "inconsistent with factor orders"),
+            (4, [[one, 1.0], [one, one]], "not an N-th root of unity"),
+            (0, [[one, one], [one, one]], "positive integer")):
+        with pytest.raises(ValueError, match=reason):
+            Bicharacter(g4, order, table)
 
 
 def test_radical_trivial_bichar_is_whole_group():

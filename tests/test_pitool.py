@@ -882,7 +882,9 @@ def test_verify_parallel_matches_sequential():
 
 def _column_order_record(algebra, genset, degrees):
     """The record of one multidegree with the instance stages eliminated in a
-    plain Echelon, pivoting on each row's first column."""
+    plain Echelon, pivoting on each row's first column, every instance
+    checked against the target; and how many of the checked instances were
+    dependent on the ones before."""
     if genset.mode == "identities":
         target = multilinear_identity_space(algebra, degrees)
     else:
@@ -890,13 +892,15 @@ def _column_order_record(algebra, genset, degrees):
     pg = target.pg
     cons = Echelon(pg.ncols)
     witness = None
+    dependent = 0
     for stage in pitool._instance_stages(genset, pg):
         for vec in stage:
             if not target.contains(vec):
                 witness = "instance outside the target space: %s" % (
                     pg.from_vector(vec, genset.order))
                 break
-            cons.add(vec)
+            if not cons.add(vec):
+                dependent += 1
             if cons.dim == target.dim:
                 break
         if witness is not None or cons.dim == target.dim:
@@ -906,7 +910,7 @@ def _column_order_record(algebra, genset, degrees):
         witness = next("missing from consequences: %s" % pg.from_vector(v, genset.order)
                        for v in target.span().sparse_basis() if not cons.contains(v))
     return pitool.VerificationRecord(pg.words(), pitool._orbit_size(degrees), target.dim,
-                                     cons.dim, equal, witness)
+                                     cons.dim, equal, witness), dependent
 
 
 def _cut_pauli3_family():
@@ -917,34 +921,79 @@ def _cut_pauli3_family():
                         s1=fam.s1[::3], s2=fam.s2, extras=fam.extras)
 
 
+def _broken_pauli3_family():
+    """The pauli-3 degree-3 family with s1 member 20, x1:y^2*x2:y^2 -
+    x2:y^2*x1:y^2, no longer an identity and no fast source, as a written
+    family file loads."""
+    fam = _with_broken_member(family_pauli(build_catalog("pauli", n=3), 3), 20)
+    return GeneratorSet("pauli3-broken", "identities", fam.group, fam.order,
+                        s1=fam.s1, s2=fam.s2, extras=fam.extras)
+
+
 @pytest.mark.parametrize("name, params, basis, mode", [
     ("pauli", {"n": 3}, "pauli", "identities"),
     ("m2-4", {}, "regular", "centrals"),
     ("e-series", {"eps": -1, "n": 4}, "corollary", "centrals"),
-    ("pauli", {"n": 3}, None, "identities"),
-], ids=["pauli3", "m2-4-regular-centrals", "e-series-corollary-centrals", "pauli3-cut"])
+    ("pauli", {"n": 3}, "cut", "identities"),
+    ("pauli", {"n": 3}, "broken", "identities"),
+], ids=["pauli3", "m2-4-regular-centrals", "e-series-corollary-centrals", "pauli3-cut",
+        "pauli3-broken"])
 def test_mirrored_span_matches_column_order_elimination(name, params, basis, mode):
-    """_check_multidegree, which eliminates from each row's last column, gives
-    the record of first-column elimination at every sorted multidegree of
-    length <= 3, FAIL witnesses included."""
+    """_check_multidegree, which eliminates from each row's last column and
+    checks only the instances that enter the span against the target, gives
+    the record of first-column elimination that checks every instance, at
+    every sorted multidegree of length <= 3, FAIL witnesses included.  In
+    the broken family some bad instance follows dependent ones, which the
+    reference checks and the record skips."""
     algebra = build_catalog(name, **params)
-    genset = _cut_pauli3_family() if basis is None else \
-        resolve_basis(basis, algebra, mode, 3)
+    if basis == "cut":
+        genset = _cut_pauli3_family()
+    elif basis == "broken":
+        genset = _broken_pauli3_family()
+    else:
+        genset = resolve_basis(basis, algebra, mode, 3)
     support = sorted(algebra.support)
     witnesses = []
+    skipped_before_a_bad_instance = 0
     for n in (1, 2, 3):
         for degrees in itertools.combinations_with_replacement(support, n):
             record, _ = _check_multidegree(algebra, genset, degrees)
-            reference = _column_order_record(algebra, genset, degrees)
+            reference, dependent = _column_order_record(algebra, genset, degrees)
             assert record.as_dict() == reference.as_dict(), degrees
             if not record.equal:
                 witnesses.append(record.witness)
-    if basis is None:
+                if record.witness.startswith("instance outside"):
+                    skipped_before_a_bad_instance += dependent
+    if basis == "cut":
         # the cut family leaves records open, each with a missing target vector
         assert witnesses
         assert all(w.startswith("missing from consequences: ") for w in witnesses)
+    elif basis == "broken":
+        assert skipped_before_a_bad_instance
+        assert all(w.startswith("instance outside the target space: ") for w in witnesses)
     else:
         assert not witnesses
+
+
+@pytest.mark.parametrize("degrees", [
+    [(0, 1), (3, 0), (0, 1), (3, 1), (0, 1)],
+    # four y: no direct kernel stage, and 514 instances for the 118 rows
+    [(0, 1), (3, 0), (0, 1), (0, 1), (0, 1)],
+], ids=["y.x3.y.x3y.y", "y.x3.y.y.y"])
+def test_passing_long_record_checks_only_its_kept_rows(monkeypatch, degrees):
+    """A passing degree-five long record checks against its target only the
+    instances that enter the span: one Target.contains per kept row."""
+    calls = [0]
+    contains = pitool.Target.contains
+
+    def counted(self, vec):
+        calls[0] += 1
+        return contains(self, vec)
+
+    monkeypatch.setattr(pitool.Target, "contains", counted)
+    rec = check_pauli_multidegree(build_catalog("pauli", n=4), degrees)
+    assert rec.equal
+    assert calls[0] == rec.dim_consequence == 118
 
 
 def test_pauli4_deg5_consequence_span_makes_no_fill(monkeypatch):
@@ -1398,10 +1447,30 @@ def test_kernel_shapes_match_kernel_perm_vectors(pauli_families, name):
                 assert source.kernel_shapes(list(d)) is shapes
 
 
+def _parent_gamma_values(beta, degrees):
+    """_gamma_values with each reordering scalar a chain of Cyclo products of
+    generator-table powers over the inverted pairs, as it was computed
+    before the scalars were held as exponents."""
+    n = len(degrees)
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        pos = [perm.index(v) for v in range(n)]
+        lam = Cyclo.one()
+        for u, v in itertools.combinations(range(n), 2):
+            if pos[u] > pos[v]:
+                for (i, gi), (j, hj) in itertools.product(enumerate(degrees[u]),
+                                                          enumerate(degrees[v])):
+                    if gi and hj:
+                        lam = lam * beta.table[i][j] ** (gi * hj)
+        out[perm] = lam
+    return out
+
+
 def _per_permutation_kernel_perm_vectors(beta, degrees):
-    """_kernel_perm_vectors with each nonreal permutation's coefficients
-    computed from its own scalar."""
-    gammas = pitool._gamma_values(beta, degrees)
+    """_kernel_perm_vectors with each reordering scalar a product of table
+    powers and each permutation's realness and coefficients computed from
+    its own scalar."""
+    gammas = _parent_gamma_values(beta, degrees)
     identity_perm = tuple(range(len(degrees)))
     one = Cyclo.one()
     real_perms = [p for p, g in gammas.items() if g.is_real() and p != identity_perm]
@@ -1428,23 +1497,28 @@ def _per_permutation_kernel_perm_vectors(beta, degrees):
 
 
 def test_kernel_coefficients_once_per_value_match_per_permutation():
-    """_kernel_perm_vectors, which computes each distinct scalar's
-    coefficients once, equals the per-permutation computation at every
-    admitted sorted tuple of pauli-3 (length <= 4), pauli-4 and pauli-5
-    (length <= 3); the quadratic pairs, computed once per distinct value,
-    equal each pair's own _quadratic_pair on pauli-2 to pauli-5.  Only
-    pauli-5 has trinomials with p != q and two distinct quadratic pairs."""
-    for n, max_length in ((2, 0), (3, 4), (4, 3), (5, 3)):
+    """The reordering scalars, read off exponents, equal the Cyclo products
+    of generator-table powers, permutation by permutation and in the same
+    order; kernel_shapes, which decides realness and computes coefficients
+    once per distinct scalar, equals the per-permutation computation on
+    them.  Both at every sorted tuple of pauli-3 and pauli-4 (length <= 4)
+    and pauli-5 (length <= 3).  The quadratic pairs, computed once per
+    distinct value, equal each pair's own _quadratic_pair on pauli-2 to
+    pauli-5.  Only pauli-5 has trinomials with p != q and two distinct
+    quadratic pairs."""
+    for n, max_length in ((2, 0), (3, 4), (4, 4), (5, 3)):
         source = pitool._pauli_source(build_catalog("pauli", n=n))
+        beta = source.beta
         assert source.quadratic == {pair: pitool._quadratic_pair(v)
                                     for pair, v in source.values.items()
                                     if not v.is_real()}
-        elements = sorted(source.beta.group.elements())
+        elements = sorted(beta.group.elements())
         for length in range(1, max_length + 1):
             for degs in itertools.combinations_with_replacement(elements, length):
-                if source.admitted(degs):
-                    assert pitool._kernel_perm_vectors(source.beta, degs) == \
-                        _per_permutation_kernel_perm_vectors(source.beta, degs), degs
+                assert list(pitool._gamma_values(beta, degs).items()) == \
+                    list(_parent_gamma_values(beta, degs).items()), degs
+                assert source.kernel_shapes(degs) == \
+                    _per_permutation_kernel_perm_vectors(beta, degs), degs
 
 
 def test_family_and_verification_build_each_kernel_shape_once(monkeypatch):
