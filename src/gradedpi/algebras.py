@@ -314,7 +314,9 @@ def center(algebra: GradedAlgebra):
 
 
 def center_echelon(algebra: GradedAlgebra) -> Echelon:
-    """The span of center(algebra) in reduced echelon form.  The structure
+    """The span of center(algebra) as an Echelon, whose reduce gives each
+    vector's remainder off the center: the one congruent vector with no
+    entry in a pivot column, which depends only on the span.  The structure
     constants are real, so its vectors over Q(zeta_N) are exactly those that
     commute with every basis element."""
     center(algebra)

@@ -94,16 +94,16 @@ class MultidegreeBasis:
 
 
 class Subspace:
-    """A consequence span in a multidegree component, held in reduced echelon
-    form over the component's columns mirrored: column k is stored at
-    ncols - 1 - k, so a row's pivot, its leftmost stored column, is its last
-    column.  An instance mono - c * other leads with the walked monomial
-    mono, which many earlier instances share, so a first-column pivot would
-    have to be cleared from all of those rows: on pauli-4 at
-    (y, x^3, y, x^3y, y) that is 3,538 row subtractions, and none from the
-    last column.  Vectors (sparse dicts or coordinate lists) go in and come
-    out in the component's own columns; the span does not depend on the
-    mirror.
+    """A consequence span in a multidegree component, held as an Echelon over
+    the component's columns mirrored: column k is stored at ncols - 1 - k,
+    so a row's pivot, its leftmost stored column, is its last column.  An
+    instance mono - c * other leads with the walked monomial mono, which
+    many earlier instances share, so under first-column pivots each of them
+    would be reduced through the rows of those instances: on pauli-4 at
+    (y, x^3, y, x^3y, y) that is 3,422 row subtractions, and none under
+    last-column pivots.  Vectors (sparse dicts or coordinate lists) go in
+    and come out in the component's own columns; the span, and so the
+    reduced sparse_basis, does not depend on the mirror.
     """
 
     def __init__(self, pg: MultidegreeBasis):
@@ -293,10 +293,12 @@ class Target:
 
     It is held as its defining equations, the echelonized real rows of the
     evaluation map: the dimension is n! less their rank, and membership is a
-    dot product with each of the few equations.  A spanning basis is built
-    from their kernel only when asked for, as for the witness of a failing
-    record; its reduced echelon form is unique, so it does not depend on how
-    it is built.
+    dot product with each of the few equations.  The equations are read in
+    their fully reduced form, the sparsest the echelon gives, taken once
+    when the target is built.  A spanning basis is built from their kernel
+    only when asked for, as for the witness of a failing record; its
+    reduced echelon form is unique, so it does not depend on how it is
+    built.
     """
 
     def __init__(self, algebra, pg: MultidegreeBasis, central: bool):
@@ -308,6 +310,7 @@ class Target:
         # already real: fixed by conj, with no skew half to split off
         for row in _component_rows(algebra, pg, central) or ():
             self.equations.add(row)
+        self._rows = self.equations.sparse_basis()
         self._span = None
 
     @property
@@ -320,10 +323,11 @@ class Target:
         items = [(k, c) for k, c in items if not c.is_zero()]
         zero = Cyclo.zero()
         return all(sum((c * row[k] for k, c in items if k in row), zero).is_zero()
-                   for row in self.equations.rows.values())
+                   for row in self._rows)
 
     def span(self) -> Echelon:
-        """The spanning basis in reduced echelon form, built on first use."""
+        """The spanning basis as an echelon, built on first use; its
+        sparse_basis is the unique reduced form."""
         if self._span is None:
             self._span = Echelon(self.pg.ncols)
             for v in self.equations.kernel():
@@ -607,13 +611,22 @@ def _binomial(pg, mono, other, c):
 
 
 class _RegularSource:
-    """Exact fast instance streams for the regular-grading families.
+    """Exact fast instance streams for the regular-grading families, in two
+    stages.
 
     The T-ideal instances of the commutation binomials at a multidegree are
     precisely the block relations u(B1 B2 - beta(d1,d2) B2 B1)v over all ways
     of cutting each monomial into four (possibly empty) consecutive parts with
     B1, B2 nonempty; the central family adds every full monomial whose product
-    degree lies in the radical.
+    degree lies in the radical.  The second stage streams all of them, so the
+    source is exact.
+
+    The first stage streams the central family's monomials, then for each
+    monomial but the first the single-letter swap u(ab - beta(a,b) ba)v at
+    its first descent ab.  The swapped monomial is lexicographically
+    smaller, so under a Subspace's last-column pivots each swap brings in
+    its monomial's column as a new pivot: the n! - 1 swaps are independent
+    and close an identities record without the second stage.
     """
 
     exact = True  # the streamed instances span exactly the generic span
@@ -623,13 +636,23 @@ class _RegularSource:
         self.mode = mode
         self.radical = set(beta.radical())
 
-    def instances(self, pg: MultidegreeBasis):
+    def _descents(self, pg: MultidegreeBasis):
+        """The first stage: the radical monomials, then the descent swaps."""
         group = self.beta.group
         if self.mode == "centrals":
             total = group.product(pg.degrees)
             if total in self.radical:
                 for k in range(pg.ncols):
                     yield {k: Cyclo.one()}
+        for mono in pg.monomials[1:]:
+            i = next(i for i in range(len(mono) - 1) if mono[i] > mono[i + 1])
+            a, b = mono[i], mono[i + 1]
+            yield _binomial(pg, mono, mono[:i] + (b, a) + mono[i + 2:],
+                            self.beta.eval(a[1], b[1]))
+
+    def _all_cuts(self, pg: MultidegreeBasis):
+        """The second stage: the block relation of every cut."""
+        group = self.beta.group
         for mono in pg.monomials:
             for d1, d2, swapped in _adjacent_cuts(mono, group):
                 vec = _binomial(pg, mono, swapped, self.beta.eval(d1, d2))
@@ -637,7 +660,8 @@ class _RegularSource:
                     yield vec
 
     def stages(self, pg):
-        yield self.instances(pg)
+        yield self._descents(pg)
+        yield self._all_cuts(pg)
 
 
 def family_regular(beta: Bicharacter, mode: str) -> GeneratorSet:

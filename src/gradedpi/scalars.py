@@ -17,6 +17,7 @@ by exact interval refinement.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -589,15 +590,20 @@ def _cos2pi_interval(r: Fraction, terms: int) -> tuple[Fraction, Fraction]:
 # -- linear algebra -----------------------------------------------------------
 
 class Echelon:
-    """Incrementally maintained reduced row echelon form over a cyclotomic field.
+    """Incrementally maintained row echelon form over a cyclotomic field.
 
     Rows are held sparse, as {column: coefficient} without zero entries and
-    keyed by their pivot, the leftmost column, where the row has a 1.  The
-    form is fully reduced (no row has an entry in another row's pivot
-    column), so it is unique for the span.  Vectors are given as coordinate
-    lists or as sparse dicts.  The arithmetic is plain Cyclo arithmetic, so
-    feeding in conj-fixed rows keeps everything inside the maximal real
-    subfield.
+    keyed by their pivot, the least column, where the row has a 1.  The form
+    is forward-reduced only: a row may have entries in the pivot columns of
+    later rows, so an insert costs no back-substitution.  reduce sweeps the
+    pivot columns it meets in increasing order; its remainder, the one
+    vector congruent to the input with no entry in a pivot column, depends
+    only on the span, as do the pivots and dim.  sparse_basis, basis and
+    kernel back-substitute on demand into the fully reduced form, which is
+    unique for the span, and return fresh rows.  Vectors are given as
+    coordinate lists or as sparse dicts.  The arithmetic is plain Cyclo
+    arithmetic, so feeding in conj-fixed rows keeps everything inside the
+    maximal real subfield.
     """
 
     def __init__(self, ncols: int):
@@ -612,10 +618,19 @@ class Echelon:
         """The remainder of vec, sparse, with no entry in a pivot column."""
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         v = {j: c for j, c in items if not c.is_zero()}
-        # a fully reduced form leaves the pivot entries of v unchanged, so
-        # one pass over them reduces v
-        for p in sorted(j for j in v if j in self.rows):
-            _subtract_multiple(v, v.pop(p), self.rows[p], p)
+        rows = self.rows
+        # subtracting the row of pivot p touches only columns past p, but it
+        # can bring in later pivot columns, so they are swept off a heap
+        heap = [j for j in v if j in rows]
+        heapq.heapify(heap)
+        while heap:
+            p = heapq.heappop(heap)
+            c = v.pop(p, None)
+            if c is None:  # cancelled, or a repeat on the heap
+                continue
+            for j in _subtract_multiple(v, c, rows[p], p):
+                if j in rows:
+                    heapq.heappush(heap, j)
         return v
 
     def contains(self, vec) -> bool:
@@ -631,15 +646,13 @@ class Echelon:
         if not lead.is_one():
             inv = lead.inv()
             v = {j: c * inv for j, c in v.items()}
-        for row in self.rows.values():
-            if pivot in row:
-                _subtract_multiple(row, row.pop(pivot), v, pivot)
         self.rows[pivot] = v
         return True
 
     def sparse_basis(self) -> list[dict[int, Cyclo]]:
-        """The rows as {column: coefficient}, in pivot order."""
-        return [self.rows[p] for p in sorted(self.rows)]
+        """The fully reduced rows as fresh {column: coefficient}, in pivot order."""
+        reduced = self._full_rows()
+        return [reduced[p] for p in sorted(reduced)]
 
     def basis(self) -> list[list[Cyclo]]:
         zero = Cyclo.zero()
@@ -648,30 +661,49 @@ class Echelon:
 
     def kernel(self) -> list[list[Cyclo]]:
         """Basis of the solution space of (this row span) * x = 0."""
-        free = [j for j in range(self.ncols) if j not in self.rows]
+        reduced = self._full_rows()
+        free = [j for j in range(self.ncols) if j not in reduced]
         out = []
         for f in free:
             v = [Cyclo.zero()] * self.ncols
             v[f] = Cyclo.one()
-            for p, row in self.rows.items():
+            for p, row in reduced.items():
                 if f in row:
                     v[p] = -row[f]
             out.append(v)
         return out
 
+    def _full_rows(self) -> dict[int, dict[int, Cyclo]]:
+        """Copies of the rows back-substituted into fully reduced form, from
+        the last pivot down: the rows past a pivot are already reduced, so
+        clearing one of their pivot columns brings in no other."""
+        out = {}
+        for p in sorted(self.rows, reverse=True):
+            row = dict(self.rows[p])
+            for q in [j for j in row if j != p and j in out]:
+                _subtract_multiple(row, row.pop(q), out[q], q)
+            out[p] = row
+        return out
+
 
 def _subtract_multiple(v, c, row, pivot):
     """v -= c * row in place on the columns of row other than its pivot,
-    dropping the entries that cancel."""
+    dropping the entries that cancel; returns the columns it brings into v."""
+    new = []
     for j, e in row.items():
         if j == pivot:
             continue
         s = v.get(j)
-        s = -(c * e) if s is None else s - c * e
-        if s.is_zero():
-            del v[j]
+        if s is None:
+            v[j] = -(c * e)
+            new.append(j)
         else:
-            v[j] = s
+            s = s - c * e
+            if s.is_zero():
+                del v[j]
+            else:
+                v[j] = s
+    return new
 
 
 def _real_rows(rows):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -271,6 +272,152 @@ def test_echelon_matches_gauss_jordan(matrix):
     for i in order:
         shuffled.add(forms[0](rows[i]))
     assert shuffled.basis() == ech.basis()
+
+
+class _FullyReducedEchelon:
+    """The echelon as it was held before its rows were forward-reduced only:
+    after each insert the new pivot is cleared from every other row, so the
+    rows are always the unique fully reduced form."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @staticmethod
+    def _subtract(v, c, row, pivot):
+        for j, e in row.items():
+            if j != pivot:
+                s = v.get(j, Cyclo.zero()) - c * e
+                if s.is_zero():
+                    v.pop(j, None)
+                else:
+                    v[j] = s
+
+    def reduce(self, vec):
+        v = {j: c for j, c in vec.items() if not c.is_zero()}
+        for p in sorted(j for j in v if j in self.rows):
+            self._subtract(v, v.pop(p), self.rows[p], p)
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = v[pivot].inv()
+        v = {j: c * inv for j, c in v.items()}
+        for row in self.rows.values():
+            if pivot in row:
+                self._subtract(row, row.pop(pivot), v, pivot)
+        self.rows[pivot] = v
+        return True
+
+    def sparse_basis(self):
+        return [dict(self.rows[p]) for p in sorted(self.rows)]
+
+    def kernel(self):
+        out = []
+        for f in range(self.ncols):
+            if f not in self.rows:
+                v = [Cyclo.zero()] * self.ncols
+                v[f] = Cyclo.one()
+                for p, row in self.rows.items():
+                    if f in row:
+                        v[p] = -row[f]
+                out.append(v)
+        return out
+
+
+def _random_cyclo(rng, order):
+    terms = [Cyclo.rational(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3))))
+             * Cyclo.zeta(order, rng.randrange(order)) for _ in range(rng.randint(1, 2))]
+    return sum(terms[1:], terms[0])
+
+
+def _random_sparse(rng, order, ncols):
+    cols = rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
+    return {j: _random_cyclo(rng, order) for j in cols}
+
+
+def _combination(rng, order, vecs):
+    """A random combination of vecs, as a sparse dict (possibly empty)."""
+    out = {}
+    for v in rng.sample(vecs, min(len(vecs), 3)):
+        c = _random_cyclo(rng, order)
+        for j, e in v.items():
+            out[j] = out.get(j, Cyclo.zero()) + c * e
+    return {j: e for j, e in out.items() if not e.is_zero()}
+
+
+def _assert_same_echelon(ech, ref, probes):
+    assert ech.dim == ref.dim
+    assert sorted(ech.rows) == sorted(ref.rows)
+    assert ech.sparse_basis() == ref.sparse_basis()
+    zero = Cyclo.zero()
+    assert ech.basis() == [[row.get(j, zero) for j in range(ref.ncols)]
+                           for row in ref.sparse_basis()]
+    assert ech.kernel() == ref.kernel()
+    for probe in probes:
+        assert ech.reduce(probe) == ref.reduce(probe)
+        assert ech.contains(probe) == (not ref.reduce(probe))
+
+
+def _chained(ech):
+    """Whether some row has an entry in the pivot column of a later row, so
+    that reducing against it must sweep that column too."""
+    return any(j != p and j in ech.rows for p, row in ech.rows.items() for j in row)
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_forward_echelon_matches_fully_reduced_echelon(order):
+    """The forward-reduced Echelon agrees with the fully reduced one on dim,
+    contains, every reduce remainder, sparse_basis, basis and kernel, on
+    seeded sparse vectors whose spans repeat, through reads of the basis
+    between inserts and changes to the rows it returns."""
+    chained = 0
+    for seed in range(12):
+        rng = random.Random(1000 * order + seed)
+        ncols = rng.randint(3, 9)
+        vecs = []
+        for _ in range(rng.randint(2, ncols + 2)):
+            vecs.append(_combination(rng, order, vecs) if vecs and rng.random() < 0.3
+                        else _random_sparse(rng, order, ncols))
+        probes = [_random_sparse(rng, order, ncols) for _ in range(4)]
+        probes += [_combination(rng, order, vecs) for _ in range(4)]
+        probes += [{j: Cyclo.one()} for j in range(ncols)]
+        ech, ref = Echelon(ncols), _FullyReducedEchelon(ncols)
+        for k, v in enumerate(vecs):
+            assert ech.add(v) == ref.add(v)
+            if k == len(vecs) // 2:
+                # read the basis between inserts, and change what it returns
+                for row in ech.sparse_basis():
+                    row.clear()
+                _assert_same_echelon(ech, ref, probes)
+        chained += _chained(ech)
+        _assert_same_echelon(ech, ref, probes)
+        for row in ech.sparse_basis():
+            row[ncols - 1] = Cyclo.rational(7)
+        _assert_same_echelon(ech, ref, probes)
+    assert chained
+
+
+def test_forward_echelon_sweeps_chained_pivots():
+    """Rows that hold entries in later pivot columns: reducing e0 must sweep
+    columns 0, 1 and 2 in turn, and the basis is still the reduced one."""
+    one = Cyclo.one()
+    ech = Echelon(4)
+    for v in ({0: one, 1: one}, {1: one, 2: one}, {2: one, 3: one}):
+        assert ech.add(v)
+    assert ech.rows[0] == {0: one, 1: one} and ech.rows[1] == {1: one, 2: one}
+    assert ech.reduce({0: one}) == {3: Cyclo.rational(-1)}
+    assert not ech.contains({0: one}) and ech.contains({0: one, 3: one})
+    assert ech.sparse_basis() == [{0: one, 3: one}, {1: one, 3: -one}, {2: one, 3: one}]
+    assert ech.kernel() == [[-one, one, -one, one]]
+    assert ech.rows[0] == {0: one, 1: one}
 
 
 def test_parse_cyclo_roundtrip():

@@ -1,7 +1,21 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself, and on the instance sources that
+stream each family's consequences."""
 
 import ast
+import itertools
 from pathlib import Path
+
+import pytest
+
+from gradedpi import pitool
+from gradedpi.algebras import build_catalog, detect_regular
+from gradedpi.pitool import (
+    Subspace,
+    family_regular,
+    multilinear_central_space,
+    multilinear_identity_space,
+)
+from gradedpi.scalars import Cyclo
 
 SOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
 
@@ -16,3 +30,71 @@ def test_no_assert_statements_in_the_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the package: %s" % ", ".join(found)
+
+
+# every regular catalog algebra, with the largest degree checked on it
+_REGULAR_CASES = [
+    ("c2", {}, 4),
+    ("m2-4", {}, 5),
+    ("h4", {}, 4),
+    ("m2-8", {}, 4),
+    ("pauli", {"n": 2}, 4),
+    ("d-cyclic", {"m": 3, "eps": 1}, 4),
+    ("d-cyclic", {"m": 3, "eps": -1}, 4),
+    ("d-pair", {"k": 2, "l": 2}, 4),
+]
+
+
+def _swap_cut(mono, group, i):
+    """The _adjacent_cuts instance of mono with B1 and B2 the letters at i
+    and i + 1, as (d1, d2, swapped)."""
+    n = len(mono)
+    cuts = [(a, b, c) for a in range(n) for b in range(a + 1, n + 1)
+            for c in range(b + 1, n + 1)]
+    return dict(zip(cuts, pitool._adjacent_cuts(mono, group)))[(i, i + 1, i + 2)]
+
+
+@pytest.mark.parametrize("name, params, max_degree", _REGULAR_CASES,
+                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
+                              for name, params, _ in _REGULAR_CASES])
+def test_regular_descent_stage(name, params, max_degree):
+    """The regular source's descent stage changes no record: streamed before
+    the all-cuts stage, it gives every record (dimensions, verdict, witness)
+    of the all-cuts stream alone, in both modes.  Each descent instance is
+    the all-cuts instance swapping the monomial's first descent, and in
+    identities mode the n! - 1 of them are all kept and close the record."""
+    algebra = build_catalog(name, **params)
+    beta, _ = detect_regular(algebra)
+    group = beta.group
+    one = Cyclo.one()
+    for mode, space in (("identities", multilinear_identity_space),
+                        ("centrals", multilinear_central_space)):
+        genset = family_regular(beta, mode)
+        source, order = genset.fast_source, genset.order
+        for n in range(1, max_degree + 1):
+            for degrees in itertools.combinations_with_replacement(
+                    sorted(algebra.support), n):
+                target = space(algebra, degrees)
+                pg = target.pg
+                record = pitool._record(target, source.stages(pg), order)
+                # the stream before the descent stage: the radical monomials of
+                # the central family, then every cut
+                units = [{k: one} for k in range(pg.ncols)] if (
+                    mode == "centrals" and group.product(degrees) in source.radical) else []
+                alone = pitool._record(
+                    target, [itertools.chain(units, source._all_cuts(pg))], order)
+                assert (record.dim_target, record.dim_consequence, record.equal,
+                        record.witness) == (alone.dim_target, alone.dim_consequence,
+                                            alone.equal, alone.witness), (mode, degrees)
+                if mode != "identities":
+                    continue
+                descents = list(source._descents(pg))
+                assert len(descents) == pg.ncols - 1
+                for mono, vec in zip(pg.monomials[1:], descents):
+                    i = next(i for i in range(n - 1) if mono[i][0] > mono[i + 1][0])
+                    d1, d2, swapped = _swap_cut(mono, group, i)
+                    assert vec == pitool._binomial(pg, mono, swapped, beta.eval(d1, d2))
+                span = Subspace(pg)
+                assert all(span.add(vec) for vec in descents), degrees
+                assert span.dim == target.dim, degrees
+                assert all(target.contains(vec) for vec in descents), degrees
