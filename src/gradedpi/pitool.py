@@ -200,17 +200,78 @@ def _witness(algebra, letters, choice):
     return {lt: algebra.labels[i] for lt, i in zip(letters, choice)}
 
 
+def _core_slice(monomials):
+    """The slice of each of the monomials, all of one length, that is left
+    after the letters every one of them begins with and the letters every
+    one ends with; None when nothing is left (a single monomial)."""
+    first, rest = monomials[0], monomials[1:]
+    a, b = 0, len(first)
+    while a < b and all(m[a] == first[a] for m in rest):
+        a += 1
+    if a == b:
+        return None
+    while all(m[b - 1] == first[b - 1] for m in rest):
+        b -= 1
+    return slice(a, b)
+
+
+def _core_degrees(poly, longest):
+    """The sorted degrees of poly's core, for a poly whose monomials share
+    their sorted degrees (see _member_degrees); None when it has no core or
+    one of more than longest letters."""
+    monomials = list(poly.terms)
+    cut = _core_slice(monomials)
+    if cut is None or cut.stop - cut.start > longest:
+        return None
+    return tuple(sorted(d for _, d in monomials[0][cut]))
+
+
+def _by_degree(lt):
+    return lt[1], lt[0]
+
+
 def _renamed_vector(lin, pg):
     """The vector in pg of a multilinear polynomial of pg's degrees, its
     letters sorted by (degree, index) and renamed in that order onto pg's
-    letters sorted the same way; None when its degrees are not pg's."""
-    letters = sorted(lin.letters(), key=lambda lt: (lt[1], lt[0]))
-    onto = sorted(pg.letters, key=lambda lt: (lt[1], lt[0]))
-    if [d for _, d in letters] != [d for _, d in onto]:
-        return None
+    letters sorted the same way.
+
+    A polynomial with more letters than pg is tried through its core g, of
+    f = u g v with u and v the letters every monomial begins and ends with:
+    the vector is then g's, and when it solves an identity space's
+    equations g is an identity, and so is f, the identities being a
+    two-sided ideal.  None when neither the polynomial's degrees nor its
+    core's are pg's."""
+    onto = sorted(pg.letters, key=_by_degree)
+    degrees = [d for _, d in onto]
+    terms = lin.terms
+    letters = sorted(lin.letters(), key=_by_degree)
+    if [d for _, d in letters] != degrees:
+        if len(letters) <= len(onto):
+            return None
+        cut = _core_slice(list(terms))
+        if cut is None:
+            return None
+        terms = {mono[cut]: c for mono, c in terms.items()}
+        letters = sorted(next(iter(terms)), key=_by_degree)
+        if [d for _, d in letters] != degrees:
+            return None
     rename = dict(zip(letters, onto))
     return _sparse_vector(pg, ((tuple(map(rename.__getitem__, mono)), c)
-                               for mono, c in lin.terms.items()))
+                               for mono, c in terms.items()))
+
+
+def _solves(poly, target):
+    """Whether every polarized piece of poly, renamed onto target's letters
+    (see _renamed_vector), solves the equations of target, which must be an
+    identity space (PreconditionError otherwise)."""
+    if target.central:
+        raise PreconditionError("membership is decided on an identity-space "
+                                "target, not a central one")
+    for lin in _polarized(poly):
+        vec = _renamed_vector(lin, target.pg)
+        if vec is None or not target.contains(vec):
+            return False
+    return True
 
 
 def is_identity(algebra: GradedAlgebra, poly: FreePoly, target=None):
@@ -221,19 +282,16 @@ def is_identity(algebra: GradedAlgebra, poly: FreePoly, target=None):
     suffices by multilinearity.
 
     target, when given, is the identity space of algebra at one multidegree
-    (a Target with central False).  A polynomial whose every polarized piece,
-    renamed onto the target's letters (see _renamed_vector), solves the
-    target's equations is an identity without any evaluation: renaming
-    variables is a free-algebra automorphism, and those equations are the
-    rows of the very evaluations below.  Any other polynomial is evaluated
-    as without a target, so a failing verdict carries the same witness.
+    (a Target with central False).  A polynomial whose every polarized piece
+    or its core, renamed onto the target's letters (see _renamed_vector),
+    solves the target's equations is an identity without any evaluation:
+    renaming variables is a free-algebra automorphism, those equations are
+    the rows of the very evaluations below, and a piece is an identity when
+    its core is.  Any other polynomial is evaluated as without a target, so
+    a failing verdict carries the same witness.
     """
-    if target is not None:
-        if target.central:
-            raise PreconditionError("is_identity needs an identity-space target")
-        vecs = [_renamed_vector(lin, target.pg) for lin in _polarized(poly)]
-        if all(v is not None and target.contains(v) for v in vecs):
-            return True, None
+    if target is not None and _solves(poly, target):
+        return True, None
     for letters, choice, value in _substitution_values(algebra, poly):
         if value:
             return False, _witness(algebra, letters, choice)
@@ -248,8 +306,17 @@ def _noncommuting_label(algebra, value):
     raise AssertionError("a value outside the center commutes with the basis")
 
 
-def is_central(algebra: GradedAlgebra, poly: FreePoly):
-    """Classify as "identity", "proper-central" or "neither" (with witness)."""
+def is_central(algebra: GradedAlgebra, poly: FreePoly, target=None):
+    """Classify as "identity", "proper-central" or "neither" (with witness).
+
+    target, when given, is an identity space as for is_identity: a
+    polynomial that solves it there, itself or through the core of each
+    polarized piece, is "identity" without any evaluation.  Any other
+    polynomial is evaluated as without a target, with the same verdict and
+    witness.
+    """
+    if target is not None and _solves(poly, target):
+        return "identity", None
     all_zero = True
     for letters, choice, value in _substitution_values(algebra, poly):
         if not value:
@@ -327,11 +394,25 @@ class Target:
 
     def span(self) -> Echelon:
         """The spanning basis as an echelon, built on first use; its
-        sparse_basis is the unique reduced form."""
+        sparse_basis is the unique reduced form.  The kernel vector of each
+        free column f, in increasing order, is e_f less row[f] e_p for every
+        reduced equation row of pivot p, built sparse from those rows."""
         if self._span is None:
+            kernel = {}  # column f: the pivot entries of its kernel vector
+            pivots = set()
+            for row in self._rows:
+                p = min(row)
+                pivots.add(p)
+                for j, c in row.items():
+                    if j != p:
+                        kernel.setdefault(j, {})[p] = -c
+            one = Cyclo.one()
             self._span = Echelon(self.pg.ncols)
-            for v in self.equations.kernel():
-                self._span.add(v)
+            for f in range(self.pg.ncols):
+                if f not in pivots:
+                    vec = kernel.get(f, {})
+                    vec[f] = one
+                    self._span.add(vec)
         return self._span
 
     def basis(self):
@@ -1250,14 +1331,14 @@ def _orbit_size(degrees):
 
 
 def _membership_entry(algebra, mode, part, f, target=None):
-    """The membership entry of one member; target, in identities mode, is
-    the identity space that decides it (see is_identity)."""
+    """The membership entry of one member; target is an identity space that
+    may decide it without evaluation (see is_identity and is_central)."""
     if mode == "identities" or part == "extra":
         ok, witness = is_identity(algebra, f, target)
         verdict = "identity" if ok else "not-an-identity"
         wtxt = None if ok else _witness_text(witness)
     else:
-        verdict, w = is_central(algebra, f)
+        verdict, w = is_central(algebra, f, target)
         ok = verdict in ("identity", "proper-central")
         wtxt = None if ok else _witness_text(w[0]) + (" vs %s" % w[1])
     return {"part": part, "poly": str(f), "verdict": verdict, "ok": ok, "witness": wtxt}
@@ -1335,8 +1416,8 @@ def _record(target, stages, order):
 
 def _check_multidegree(algebra, genset, degrees, members=()):
     """The record at one multidegree, and the membership entries of members,
-    (part, poly) pairs of that sorted multidegree in identities mode, each
-    decided on the record's target."""
+    (part, poly) pairs in identities mode whose sorted degrees, or their
+    core's, are that multidegree, each decided on the record's target."""
     mode = genset.mode
     if mode == "identities":
         target = multilinear_identity_space(algebra, degrees)
@@ -1357,11 +1438,14 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
     record carries the orbit size.
 
     In identities mode a member whose monomials all have the sorted degrees
-    of some record is decided on that record's target (see is_identity), in
-    the same task as the record; every other member (centrals mode, or a
-    member longer than max_degree or with a degree off the support) is
-    evaluated directly, before the records.  The membership entries keep
-    the order of the members.
+    of some record, or whose core does (the member with the letters that
+    every monomial begins and ends with stripped), is decided on that
+    record's target (see is_identity), in the same task as the record.  In
+    centrals mode a member whose core has a record's degrees is decided on
+    the identity space there (see is_central), built once per such degrees
+    in this call, before the records.  Every other member is evaluated
+    directly, before the records.  The membership entries keep the order of
+    the members.
     """
     t0 = time.time()
     if max_degree < 1:
@@ -1386,12 +1470,22 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
     polys = [("s1", f) for f in genset.s1] + [("s2", f) for f in genset.s2] + \
             [("extra", f) for f in genset.extras]
     membership = [None] * len(polys)
+    identities = genset.mode == "identities"
+    cores = {}  # centrals mode: the identity space at each core's degrees
     for k, (part, f) in enumerate(polys):
-        at = positions.get(_member_degrees(f)) if genset.mode == "identities" else None
-        if at is None:
+        degrees = _member_degrees(f)
+        if identities and degrees in positions:
+            positions[degrees].append(k)
+            continue
+        core = None if degrees is None else _core_degrees(f, max_degree)
+        if core not in positions:
             membership[k] = _membership_entry(algebra, genset.mode, part, f)
+        elif identities:
+            positions[core].append(k)
         else:
-            at.append(k)
+            if core not in cores:
+                cores[core] = multilinear_identity_space(algebra, core)
+            membership[k] = _membership_entry(algebra, genset.mode, part, f, cores[core])
     tasks = [(algebra, genset, degrees, [polys[k] for k in positions[degrees]])
              for degrees in reps]
     records = []

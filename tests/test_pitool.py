@@ -286,6 +286,24 @@ def test_target_equations_match_kernel_span_reference(name, params):
                     assert target.contains(unit) == ref.contains(unit), (degs, central, k)
 
 
+@pytest.mark.parametrize("name, params", [("pauli", {"n": 3}), ("m2-4", {}),
+                                          ("e-series", {"eps": -1, "n": 4})],
+                         ids=["pauli-3", "m2-4", "e-series-minus1-4"])
+def test_target_span_matches_the_dense_kernel_span(name, params):
+    """The span built sparse from the reduced equation rows has the
+    sparse_basis of the span of the equations' dense kernel, at every sorted
+    multidegree of length <= 3 in both modes."""
+    alg = build_catalog(name, **params)
+    for n in (1, 2, 3):
+        for degs in itertools.combinations_with_replacement(sorted(alg.support), n):
+            for space in (multilinear_identity_space, multilinear_central_space):
+                target = space(alg, degs)
+                dense = Echelon(target.pg.ncols)
+                for v in target.equations.kernel():
+                    dense.add(v)
+                assert target.span().sparse_basis() == dense.sparse_basis(), degs
+
+
 @pytest.mark.parametrize("name, params", _TARGET_CASES,
                          ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
                               for name, params in _TARGET_CASES])
@@ -1077,22 +1095,22 @@ def test_membership_on_the_target_matches_evaluation(name):
 
 def test_membership_target_of_other_degrees_falls_back():
     """A target at other degrees, or a central target, decides nothing by
-    itself: the verdict is evaluation's, or the call is refused."""
+    itself: the verdict is evaluation's, or the call (is_identity or
+    is_central) is refused."""
     p3 = build_catalog("pauli", n=3)
     f = parse_poly("x1:x*x2:y - x2:y*x1:x", p3.group, 12)
     expected = is_identity(p3, f)
     other = multilinear_identity_space(p3, [(1, 0), (1, 0)])
     assert is_identity(p3, f, other) == expected
+    central = multilinear_central_space(p3, [(1, 0), (0, 1)])
     with pytest.raises(PreconditionError):
-        is_identity(p3, f, multilinear_central_space(p3, [(1, 0), (0, 1)]))
+        is_identity(p3, f, central)
+    with pytest.raises(PreconditionError):
+        is_central(p3, f, central)
 
 
-def test_passing_verify_evaluates_no_member(monkeypatch):
-    """On a passing pauli-3 campaign every member is decided on its record's
-    target; a broken member is the only one evaluated, and its entry carries
-    the witness that direct evaluation gives."""
-    p3 = build_catalog("pauli", n=3)
-    fam = family_pauli(p3, 3)
+def _counted_evaluations(monkeypatch):
+    """The polynomials evaluated from now on, in order (a list filled in place)."""
     evaluated = []
     real = pitool._substitution_values
 
@@ -1101,6 +1119,16 @@ def test_passing_verify_evaluates_no_member(monkeypatch):
         return real(algebra, poly)
 
     monkeypatch.setattr(pitool, "_substitution_values", counted)
+    return evaluated
+
+
+def test_passing_verify_evaluates_no_member(monkeypatch):
+    """On a passing pauli-3 campaign every member is decided on its record's
+    target; a broken member is the only one evaluated, and its entry carries
+    the witness that direct evaluation gives."""
+    p3 = build_catalog("pauli", n=3)
+    fam = family_pauli(p3, 3)
+    evaluated = _counted_evaluations(monkeypatch)
     rep = verify_basis(p3, fam, 3)
     assert rep.ok and len(rep.membership) == 514
     assert evaluated == []
@@ -1112,6 +1140,104 @@ def test_passing_verify_evaluates_no_member(monkeypatch):
     assert not ok
     assert bad == [{"part": "s1", "poly": str(broken.s1[100]), "verdict": "not-an-identity",
                     "ok": False, "witness": pitool._witness_text(witness)}]
+
+
+# -- membership decided on the identity target of a member's core ---------------
+
+
+def test_core_strips_the_letters_every_monomial_shares_at_either_end():
+    p3 = build_catalog("pauli", n=3)
+    padded = parse_poly("x3:x*x1:x*x2:y*x4:y - x3:x*x2:y*x1:x*x4:y", p3.group, 12)
+    assert pitool._core_slice(list(padded.terms)) == slice(1, 3)
+    assert pitool._core_degrees(padded, 2) == ((0, 1), (1, 0))
+    assert pitool._core_degrees(padded, 1) is None
+    bare = parse_poly("x1:x*x2:y - x2:y*x1:x", p3.group, 12)
+    assert pitool._core_slice(list(bare.terms)) == slice(0, 2)
+    assert pitool._core_degrees(parse_poly("x1:x*x2:y", p3.group, 12), 6) is None
+
+
+_CENTRAL_SETS = [
+    ("e-series", {"eps": -1, "n": 4}, "corollary"),
+    ("m2c-z4", {}, "corollary"),
+    ("m2-4", {}, "regular"),
+    ("m2-8", {}, "regular"),
+    ("m2r-triv", {}, "okhitin"),
+    ("m2-elem", {}, "bp-centrals"),
+]
+
+
+def test_central_membership_on_the_core_target_matches_evaluation():
+    """is_central on the identity space at a polynomial's core degrees gives
+    the verdict and witness of is_central without a target, for every member
+    of the central families and for two mutants of each: one term scaled,
+    one term dropped."""
+    verdicts = set()
+    decided = 0
+    for cid, kw, basis in _CENTRAL_SETS:
+        algebra = build_catalog(cid, **kw)
+        genset = resolve_basis(basis, algebra, "centrals", 3)
+        targets = {}
+        for f in genset.s1 + genset.s2:
+            dropped = FreePoly(f.group, f.order, dict(sorted(f.terms.items())[:-1]))
+            for g in (f, _scaled_first_term(f), dropped):
+                expected = is_central(algebra, g)
+                verdicts.add(expected[0])
+                core = (pitool._core_degrees(g, 6) if pitool._member_degrees(g) is not None
+                        else None)
+                if core is None:
+                    continue
+                if core not in targets:
+                    targets[core] = multilinear_identity_space(algebra, core)
+                assert is_central(algebra, g, targets[core]) == expected, (cid, str(g))
+                decided += pitool._solves(g, targets[core])
+    assert verdicts == {"identity", "proper-central", "neither"}
+    assert decided > 0
+
+
+def test_central_verify_evaluates_only_the_proper_central_members(monkeypatch):
+    """On e-series(-1,4) centrals every padded member is decided on the
+    identity space of its core; the 4 proper-central members are the only
+    ones evaluated, and a broken padded member is evaluated, with the entry
+    direct evaluation gives."""
+    e4 = build_catalog("e-series", eps=-1, n=4)
+    genset = resolve_basis("corollary", e4, "centrals", 3)
+    evaluated = _counted_evaluations(monkeypatch)
+    rep = verify_basis(e4, genset, 3)
+    assert rep.ok and len(rep.membership) == 196
+    assert evaluated == genset.s2 and len(evaluated) == 4
+    broken = _with_broken_member(genset, 50)
+    del evaluated[:]
+    rep = verify_basis(e4, broken, 3)
+    assert evaluated == [broken.s1[50]] + genset.s2
+    entry = pitool._membership_entry(e4, "centrals", "s1", broken.s1[50])
+    assert not entry["ok"] and entry["witness"]
+    assert rep.membership[50] == entry
+    assert [m for m in rep.membership if not m["ok"]] == [entry]
+
+
+def test_padded_identity_member_is_decided_in_its_core_record(monkeypatch):
+    """A pair binomial padded to length 4 is decided on the target of its
+    core's record at max_degree 2, at one and two jobs, with the entry
+    direct evaluation gives."""
+    p3 = build_catalog("pauli", n=3)
+    fam = family_pauli(p3, 2)
+    pair = next(f for f in fam.s1 if len(f.letters()) == 2)
+    x3, x4 = (monomial_poly(p3.group, fam.order, [lt])
+              for lt in ((3, (1, 0)), (4, (0, 1))))
+    padded = x3 * pair * x4
+    assert len(padded.terms) == 2 and pitool._core_degrees(padded, 2) == tuple(
+        sorted(d for _, d in pair.letters()))
+    genset = GeneratorSet("padded", "identities", fam.group, fam.order,
+                          s1=fam.s1 + [padded], fast_source=fam.fast_source)
+    evaluated = _counted_evaluations(monkeypatch)
+    expected = pitool._membership_entry(p3, "identities", "s1", padded)
+    assert expected["ok"]
+    del evaluated[:]
+    for jobs in (1, 2):
+        rep = verify_basis(p3, genset, 2, jobs=jobs)
+        assert rep.ok and rep.membership[-1] == expected
+    assert padded not in evaluated
+    assert evaluated  # the length-3 members still are
 
 
 # -- the reducer --------------------------------------------------------------------
