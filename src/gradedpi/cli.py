@@ -319,10 +319,11 @@ def resolve_basis(name, algebra, mode, max_degree) -> GeneratorSet:
         if tuple(algebra.group.orders) != (2,):
             raise PreconditionError("%s needs a two-element grading group" % name)
         return dv_basis(algebra.group) if name == "dv-lemma" else bp_basis(algebra.group)
-    if name == "s4-hall":
-        return s4_hall_basis()
-    if name == "okhitin":
-        return okhitin_basis()
+    if name in ("s4-hall", "okhitin"):
+        if algebra.group.orders:
+            raise PreconditionError("%s needs the trivial grading group, not %r"
+                                    % (name, algebra.group))
+        return s4_hall_basis() if name == "s4-hall" else okhitin_basis()
     if name == "regular":
         beta, witness = detect_regular(algebra)
         if beta is None:

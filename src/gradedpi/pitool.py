@@ -494,10 +494,13 @@ class GeneratorSet:
         return self._multilinear
 
     def templates(self):
-        """(multilinear members of s1 then s2, their _template_keys), computed once."""
+        """The template table of the multilinear members of s1 then s2 (see
+        _template_table), computed once per set: rows by letter count, ties
+        in member order.  _generic_instances moves the rows whose key is a
+        record's to the front, so every record reads one table."""
         if self._templates is None:
             m1, m2 = self.multilinear_members()
-            self._templates = (m1 + m2, _template_keys(m1 + m2))
+            self._templates = _template_table(m1 + m2)
         return self._templates
 
     def __repr__(self):
@@ -508,40 +511,61 @@ class GeneratorSet:
 # -- consequence instances ------------------------------------------------------------------
 
 
-def _block_assignments(targets, degrees, tideal, group):
+def _subset_degrees(pg):
+    """deg[mask]: the product degree of the letters of pg whose bits are set
+    in mask (letter k is bit 1 << k); each entry is one group operation past
+    the entry without its highest letter, so the table costs 2^n - 1."""
+    op = pg.group.op
+    deg = [pg.group.identity]
+    for k, (_, d) in enumerate(pg.letters):
+        deg.extend([op(e, d) for e in deg[:1 << k]])
+    return deg
+
+
+def _block_assignments(targets, degrees, tideal, identity, deg=None):
     """Assignments of target letters to consecutive blocks.
 
     Yields (blocks, prefix, suffix): blocks[j] is an ordered tuple of target
     letters whose product degree is degrees[j] (any nonempty block when
     degrees[j] is None); a block may be empty only at the identity degree.
     For T-ideal instances the leftovers split into an ordered prefix and
-    suffix, for T-space instances there are no leftovers.
+    suffix, for T-space instances there are no leftovers.  Blocks are
+    ordered permutations of the remaining letters, tried in the order of
+    itertools.permutations; a candidate's degree is read off deg, the
+    targets' subset-degree table (see _subset_degrees), which only a call
+    whose degrees are all None may leave out.
     """
-    identity = group.identity
+    bits = [1 << k for k in range(len(targets))]
+    letter = dict(zip(bits, targets))
     # nonempty[j]: how many of the blocks j.. must be nonempty
     nonempty = [0] * (len(degrees) + 1)
     for j in range(len(degrees) - 1, -1, -1):
         nonempty[j] = nonempty[j + 1] + (degrees[j] != identity)
 
+    def spell(block):
+        return tuple(map(letter.__getitem__, block))
+
     def rec(j, remaining, blocks):
         if j == len(degrees):
             if tideal:
-                for perm in itertools.permutations(remaining):
+                blocks = [spell(b) for b in blocks]
+                for perm in itertools.permutations(spell(remaining)):
                     for cut in range(len(perm) + 1):
                         yield blocks, perm[:cut], perm[cut:]
             elif not remaining:
-                yield blocks, (), ()
+                yield [spell(b) for b in blocks], (), ()
             return
         dj = degrees[j]
         if dj == identity:
             yield from rec(j + 1, remaining, blocks + [()])
         for size in range(1, len(remaining) - nonempty[j + 1] + 1):
             for combo in itertools.permutations(remaining, size):
-                if dj is None or group.product([d for _, d in combo]) == dj:
-                    left = tuple(x for x in remaining if x not in combo)
+                mask = sum(combo)
+                if dj is None or deg[mask] == dj:
+                    left = tuple(x for x in remaining if not x & mask)
                     yield from rec(j + 1, left, blocks + [combo])
 
-    yield from rec(0, tuple(targets), [])
+    yield from rec(0, tuple(bits), [])
 
 
 def _sparse_vector(pg, terms):
@@ -563,45 +587,60 @@ def _instance_terms(shape, blocks, prefix, suffix):
         yield prefix + tuple(x for k in positions for x in blocks[k]) + suffix, c
 
 
-def _template_instances(template: FreePoly, pg: MultidegreeBasis, tideal: bool):
-    """All substitution instances of one multilinear template at a multidegree.
+class _Template:
+    """One row of a template table: a multilinear template and the facts of
+    it that _generic_instances reads (see _template_table)."""
+    __slots__ = ("poly", "degrees", "key", "needed", "product", "shape")
 
-    A T-space instance has no prefix or suffix, so its blocks partition the
-    target letters and the product of the template's letter degrees is the
-    product of the multidegree (the group is abelian).  A template whose
-    degree product differs yields nothing, so it is skipped before its block
-    assignments are enumerated.
+    def __init__(self, poly, degrees, key, needed, product, shape):
+        self.poly, self.degrees, self.key = poly, degrees, key
+        self.needed, self.product, self.shape = needed, product, shape
+
+
+def _template_table(polys):
+    """The facts _generic_instances reads of each multilinear template, one
+    _Template per poly: its sorted letters' degrees, its key (letter count,
+    sorted degrees), its count of non-identity letters, its degree product
+    and its _shape.  Rows are ordered by letter count, ties in polys' order."""
+    rows = []
+    for poly in polys:
+        group = poly.group
+        degrees = [d for _, d in poly.letters()]
+        rows.append(_Template(
+            poly, degrees, (len(degrees), tuple(sorted(degrees))),
+            sum(1 for d in degrees if d != group.identity), group.product(degrees),
+            _shape(poly)))
+    rows.sort(key=lambda row: row.key[0])
+    return rows
+
+
+def _generic_instances(templates, pg, tideal):
+    """Instances of every row of a template table (see _template_table), as
+    (vec, (template, blocks, prefix, suffix)): the rows whose key is the
+    target's (the direct relabelings) first, then the others, each in table
+    order, so by letter count with ties in member order.
+
+    A row is skipped before its assignments are enumerated when it needs more
+    non-identity letters than the target has, or, for T-space instances,
+    whose blocks partition the target letters, when its degree product
+    differs from the target's (the group is abelian).  One subset-degree
+    table of the target letters (see _subset_degrees), 2^n - 1 group
+    operations, gives the target's product and every block degree of the
+    record, so no block degree is multiplied out.
     """
-    letters_t = template.letters()
-    degrees_t = [d for _, d in letters_t]
-    group = pg.group
-    needed = sum(1 for d in degrees_t if d != group.identity)
-    if needed > len(pg.letters):
-        return
-    if not tideal and group.product(degrees_t) != group.product(pg.degrees):
-        return
-    shape = _shape(template)
-    for blocks, prefix, suffix in _block_assignments(pg.letters, degrees_t, tideal, group):
-        vec = _sparse_vector(pg, _instance_terms(shape, blocks, prefix, suffix))
-        if vec:
-            yield vec, (template, blocks, prefix, suffix)
-
-
-def _template_keys(polys):
-    """(letter count, sorted letter degrees) of each template."""
-    return [(len(lts), sorted(d for _, d in lts)) for lts in (p.letters() for p in polys)]
-
-
-def _generic_instances(polys, pg, tideal, keys=None):
-    """Instances of every template, templates whose letter count and degree
-    multiset match the target (the direct relabelings) first, then by letter
-    count.  keys are the templates' _template_keys, computed when not given."""
-    if keys is None:
-        keys = _template_keys(polys)
-    target = (len(pg.letters), sorted(pg.degrees))
-    ranks = [(0 if key == target else 1, key[0]) for key in keys]
-    for k in sorted(range(len(polys)), key=ranks.__getitem__):
-        yield from _template_instances(polys[k], pg, tideal)
+    n = len(pg.letters)
+    deg = _subset_degrees(pg)
+    product = deg[-1]
+    key = (n, tuple(sorted(pg.degrees)))
+    identity = pg.group.identity
+    fits = [row for row in templates
+            if row.needed <= n and (tideal or row.product == product)]
+    for row in sorted(fits, key=lambda row: row.key != key):
+        for blocks, prefix, suffix in _block_assignments(pg.letters, row.degrees, tideal,
+                                                         identity, deg):
+            vec = _sparse_vector(pg, _instance_terms(row.shape, blocks, prefix, suffix))
+            if vec:
+                yield vec, (row.poly, blocks, prefix, suffix)
 
 
 def tideal_consequences(generators, degrees, group=None) -> Subspace:
@@ -1049,7 +1088,7 @@ class _PauliSource:
         n = len(pg.letters)
         for k in range(2, n):
             for blocks, prefix, suffix in _block_assignments(pg.letters, [None] * k,
-                                                             True, group):
+                                                             True, group.identity):
                 degs = [group.product([d for _, d in blk]) for blk in blocks]
                 if self.admitted(degs):
                     yield from _kernel_vectors(pg, self.kernel_shapes(degs), blocks,
@@ -1365,9 +1404,8 @@ def _instance_stages(genset, pg):
     if source is not None:
         yield from source.stages(pg)
     if source is None or not source.exact:
-        polys, keys = genset.templates()
         yield (vec for vec, _ in _generic_instances(
-            polys, pg, genset.mode == "identities", keys))
+            genset.templates(), pg, genset.mode == "identities"))
 
 
 def _close_span(target, stages, order):

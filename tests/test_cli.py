@@ -224,6 +224,20 @@ def test_verify_mode_mismatch_exit3():
                 "--mode", "identities", "--max-degree", "2"]) == 3
 
 
+@pytest.mark.parametrize("algebra, basis, mode", [
+    (["m2-4"], "okhitin", "centrals"),
+    (["c2"], "s4-hall", "identities"),
+    (["m2-elem"], "okhitin", "centrals"),
+    (["pauli", "--n", "3"], "s4-hall", "identities"),
+], ids=["m2-4-okhitin", "c2-s4-hall", "m2-elem-okhitin", "pauli-3-s4-hall"])
+def test_trivially_graded_set_on_a_graded_algebra_exit3(algebra, basis, mode, capsys):
+    """s4-hall and okhitin live over the trivial group: on a graded algebra
+    they are refused before any check, not failed by a raw traceback."""
+    assert run(["verify", "--algebra"] + algebra + ["--basis", basis, "--mode", mode,
+                                                    "--max-degree", "2"]) == 3
+    assert "needs the trivial grading group" in capsys.readouterr().err
+
+
 def test_families_output(tmp_path, capsys):
     code = run(["families", "--algebra", "m2-4", "--basis", "regular",
                 "--mode", "identities", "--format", "tsv"])

@@ -439,7 +439,8 @@ def _first_column_span(generators, degrees, group, tideal):
     else:
         polys = generators.members if isinstance(generators, GeneratorSet) else generators
         polys = [piece for p in polys for piece in multilinearize(p)]
-        stages = [(vec for vec, _ in pitool._generic_instances(polys, pg, tideal))]
+        stages = [(vec for vec, _ in pitool._generic_instances(
+            pitool._template_table(polys), pg, tideal))]
     span = Echelon(pg.ncols)
     for vec in itertools.chain.from_iterable(stages):
         span.add(vec)
@@ -512,10 +513,39 @@ def test_empty_multidegree_refused():
             entry([])
 
 
+def _reference_block_assignments(targets, degrees, tideal, group):
+    """A frozen reference for _block_assignments: the same assignments in the
+    same order, each candidate block's degree found by group.product."""
+    identity = group.identity
+    nonempty = [0] * (len(degrees) + 1)
+    for j in range(len(degrees) - 1, -1, -1):
+        nonempty[j] = nonempty[j + 1] + (degrees[j] != identity)
+
+    def rec(j, remaining, blocks):
+        if j == len(degrees):
+            if tideal:
+                for perm in itertools.permutations(remaining):
+                    for cut in range(len(perm) + 1):
+                        yield blocks, perm[:cut], perm[cut:]
+            elif not remaining:
+                yield blocks, (), ()
+            return
+        dj = degrees[j]
+        if dj == identity:
+            yield from rec(j + 1, remaining, blocks + [()])
+        for size in range(1, len(remaining) - nonempty[j + 1] + 1):
+            for combo in itertools.permutations(remaining, size):
+                if dj is None or group.product([d for _, d in combo]) == dj:
+                    left = tuple(x for x in remaining if x not in combo)
+                    yield from rec(j + 1, left, blocks + [combo])
+
+    yield from rec(0, tuple(targets), [])
+
+
 def _unpruned_instances(polys, pg, tideal):
     """Reference for _generic_instances: the same template order, and the
-    block assignments of every template enumerated, with no test on its
-    degree product."""
+    reference block assignments of every template enumerated, with no test
+    on its degree product."""
     def rank(p):
         lts = p.letters()
         exact = (len(lts) == len(pg.letters) and
@@ -527,7 +557,7 @@ def _unpruned_instances(polys, pg, tideal):
         letters_t = template.letters()
         if sum(1 for _, d in letters_t if d != group.identity) > len(pg.letters):
             continue
-        for blocks, prefix, suffix in pitool._block_assignments(
+        for blocks, prefix, suffix in _reference_block_assignments(
                 pg.letters, [d for _, d in letters_t], tideal, group):
             by_letter = dict(zip(letters_t, blocks))
             vec = pitool._sparse_vector(pg, (
@@ -537,13 +567,25 @@ def _unpruned_instances(polys, pg, tideal):
                 yield vec, (template, blocks, prefix, suffix)
 
 
+def _all_instances_match_reference(genset, support, max_length, tideal):
+    """Assert that the generic stream of genset's templates equals the
+    unpruned reference at every multidegree over support of length <=
+    max_length."""
+    m1, m2 = genset.multilinear_members()
+    for n in range(1, max_length + 1):
+        for degs in itertools.product(support, repeat=n):
+            pg = MultidegreeBasis(genset.group, degs)
+            assert list(pitool._generic_instances(genset.templates(), pg, tideal)) == \
+                list(_unpruned_instances(m1 + m2, pg, tideal)), degs
+
+
 _CENTRAL_FAMILIES = [
     ("e-series", {"eps": -1, "n": 4}, "corollary", 4),
     ("m2-4", {}, "regular", 4),
     ("m2c-z4", {}, "corollary", 3),
     ("d-cyclic", {"m": 3, "eps": 1}, "regular", 3),
     ("m2-elem", {}, "bp-centrals", 4),
-    ("m2-4", {}, "okhitin", 4),
+    ("m2r-triv", {}, "okhitin", 4),
 ]
 
 
@@ -552,15 +594,20 @@ _CENTRAL_FAMILIES = [
                               _CENTRAL_FAMILIES])
 def test_tspace_instances_match_unpruned_enumeration(name, params, basis, max_length):
     """Skipping the T-space templates whose degree product misses the
-    multidegree's changes no instance and no order, at every multidegree."""
+    multidegree's, and reading block degrees off the subset-degree table,
+    change no instance and no order, at every multidegree."""
     alg = build_catalog(name, **params)
     genset = resolve_basis(basis, alg, "centrals", max_length)
-    m1, m2 = genset.multilinear_members()
-    for n in range(1, max_length + 1):
-        for degs in itertools.product(alg.support, repeat=n):
-            pg = MultidegreeBasis(alg.group, degs)
-            assert list(pitool._generic_instances(m1 + m2, pg, False)) == \
-                list(_unpruned_instances(m1 + m2, pg, False)), degs
+    _all_instances_match_reference(genset, alg.support, max_length, tideal=False)
+
+
+@pytest.mark.parametrize("name, basis", [("m2c-z4", "corollary"), ("m2-elem", "dv-lemma")])
+def test_tideal_instances_match_reference(name, basis):
+    """The T-ideal stream of an identities set equals the unpruned reference
+    at every multidegree of length <= 4."""
+    alg = build_catalog(name)
+    genset = resolve_basis(basis, alg, "identities", 4)
+    _all_instances_match_reference(genset, alg.support, 4, tideal=True)
 
 
 def test_tideal_instances_are_not_pruned():
@@ -575,11 +622,46 @@ def test_tideal_instances_are_not_pruned():
     for n in (1, 2, 3, 4):
         for degs in itertools.product(alg.support, repeat=n):
             pg = MultidegreeBasis(group, degs)
-            got = list(pitool._generic_instances(m1 + m2, pg, True))
+            got = list(pitool._generic_instances(genset.templates(), pg, True))
             assert got == list(_unpruned_instances(m1 + m2, pg, True)), degs
             off_product += sum(group.product([d for _, d in t.letters()])
                                != group.product(degs) for _, (t, _, _, _) in got)
     assert off_product
+
+
+def test_generic_stream_reads_block_degrees_off_one_table(monkeypatch):
+    """A fully consumed generic stream makes at most 2^n - 1 group operations,
+    those of its subset-degree table, and no group.product, at every
+    multidegree of length <= 3 and every sorted one (a campaign's records) of
+    length 4 of the e-series(-1,8) corollary centrals."""
+    alg = build_catalog("e-series", eps=-1, n=8)
+    genset = resolve_basis("corollary", alg, "centrals", 4)
+    templates = genset.templates()
+    calls = {"op": 0, "product": 0}
+    op, product = FiniteAbelianGroup.op, FiniteAbelianGroup.product
+
+    def counted_op(self, g, h):
+        calls["op"] += 1
+        return op(self, g, h)
+
+    def counted_product(self, elems):
+        calls["product"] += 1
+        return product(self, elems)
+
+    instances = 0
+    for n in range(1, 5):
+        for degs in itertools.product(alg.support, repeat=n):
+            if n == 4 and list(degs) != sorted(degs):
+                continue
+            pg = MultidegreeBasis(alg.group, degs)
+            with monkeypatch.context() as m:
+                m.setattr(FiniteAbelianGroup, "op", counted_op)
+                m.setattr(FiniteAbelianGroup, "product", counted_product)
+                calls["op"] = 0
+                instances += sum(1 for _ in pitool._generic_instances(templates, pg, False))
+            assert calls["op"] <= 2 ** n - 1, degs
+    assert calls["product"] == 0
+    assert instances
 
 
 def test_one_substitution_instance_through_every_path():
@@ -605,7 +687,8 @@ def test_one_substitution_instance_through_every_path():
             mono = prefix + tuple(x for k in perm for x in blocks[k]) + suffix
             expected[pg.index[mono]] = c
 
-        generic = [vec for vec, (_, b, p, q) in pitool._template_instances(member, pg, True)
+        generic = [vec for vec, (_, b, p, q) in pitool._generic_instances(
+                       pitool._template_table([member]), pg, True)
                    if (list(b), p, q) == (blocks, prefix, suffix)]
         assert generic == [expected]
         assert list(pitool._kernel_vectors(pg, [combo], blocks, prefix, suffix)) == [expected]
