@@ -957,24 +957,26 @@ def build_e_series(eps: int, n: int):
                          name="e-series(%d,%d)" % (eps, n))
 
 
+# each entry: its builder, and the parameters it takes (as keywords)
 _CATALOG = {
-    "c2": lambda **kw: build_c2(),
-    "m2-4": lambda **kw: build_m2_4(),
-    "m2-2": lambda **kw: coarsen_by_quotient(build_m2_4(), (1, 1)),
-    "h4": lambda **kw: build_h4(),
-    "h2": lambda **kw: coarsen_by_quotient(build_h4(), (1, 0)),
-    "h-triv": lambda **kw: build_h_trivial(),
-    "m2r-triv": lambda **kw: build_m2r_trivial(),
-    "m2-elem": lambda **kw: build_m2_elem(),
-    "m2-8": lambda **kw: build_m2_8(),
-    "m2c-z4": lambda **kw: coarsen_by_quotient(build_m2_8(), (0, 1)),
-    "pauli": lambda n=None, **kw: build_pauli(_require_int("pauli", "n", n)),
-    "d-cyclic": lambda m=None, eps=1, **kw: build_d_cyclic(
-        _require_int("d-cyclic", "m", m), int(eps)),
-    "d-pair": lambda k=None, l=None, mu=1, nu=1, **kw: build_d_pair(
+    "c2": (build_c2, ()),
+    "m2-4": (build_m2_4, ()),
+    "m2-2": (lambda: coarsen_by_quotient(build_m2_4(), (1, 1)), ()),
+    "h4": (build_h4, ()),
+    "h2": (lambda: coarsen_by_quotient(build_h4(), (1, 0)), ()),
+    "h-triv": (build_h_trivial, ()),
+    "m2r-triv": (build_m2r_trivial, ()),
+    "m2-elem": (build_m2_elem, ()),
+    "m2-8": (build_m2_8, ()),
+    "m2c-z4": (lambda: coarsen_by_quotient(build_m2_8(), (0, 1)), ()),
+    "pauli": (lambda n=None: build_pauli(_require_int("pauli", "n", n)), ("n",)),
+    "d-cyclic": (lambda m=None, eps=1: build_d_cyclic(
+        _require_int("d-cyclic", "m", m), int(eps)), ("m", "eps")),
+    "d-pair": (lambda k=None, l=None, mu=1, nu=1: build_d_pair(
         _require_int("d-pair", "k", k), _require_int("d-pair", "l", l), int(mu), int(nu)),
-    "e-series": lambda eps=1, n=None, **kw: build_e_series(
-        int(eps), _require_int("e-series", "n", n)),
+        ("k", "l", "mu", "nu")),
+    "e-series": (lambda eps=1, n=None: build_e_series(
+        int(eps), _require_int("e-series", "n", n)), ("eps", "n")),
 }
 
 
@@ -989,15 +991,22 @@ def catalog_ids():
 
 
 def build_catalog(name: str, **params) -> GradedAlgebra:
-    """Build a catalog algebra; tensor products via 'id1@id2@...'."""
+    """Build a catalog algebra; tensor products via 'id1@id2@...'.
+
+    Each factor gets the params it takes, and a param that no factor takes
+    is refused (PreconditionError) rather than ignored."""
     name = name.strip()
-    if "@" in name:
-        parts = [p.strip() for p in name.split("@")]
-        algebras = [build_catalog(p, **params) for p in parts]
-        out = algebras[0]
-        for nxt in algebras[1:]:
-            out = tensor(out, nxt)
-        return out
-    if name not in _CATALOG:
-        raise PreconditionError("unknown catalog id %r (known: %s)" % (name, catalog_ids()))
-    return _CATALOG[name](**params)
+    parts = [p.strip() for p in name.split("@")]
+    for part in parts:
+        if part not in _CATALOG:
+            raise PreconditionError("unknown catalog id %r (known: %s)" % (part, catalog_ids()))
+    unused = set(params).difference(*(_CATALOG[part][1] for part in parts))
+    if unused:
+        raise PreconditionError("catalog entry %r takes no parameter %s" % (
+            name, ", ".join(map(repr, sorted(unused)))))
+    out = None
+    for part in parts:
+        build, takes = _CATALOG[part]
+        nxt = build(**{key: params[key] for key in takes if key in params})
+        out = nxt if out is None else tensor(out, nxt)
+    return out

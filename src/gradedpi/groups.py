@@ -334,9 +334,6 @@ class Bicharacter:
                if not any(self.exponent(g, t) for t in gens)]
         return sorted(out)
 
-    def is_nondegenerate(self) -> bool:
-        return self.radical() == [self.group.identity]
-
     def __repr__(self):
         vals = {}
         for i in range(self.group.rank):

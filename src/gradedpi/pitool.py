@@ -1454,14 +1454,15 @@ def _record(target, stages, order):
 
 def _check_multidegree(algebra, genset, degrees, members=()):
     """The record at one multidegree, and the membership entries of members,
-    (part, poly) pairs in identities mode whose sorted degrees, or their
-    core's, are that multidegree, each decided on the record's target."""
+    (part, poly) pairs each decided on the identity space at degrees (see
+    _membership_entry).  In identities mode that space is the record's own
+    target; in centrals mode it is built only when there are members."""
     mode = genset.mode
-    if mode == "identities":
-        target = multilinear_identity_space(algebra, degrees)
-    else:
-        target = multilinear_central_space(algebra, degrees)
-    entries = [_membership_entry(algebra, mode, part, f, target) for part, f in members]
+    space = None
+    if members or mode == "identities":
+        space = multilinear_identity_space(algebra, degrees)
+    entries = [_membership_entry(algebra, mode, part, f, space) for part, f in members]
+    target = space if mode == "identities" else multilinear_central_space(algebra, degrees)
     record = _record(target, _instance_stages(genset, target.pg), genset.order)
     return record, entries
 
@@ -1475,15 +1476,19 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
     identity (resp. central) space.  Work is done once per sorted orbit; the
     record carries the orbit size.
 
-    In identities mode a member whose monomials all have the sorted degrees
-    of some record, or whose core does (the member with the letters that
-    every monomial begins and ends with stripped), is decided on that
-    record's target (see is_identity), in the same task as the record.  In
-    centrals mode a member whose core has a record's degrees is decided on
-    the identity space there (see is_central), built once per such degrees
-    in this call, before the records.  Every other member is evaluated
-    directly, before the records.  The membership entries keep the order of
-    the members.
+    Each record is one task (_check_multidegree), which also decides the
+    members routed to it on the identity space at its degrees.  In
+    identities mode a member goes to the record at its own sorted degrees
+    when there is one; otherwise, in either mode, it goes to the record at
+    the degrees of its core (the member with the letters that every
+    monomial begins and ends with stripped, see is_identity).  Every other
+    member is evaluated directly, before the records.  The membership
+    entries keep the order of the members.
+
+    With jobs > 1 the tasks run in a fork pool whose workers inherit the
+    task, so only multidegrees and their results cross the pool.  Records
+    come back in order at every job count, and progress, when given, is
+    called with each as it arrives.
     """
     t0 = time.time()
     if max_degree < 1:
@@ -1509,36 +1514,25 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
             [("extra", f) for f in genset.extras]
     membership = [None] * len(polys)
     identities = genset.mode == "identities"
-    cores = {}  # centrals mode: the identity space at each core's degrees
     for k, (part, f) in enumerate(polys):
         degrees = _member_degrees(f)
-        if identities and degrees in positions:
+        if degrees is not None and not (identities and degrees in positions):
+            degrees = _core_degrees(f, max_degree)
+        if degrees in positions:
             positions[degrees].append(k)
-            continue
-        core = None if degrees is None else _core_degrees(f, max_degree)
-        if core not in positions:
-            membership[k] = _membership_entry(algebra, genset.mode, part, f)
-        elif identities:
-            positions[core].append(k)
         else:
-            if core not in cores:
-                cores[core] = multilinear_identity_space(algebra, core)
-            membership[k] = _membership_entry(algebra, genset.mode, part, f, cores[core])
-    tasks = [(algebra, genset, degrees, [polys[k] for k in positions[degrees]])
-             for degrees in reps]
-    records = []
-    if jobs > 1:
-        import multiprocessing
+            membership[k] = _membership_entry(algebra, genset.mode, part, f)
 
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            results = pool.starmap(_check_multidegree, tasks)
-    else:
-        results = (_check_multidegree(*task) for task in tasks)
-    for degrees, (record, entries) in zip(reps, results):
+    def task(degrees):
+        return _check_multidegree(algebra, genset, degrees,
+                                  [polys[k] for k in positions[degrees]])
+
+    records = []
+    for degrees, (record, entries) in zip(reps, _task_results(task, reps, jobs)):
         records.append(record)
         for k, entry in zip(positions[degrees], entries):
             membership[k] = entry
-        if progress is not None and jobs == 1:
+        if progress is not None:
             progress(record)
     assumptions = list(genset.assumptions)
     if set(algebra.support) != set(algebra.group.elements()):
@@ -1546,6 +1540,31 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
                            "(variables there are themselves identities)")
     return VerificationReport(algebra.name, genset.name, genset.mode, max_degree,
                               membership, records, assumptions, time.time() - t0)
+
+
+def _task_results(task, args, jobs):
+    """task(a) for each a of args, in order; with jobs > 1, in a fork pool
+    whose workers inherit task (nothing of it is pickled)."""
+    if jobs > 1:
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        with context.Pool(jobs, _inherit_task, (task,)) as pool:
+            yield from pool.imap(_run_inherited_task, args, 8)
+    else:
+        yield from map(task, args)
+
+
+_inherited_task = None  # set in each pool worker only, by _inherit_task
+
+
+def _inherit_task(task):
+    global _inherited_task
+    _inherited_task = task
+
+
+def _run_inherited_task(arg):
+    return _inherited_task(arg)
 
 
 # -- rewriting reducer for Pauli-type gradings ------------------------------------------------

@@ -32,6 +32,16 @@ def test_build_invalid_params_exit3(capsys):
     assert run(["build", "--algebra", "no-such-entry"]) == 3
 
 
+def test_build_refuses_a_parameter_no_factor_takes(capsys):
+    """Each factor of a product gets its own parameters; one that no factor
+    takes is refused rather than ignored."""
+    assert run(["build", "--algebra", "c2", "--n", "3"]) == 3
+    assert "takes no parameter 'n'" in capsys.readouterr().err
+    assert run(["build", "--algebra", "c2@m2-4", "--eps", "1"]) == 3
+    assert run(["build", "--algebra", "c2@pauli", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 16
+
+
 def test_algebra_spec_roundtrip(tmp_path):
     alg = build_catalog("m2-8")
     path = tmp_path / "m28.json"

@@ -201,8 +201,8 @@ def test_radical_c2_tensor_block():
     gamma = bichar_tensor(Bicharacter.trivial(c2), beta_m2_4())
     rad = gamma.radical()
     assert rad == [(0, 0, 0), (1, 0, 0)]
-    assert not gamma.is_nondegenerate()
-    assert beta_m2_4().is_nondegenerate()
+    assert rad != [gamma.group.identity]
+    assert beta_m2_4().radical() == [beta_m2_4().group.identity]
 
 
 def test_bichar_tensor_values():

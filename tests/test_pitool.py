@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -966,16 +967,64 @@ def _scaled_first_term(f):
 
 def test_verify_parallel_matches_sequential():
     """Records and membership entries agree at one and two jobs, also when
-    pool workers decide a broken member on a record's target."""
+    pool workers decide a broken member on a record's target, or a broken
+    padded central member on the identity space of its core's record."""
     elem = build_catalog("m2-elem")
+    e4 = build_catalog("e-series", eps=-1, n=4)
+    e4_broken = _with_broken_member(resolve_basis("corollary", e4, "centrals", 3), 50)
     p3 = build_catalog("pauli", n=3)
     broken = _with_broken_member(family_pauli(p3, 3), 100)
-    for algebra, genset, degree in ((elem, dv_basis(elem.group), 3), (p3, broken, 3)):
-        rep1 = verify_basis(algebra, genset, degree)
-        rep2 = verify_basis(algebra, genset, degree, jobs=2)
+    for algebra, genset, failing in ((elem, dv_basis(elem.group), []),
+                                     (e4, e4_broken, [e4_broken.s1[50]]),
+                                     (p3, broken, [broken.s1[100]])):
+        rep1 = verify_basis(algebra, genset, 3)
+        rep2 = verify_basis(algebra, genset, 3, jobs=2)
         assert [r.as_dict() for r in rep1.records] == [r.as_dict() for r in rep2.records]
         assert rep1.membership == rep2.membership
-    assert [m["poly"] for m in rep1.membership if not m["ok"]] == [str(broken.s1[100])]
+        assert [m["poly"] for m in rep1.membership if not m["ok"]] == list(map(str, failing))
+
+
+def test_verify_pool_pickles_no_generator_set():
+    """Pool workers inherit the record task, so a generator set that cannot
+    be pickled still verifies at two jobs, with the one-job report."""
+    elem = build_catalog("m2-elem")
+    genset = dv_basis(elem.group)
+    genset.unpicklable = lambda: None
+    with pytest.raises(Exception):
+        pickle.dumps(genset)
+    rep1 = verify_basis(elem, genset, 3)
+    rep2 = verify_basis(elem, genset, 3, jobs=2)
+    assert rep2.ok
+    assert [r.as_dict() for r in rep1.records] == [r.as_dict() for r in rep2.records]
+    assert rep1.membership == rep2.membership
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_progress_sees_every_record_in_order(jobs):
+    p3 = build_catalog("pauli", n=3)
+    seen = []
+    rep = verify_basis(p3, family_pauli(p3, 3), 3, jobs=jobs, progress=seen.append)
+    assert len(rep.records) > 1
+    assert [r.as_dict() for r in seen] == [r.as_dict() for r in rep.records]
+
+
+def test_verify_pool_task_error_reaches_the_caller(monkeypatch):
+    """A record task that raises in a pool worker raises in the caller, and
+    the pool's workers are gone afterwards."""
+    import multiprocessing
+
+    real = pitool._check_multidegree
+
+    def failing(algebra, genset, degrees, members=()):
+        if len(degrees) == 3:
+            raise RuntimeError("record task failed at %r" % (degrees,))
+        return real(algebra, genset, degrees, members)
+
+    monkeypatch.setattr(pitool, "_check_multidegree", failing)
+    elem = build_catalog("m2-elem")
+    with pytest.raises(RuntimeError, match="record task failed"):
+        verify_basis(elem, dv_basis(elem.group), 3, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 # -- consequence-span elimination ------------------------------------------------

@@ -3,6 +3,9 @@ stream each family's consequences."""
 
 import ast
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,14 @@ def test_no_assert_statements_in_the_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the package: %s" % ", ".join(found)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """verify imports multiprocessing only when it runs a pool, so the
+    command-line entry point does not pay for it at startup."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE_DIR.parent))
+    script = "import sys, gradedpi.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
 # every regular catalog algebra, with the largest degree checked on it
