@@ -31,6 +31,7 @@ __all__ = [
     "coarsen_by_quotient",
     "center",
     "center_echelon",
+    "center_rows",
     "detect_regular",
     "detect_complex_bicharacter",
     "check_graded_division",
@@ -323,6 +324,21 @@ def center_echelon(algebra: GradedAlgebra) -> Echelon:
     return algebra._center[1]
 
 
+def center_rows(algebra: GradedAlgebra, g):
+    """The fully reduced rows of center_echelon(algebra) of degree g, as
+    sparse {basis index: coefficient} dicts in pivot order: a basis of the
+    graded part Z cap A_g of the center.
+
+    The center's basis is homogeneous, and reducing a homogeneous vector
+    only subtracts rows of its own degree (rows of other degrees have no
+    entry in its columns), so every row of the echelon, forward or fully
+    reduced, is homogeneous.  The remainder off the center of a vector v of
+    A_g is therefore v less v[p] times the row of pivot p, over the rows of
+    degree g alone."""
+    center(algebra)
+    return algebra._center[2].get(g, [])
+
+
 def _center(algebra):
     rows = []
     dim = algebra.dim
@@ -348,7 +364,11 @@ def _center(algebra):
             out.append(HomogeneousElement(algebra, degree, coords))
     # prune to an independent set
     ech = Echelon(dim)
-    return [h for h in out if ech.add(h.coords)], ech
+    independent = [h for h in out if ech.add(h.coords)]
+    rows_by_degree = {}
+    for row in ech.sparse_basis():
+        rows_by_degree.setdefault(algebra.degrees[min(row)], []).append(row)
+    return independent, ech, rows_by_degree
 
 
 class RegularityWitness:

@@ -149,8 +149,9 @@ class FreePoly:
         if not self.terms:
             return "0"
         bits = []
+        words = self.group.words
         for mono, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            word = "*".join("x%d:%s" % (i, self.group.element_to_word(d)) for i, d in mono)
+            word = "*".join("x%d:%s" % (i, words[d]) for i, d in mono)
             if not word:
                 word = "1"
             if c.is_one():

@@ -19,6 +19,26 @@ __all__ = ["FiniteAbelianGroup", "Bicharacter", "quotient_by", "bichar_tensor"]
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
+class _WordTable(dict):
+    """Generator words of group elements, each rendered once, on the first
+    lookup of its element; a lookup after that is a plain dict hit, so
+    printing a polynomial makes no call per letter."""
+
+    def __init__(self, gen_names):
+        super().__init__()
+        self.gen_names = gen_names
+
+    def __missing__(self, g):
+        parts = []
+        for x, name in zip(g, self.gen_names):
+            if x == 1:
+                parts.append(name)
+            elif x:
+                parts.append("%s^%d" % (name, x))
+        word = self[g] = ".".join(parts) if parts else "e"
+        return word
+
+
 class FiniteAbelianGroup:
     """Product of cyclic groups Z_n1 x ... x Z_nk with named generators."""
 
@@ -34,6 +54,8 @@ class FiniteAbelianGroup:
         if len(self.gen_names) != len(orders):
             raise ValueError("need one generator name per cyclic factor")
         self.identity = (0,) * len(orders)
+        # words[g]: the generator word of g, rendered on its first lookup
+        self.words = _WordTable(self.gen_names)
 
     @property
     def rank(self) -> int:
@@ -114,13 +136,7 @@ class FiniteAbelianGroup:
     # -- generator-word formatting ------------------------------------------
 
     def element_to_word(self, g) -> str:
-        parts = []
-        for x, name in zip(g, self.gen_names):
-            if x == 1:
-                parts.append(name)
-            elif x:
-                parts.append("%s^%d" % (name, x))
-        return ".".join(parts) if parts else "e"
+        return self.words[tuple(g)]
 
     def word_to_element(self, word: str):
         word = word.strip()

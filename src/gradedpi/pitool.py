@@ -28,6 +28,7 @@ from .algebras import (
     GradedAlgebra,
     center,
     center_echelon,
+    center_rows,
     detect_complex_bicharacter,
     detect_regular,
     invert,
@@ -332,12 +333,34 @@ def is_central(algebra: GradedAlgebra, poly: FreePoly, target=None):
 
 
 def _component_rows(algebra, pg, central: bool):
-    """Coordinate rows of the values of the n! monomials, taken modulo the
-    center when central (sum mu_t v_t is central iff sum mu_t reduce(v_t) = 0,
-    as reduction by the center's echelon form is linear)."""
+    """Coordinate rows of the values of the n! monomials, one row per basis
+    coordinate that some value meets, for each representative substitution
+    in turn; None when a letter's component is empty.
+
+    When central, the rows are those of the values taken modulo the center
+    (sum mu_t v_t is central iff sum mu_t reduce(v_t) = 0, as reduction by
+    the center's echelon form is linear), built one component at a time.
+    The center is graded and every value lies in A_g, g the product of pg's
+    degrees, so only Z cap A_g matters (see center_rows):
+
+    * A_g inside Z: every value is central, there are no rows, and nothing
+      is evaluated;
+    * Z cap A_g = 0: the values are already reduced;
+    * otherwise reduce(v) = v - sum_p v[p] z_p over the degree-g center rows
+      z_p of pivot p, so the row r_k of coordinate k takes r_k - z_p[k] r_p
+      for every such row and r_p is dropped: a few row operations per
+      substitution in place of one reduction per value.  A row that cancels
+      is dropped, so the rows are those of the reduced values.
+    """
     tuples = _substitution_tuples(algebra, pg.letters)
     if tuples is None:
         return None
+    reducers = []
+    if central:
+        g = pg.group.product(pg.degrees)
+        reducers = [(min(z), z) for z in center_rows(algebra, g)]
+        if len(reducers) == len(algebra.component(g)):
+            return []
     basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
     memo = {}
     rows = []
@@ -346,11 +369,23 @@ def _component_rows(algebra, pg, central: bool):
     for choice in tuples:
         words = [tuple(map(choice.__getitem__, pos)) for pos in positions]
         values = list(monomial_values(words, basis, algebra, memo))
-        if central:
-            values = [center_echelon(algebra).reduce(v) for v in values]
         coords = sorted({k for v in values for k in v})
-        for k in coords:
-            rows.append([v.get(k, zero) for v in values])
+        if not reducers:
+            for k in coords:
+                rows.append([v.get(k, zero) for v in values])
+            continue
+        by_coord = {k: [v.get(k, zero) for v in values] for k in coords}
+        for p, z in reducers:
+            rp = by_coord.pop(p, None)
+            if rp is None:
+                continue
+            for k, c in z.items():
+                if k != p:
+                    rk = by_coord.get(k)
+                    by_coord[k] = [-(c * b) for b in rp] if rk is None else \
+                        [a - c * b for a, b in zip(rk, rp)]
+        rows.extend(row for _, row in sorted(by_coord.items())
+                    if not all(c.is_zero() for c in row))
     return rows
 
 
@@ -366,6 +401,12 @@ class Target:
     only when asked for, as for the witness of a failing record; its
     reduced echelon form is unique, so it does not depend on how it is
     built.
+
+    A central target reads the center one graded component at a time (see
+    _component_rows): when the component of the degree product lies in the
+    center there are no equations and nothing is evaluated, and otherwise
+    the equations are those of the values reduced modulo the center, which
+    only the center's rows of that component reduce.
     """
 
     def __init__(self, algebra, pg: MultidegreeBasis, central: bool):
@@ -496,8 +537,9 @@ class GeneratorSet:
     def templates(self):
         """The template table of the multilinear members of s1 then s2 (see
         _template_table), computed once per set: rows by letter count, ties
-        in member order.  _generic_instances moves the rows whose key is a
-        record's to the front, so every record reads one table."""
+        in member order, grouped by degree product, each with its vanishing
+        sets.  _generic_instances moves the rows whose key is a record's to
+        the front, so every record reads one table."""
         if self._templates is None:
             m1, m2 = self.multilinear_members()
             self._templates = _template_table(m1 + m2)
@@ -522,7 +564,7 @@ def _subset_degrees(pg):
     return deg
 
 
-def _block_assignments(targets, degrees, tideal, identity, deg=None):
+def _block_assignments(targets, degrees, tideal, identity, deg=None, vanishing=()):
     """Assignments of target letters to consecutive blocks.
 
     Yields (blocks, prefix, suffix): blocks[j] is an ordered tuple of target
@@ -534,6 +576,14 @@ def _block_assignments(targets, degrees, tideal, identity, deg=None):
     itertools.permutations; a candidate's degree is read off deg, the
     targets' subset-degree table (see _subset_degrees), which only a call
     whose degrees are all None may leave out.
+
+    vanishing holds bit masks over the blocks (block j is bit 1 << j), the
+    vanishing sets of the template the blocks are substituted into (see
+    _vanishing_sets).  An assignment whose empty blocks cover one of them
+    substitutes into the zero polynomial, so its instance is zero; the
+    search leaves its subtree, prefix and suffix included, as soon as an
+    empty block completes the cover.  Every other assignment is yielded in
+    the order above.
     """
     bits = [1 << k for k in range(len(targets))]
     letter = dict(zip(bits, targets))
@@ -545,7 +595,7 @@ def _block_assignments(targets, degrees, tideal, identity, deg=None):
     def spell(block):
         return tuple(map(letter.__getitem__, block))
 
-    def rec(j, remaining, blocks):
+    def rec(j, remaining, blocks, empty):
         if j == len(degrees):
             if tideal:
                 blocks = [spell(b) for b in blocks]
@@ -557,15 +607,17 @@ def _block_assignments(targets, degrees, tideal, identity, deg=None):
             return
         dj = degrees[j]
         if dj == identity:
-            yield from rec(j + 1, remaining, blocks + [()])
+            covered = empty | 1 << j
+            if not any(v & covered == v for v in vanishing):
+                yield from rec(j + 1, remaining, blocks + [()], covered)
         for size in range(1, len(remaining) - nonempty[j + 1] + 1):
             for combo in itertools.permutations(remaining, size):
                 mask = sum(combo)
                 if dj is None or deg[mask] == dj:
                     left = tuple(x for x in remaining if not x & mask)
-                    yield from rec(j + 1, left, blocks + [combo])
+                    yield from rec(j + 1, left, blocks + [combo], empty)
 
-    yield from rec(0, tuple(bits), [])
+    yield from rec(0, tuple(bits), [], 0)
 
 
 def _sparse_vector(pg, terms):
@@ -590,28 +642,69 @@ def _instance_terms(shape, blocks, prefix, suffix):
 class _Template:
     """One row of a template table: a multilinear template and the facts of
     it that _generic_instances reads (see _template_table)."""
-    __slots__ = ("poly", "degrees", "key", "needed", "product", "shape")
+    __slots__ = ("poly", "degrees", "key", "needed", "product", "shape", "vanishing")
 
-    def __init__(self, poly, degrees, key, needed, product, shape):
+    def __init__(self, poly, degrees, key, needed, product, shape, vanishing):
         self.poly, self.degrees, self.key = poly, degrees, key
         self.needed, self.product, self.shape = needed, product, shape
+        self.vanishing = vanishing
+
+
+def _vanishing_sets(shape, degrees, identity):
+    """The minimal vanishing sets of a multilinear template, given by its
+    _shape and its sorted letters' degrees: bit masks S over its letters of
+    identity degree (letter k is bit 1 << k) such that setting the letters
+    of S to 1 makes the template the zero polynomial, while no proper subset
+    of S does.
+
+    Vanishing is monotone: setting more letters to 1 substitutes into the
+    zero polynomial f|_S, so a superset of a vanishing set vanishes.  Sets
+    are tried by size, and the supersets of those found are skipped."""
+    units = [1 << k for k, d in enumerate(degrees) if d == identity]
+    found = []
+    for size in range(1, len(units) + 1):
+        for combo in itertools.combinations(units, size):
+            mask = sum(combo)
+            if any(v & mask == v for v in found):
+                continue
+            restricted = {}
+            for positions, c in shape:
+                mono = tuple(k for k in positions if not mask >> k & 1)
+                restricted[mono] = restricted[mono] + c if mono in restricted else c
+            if all(c.is_zero() for c in restricted.values()):
+                found.append(mask)
+    return found
+
+
+class _TemplateTable:
+    """The rows of a template table in table order, and the same rows
+    grouped by degree product, table order kept within each group."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.by_product = {}
+        for row in rows:
+            self.by_product.setdefault(row.product, []).append(row)
 
 
 def _template_table(polys):
     """The facts _generic_instances reads of each multilinear template, one
     _Template per poly: its sorted letters' degrees, its key (letter count,
-    sorted degrees), its count of non-identity letters, its degree product
-    and its _shape.  Rows are ordered by letter count, ties in polys' order."""
+    sorted degrees), its count of non-identity letters, its degree product,
+    its _shape and its minimal vanishing sets (see _vanishing_sets).  Rows
+    are ordered by letter count, ties in polys' order, and grouped by
+    degree product (see _TemplateTable)."""
     rows = []
     for poly in polys:
         group = poly.group
         degrees = [d for _, d in poly.letters()]
+        shape = _shape(poly)
         rows.append(_Template(
             poly, degrees, (len(degrees), tuple(sorted(degrees))),
             sum(1 for d in degrees if d != group.identity), group.product(degrees),
-            _shape(poly)))
+            shape, _vanishing_sets(shape, degrees, group.identity)))
     rows.sort(key=lambda row: row.key[0])
-    return rows
+    return _TemplateTable(rows)
 
 
 def _generic_instances(templates, pg, tideal):
@@ -623,21 +716,23 @@ def _generic_instances(templates, pg, tideal):
     A row is skipped before its assignments are enumerated when it needs more
     non-identity letters than the target has, or, for T-space instances,
     whose blocks partition the target letters, when its degree product
-    differs from the target's (the group is abelian).  One subset-degree
-    table of the target letters (see _subset_degrees), 2^n - 1 group
-    operations, gives the target's product and every block degree of the
-    record, so no block degree is multiplied out.
+    differs from the target's (the group is abelian): a T-space record reads
+    only the table's group of its own product.  One subset-degree table of
+    the target letters (see _subset_degrees), 2^n - 1 group operations,
+    gives the target's product and every block degree of the record, so no
+    block degree is multiplied out.  The assignments that empty one of a
+    row's vanishing sets, whose instances are zero, are never enumerated
+    (see _block_assignments); zero vectors are not yielded either way.
     """
     n = len(pg.letters)
     deg = _subset_degrees(pg)
-    product = deg[-1]
     key = (n, tuple(sorted(pg.degrees)))
     identity = pg.group.identity
-    fits = [row for row in templates
-            if row.needed <= n and (tideal or row.product == product)]
+    rows = templates.rows if tideal else templates.by_product.get(deg[-1], ())
+    fits = [row for row in rows if row.needed <= n]
     for row in sorted(fits, key=lambda row: row.key != key):
         for blocks, prefix, suffix in _block_assignments(pg.letters, row.degrees, tideal,
-                                                         identity, deg):
+                                                         identity, deg, row.vanishing):
             vec = _sparse_vector(pg, _instance_terms(row.shape, blocks, prefix, suffix))
             if vec:
                 yield vec, (row.poly, blocks, prefix, suffix)

@@ -620,6 +620,23 @@ def test_bicharacter_eval_matches_the_table_extension(name, params):
         assert found
 
 
+@pytest.mark.parametrize("name, params", _EVAL_CASES,
+                         ids=["%s%s" % (n, "".join("-%s%s" % kv for kv in p.items()))
+                              for n, p in _EVAL_CASES])
+def test_center_rows_are_homogeneous(name, params):
+    """The center's fully reduced rows, read one degree at a time, are each
+    supported on the basis elements of their degree, and together they are
+    the reduced basis of the center's echelon."""
+    alg = build_catalog(name, **params)
+    rows = []
+    for g in alg.group.elements():
+        for row in algebras.center_rows(alg, g):
+            assert {alg.degrees[k] for k in row} == {g}, (g, row)
+            rows.append(row)
+    assert sorted(rows, key=min) == center_echelon(alg).sparse_basis()
+    assert len(rows) == len(center(alg))
+
+
 def test_tensor_and_trivial_eval_match_the_table_extension():
     m24 = detect_regular(build_catalog("m2-4"))[0]
     p3 = detect_complex_bicharacter(build_catalog("pauli", n=3))[0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import pickle
 import random
@@ -14,7 +15,9 @@ from gradedpi.algebras import (
     GradedAlgebra,
     build_catalog,
     catalog_ids,
+    center,
     center_echelon,
+    center_rows,
     coarsen_by_quotient,
     detect_complex_bicharacter,
     detect_regular,
@@ -319,6 +322,86 @@ def test_component_rows_are_real(name, params):
             for central in (False, True):
                 for row in pitool._component_rows(alg, pg, central) or ():
                     assert all(c.is_real() for c in row), (degs, central)
+
+
+def _reduced_value_rows(algebra, pg):
+    """The central target's rows as built value by value: every monomial
+    value, under every representative substitution, reduced modulo the
+    whole center's echelon form, then one row per coordinate the reduced
+    values meet."""
+    zero = Cyclo.zero()
+    rows = []
+    for _, assign in _assignments(algebra, pg.letters):
+        values = [center_echelon(algebra).reduce(
+                      evaluate(monomial_poly(algebra.group, algebra.order, m), assign, algebra))
+                  for m in pg.monomials]
+        for k in sorted({k for v in values for k in v}):
+            rows.append([v.get(k, zero) for v in values])
+    return rows
+
+
+_CENTRAL_EQUATION_CASES = [(name, params, 4 if name in ("m2-4", "m2-8", "e-series") else 3)
+                           for name, params in _TARGET_CASES]
+
+
+@pytest.mark.parametrize("name, params, max_length", _CENTRAL_EQUATION_CASES,
+                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
+                              for name, params, _ in _CENTRAL_EQUATION_CASES])
+def test_central_equations_match_value_by_value_reduction(name, params, max_length):
+    """A central target, built on the graded part of the center at its
+    component alone, has the reduced equations of the rows of every value
+    reduced modulo the whole center, at every sorted multidegree of length
+    <= max_length."""
+    alg = build_catalog(name, **params)
+    for n in range(1, max_length + 1):
+        for degs in itertools.combinations_with_replacement(sorted(alg.support), n):
+            target = multilinear_central_space(alg, degs)
+            reference = Echelon(target.pg.ncols)
+            for row in _reduced_value_rows(alg, target.pg):
+                reference.add(row)
+            assert target.equations.sparse_basis() == reference.sparse_basis(), degs
+
+
+def test_central_components_of_every_kind_are_checked():
+    """The algebras of the test above cover each way a component meets the
+    center: inside it (m2-8 at a^2), in 0 (m2-8 at a) and neither
+    (e-series(-1,4) at e)."""
+    m28 = build_catalog("m2-8")
+    e4 = build_catalog("e-series", eps=-1, n=4)
+    for alg, g, meet in ((m28, (2, 0), 1), (m28, (1, 0), 0), (e4, (0,), 1)):
+        assert len(center_rows(alg, g)) == meet, (alg.name, g)
+    assert len(m28.component((2, 0))) == 1
+    assert len(e4.component((0,))) == 2
+
+
+def test_central_component_record_makes_no_product(monkeypatch):
+    """A record whose degree product's component lies in the center builds
+    its central target with no evaluation: no mul_vec call, and the target
+    is the whole component, which the stream closes.  On m2-8 (the
+    components at e and a^2 are central), with the regular source and with
+    the generic stream of the same members."""
+    alg = build_catalog("m2-8")
+    fam = resolve_basis("regular", alg, "centrals", 3)
+    generic = GeneratorSet(fam.name, "centrals", fam.group, fam.order, s1=fam.s1, s2=fam.s2)
+    center(alg)
+    alg.complex_structure()  # both solved once per algebra, before counting
+    central = [degs for n in (1, 2, 3)
+               for degs in itertools.combinations_with_replacement(sorted(alg.support), n)
+               if alg.group.product(degs) in ((0, 0), (2, 0))]
+    assert len(central) == 44
+    calls = [0]
+    mul_vec = GradedAlgebra.mul_vec
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return mul_vec(self, u, v)
+
+    monkeypatch.setattr(GradedAlgebra, "mul_vec", counted)
+    for genset in (fam, generic):
+        for degs in central:
+            record, _ = _check_multidegree(alg, genset, degs)
+            assert calls[0] == 0, degs
+            assert record.equal and record.dim_target == math.factorial(len(degs)), degs
 
 
 def _first_failure(algebra, poly, fails):
@@ -663,6 +746,117 @@ def test_generic_stream_reads_block_degrees_off_one_table(monkeypatch):
             assert calls["op"] <= 2 ** n - 1, degs
     assert calls["product"] == 0
     assert instances
+
+
+_VANISHING_CASES = [
+    ("e-series", {"eps": -1, "n": 4}, "corollary", "identities"),
+    ("e-series", {"eps": -1, "n": 4}, "corollary", "centrals"),
+    ("m2c-z4", {}, "corollary", "identities"),
+    ("m2c-z4", {}, "corollary", "centrals"),
+    ("m2-elem", {}, "dv-lemma", "identities"),
+    ("m2-elem", {}, "bp-centrals", "centrals"),
+    ("m2r-triv", {}, "okhitin", "centrals"),
+    ("m2r-triv", {}, "s4-hall", "identities"),
+]
+_VANISHING_IDS = ["%s-%s-%s" % (name, basis, mode) for name, _, basis, mode in _VANISHING_CASES]
+
+
+def _set_to_one(poly, letters):
+    """poly with each of letters replaced by 1, its like terms summed."""
+    return FreePoly(poly.group, poly.order,
+                    ((tuple(lt for lt in mono if lt not in letters), c)
+                     for mono, c in poly.terms.items()))
+
+
+@pytest.mark.parametrize("name, params, basis, mode", _VANISHING_CASES, ids=_VANISHING_IDS)
+def test_vanishing_sets_are_the_minimal_sets_that_vanish(name, params, basis, mode):
+    """On every template row, setting a set S of identity-degree letters to 1
+    gives the zero polynomial exactly when S contains one of the row's
+    vanishing sets, for every such S; the sets are of identity-degree
+    letters, and none contains another."""
+    alg = build_catalog(name, **params)
+    genset = resolve_basis(basis, alg, mode, 4)
+    identity = alg.group.identity
+    found = 0
+    for row in genset.templates().rows:
+        letters = row.poly.letters()
+        units = [k for k, (_, d) in enumerate(letters) if d == identity]
+        allowed = sum(1 << k for k in units)
+        for v in row.vanishing:
+            assert v and v & allowed == v, (row.poly, v)
+            assert not any(w != v and w & v == w for w in row.vanishing), (row.poly, v)
+        for size in range(len(units) + 1):
+            for subset in itertools.combinations(units, size):
+                mask = sum(1 << k for k in subset)
+                zero = _set_to_one(row.poly, {letters[k] for k in subset}).is_zero()
+                assert zero == any(v & mask == v for v in row.vanishing), (row.poly, subset)
+        found += len(row.vanishing)
+    assert found
+
+
+def _skipped_assignments(table, group, support, tideal):
+    """Assert that, at every multidegree over support of length <= 4, the
+    block assignments each row's vanishing sets prune are the reference
+    assignments with some left out, in the same order, and that each one
+    left out substitutes into a zero instance; returns how many were left
+    out."""
+    skipped = 0
+    for n in range(1, 5):
+        for degs in itertools.product(support, repeat=n):
+            pg = MultidegreeBasis(group, degs)
+            deg = pitool._subset_degrees(pg)
+            for row in table.rows:
+                if row.needed > n or not (tideal or row.product == deg[-1]):
+                    continue
+                got = list(pitool._block_assignments(pg.letters, row.degrees, tideal,
+                                                     group.identity, deg, row.vanishing))
+                kept = 0
+                for blocks, prefix, suffix in _reference_block_assignments(
+                        pg.letters, row.degrees, tideal, group):
+                    if kept < len(got) and got[kept] == (blocks, prefix, suffix):
+                        kept += 1
+                        continue
+                    skipped += 1
+                    by_letter = dict(zip(row.poly.letters(), blocks))
+                    assert not pitool._sparse_vector(pg, (
+                        (prefix + tuple(x for lt in mono for x in by_letter[lt]) + suffix, c)
+                        for mono, c in row.poly.terms.items())), (degs, row.poly, blocks)
+                assert kept == len(got), (degs, row.poly)
+    return skipped
+
+
+@pytest.mark.parametrize("name, params, basis, mode", _VANISHING_CASES, ids=_VANISHING_IDS)
+def test_skipped_assignments_have_zero_instances(name, params, basis, mode):
+    """Pruning by vanishing sets leaves out only zero instances of the
+    family's templates, at every multidegree of length <= 4."""
+    alg = build_catalog(name, **params)
+    genset = resolve_basis(basis, alg, mode, 4)
+    assert _skipped_assignments(genset.templates(), alg.group, alg.support,
+                                mode == "identities")
+
+
+def test_two_letter_vanishing_set_prunes_only_when_both_are_empty():
+    """x1 x2 x3 - x3 x2 x1 with x1 and x3 of identity degree vanishes when
+    both are set to 1 but not when one is: its one vanishing set has two
+    letters, and an assignment that empties only one of them is kept."""
+    group = FiniteAbelianGroup((2,))
+    poly = parse_poly("x1:e*x2:a*x3:e - x3:e*x2:a*x1:e", group, 1)
+    table = pitool._template_table([poly])
+    assert [row.vanishing for row in table.rows] == [[0b101]]
+    for tideal in (False, True):
+        assert _skipped_assignments(table, group, [(0,), (1,)], tideal)
+    row = table.rows[0]
+
+    def tspace_blocks(degs):
+        pg = MultidegreeBasis(group, degs)
+        return pg.letters, [blocks for blocks, _, _ in pitool._block_assignments(
+            pg.letters, row.degrees, False, group.identity, pitool._subset_degrees(pg),
+            row.vanishing)]
+
+    _, got = tspace_blocks([(1,)])
+    assert got == []  # the one assignment empties both
+    (l1, l2), got = tspace_blocks([(1,), (0,)])
+    assert got == [[(), (l1,), (l2,)], [(l2,), (l1,), ()]]
 
 
 def test_one_substitution_instance_through_every_path():
