@@ -350,7 +350,7 @@ def _component_rows(algebra, pg, central: bool):
       z_p of pivot p, so the row r_k of coordinate k takes r_k - z_p[k] r_p
       for every such row and r_p is dropped: a few row operations per
       substitution in place of one reduction per value.  A row that cancels
-      is dropped, so the rows are those of the reduced values.
+      stays as a zero row, which adds no equation.
     """
     tuples = _substitution_tuples(algebra, pg.letters)
     if tuples is None:
@@ -369,12 +369,8 @@ def _component_rows(algebra, pg, central: bool):
     for choice in tuples:
         words = [tuple(map(choice.__getitem__, pos)) for pos in positions]
         values = list(monomial_values(words, basis, algebra, memo))
-        coords = sorted({k for v in values for k in v})
-        if not reducers:
-            for k in coords:
-                rows.append([v.get(k, zero) for v in values])
-            continue
-        by_coord = {k: [v.get(k, zero) for v in values] for k in coords}
+        by_coord = {k: [v.get(k, zero) for v in values]
+                    for k in sorted({k for v in values for k in v})}
         for p, z in reducers:
             rp = by_coord.pop(p, None)
             if rp is None:
@@ -384,8 +380,7 @@ def _component_rows(algebra, pg, central: bool):
                     rk = by_coord.get(k)
                     by_coord[k] = [-(c * b) for b in rp] if rk is None else \
                         [a - c * b for a, b in zip(rk, rp)]
-        rows.extend(row for _, row in sorted(by_coord.items())
-                    if not all(c.is_zero() for c in row))
+        rows.extend(by_coord[k] for k in sorted(by_coord))
     return rows
 
 
@@ -537,9 +532,9 @@ class GeneratorSet:
     def templates(self):
         """The template table of the multilinear members of s1 then s2 (see
         _template_table), computed once per set: rows by letter count, ties
-        in member order, grouped by degree product, each with its vanishing
-        sets.  _generic_instances moves the rows whose key is a record's to
-        the front, so every record reads one table."""
+        in member order, grouped by degree product, each with its killer
+        letters.  _generic_instances moves the rows whose key is a record's
+        to the front, so every record reads one table."""
         if self._templates is None:
             m1, m2 = self.multilinear_members()
             self._templates = _template_table(m1 + m2)
@@ -564,7 +559,7 @@ def _subset_degrees(pg):
     return deg
 
 
-def _block_assignments(targets, degrees, tideal, identity, deg=None, vanishing=()):
+def _block_assignments(targets, degrees, tideal, identity, deg=None, killers=0):
     """Assignments of target letters to consecutive blocks.
 
     Yields (blocks, prefix, suffix): blocks[j] is an ordered tuple of target
@@ -577,13 +572,13 @@ def _block_assignments(targets, degrees, tideal, identity, deg=None, vanishing=(
     targets' subset-degree table (see _subset_degrees), which only a call
     whose degrees are all None may leave out.
 
-    vanishing holds bit masks over the blocks (block j is bit 1 << j), the
-    vanishing sets of the template the blocks are substituted into (see
-    _vanishing_sets).  An assignment whose empty blocks cover one of them
-    substitutes into the zero polynomial, so its instance is zero; the
-    search leaves its subtree, prefix and suffix included, as soon as an
-    empty block completes the cover.  Every other assignment is yielded in
-    the order above.
+    killers is a bit mask over the blocks (block j is bit 1 << j), the
+    killer letters of the template the blocks are substituted into (see
+    _killers).  An assignment that leaves a killer's block empty substitutes
+    into the zero polynomial, so its instance is zero: the search never
+    leaves such a block empty, and so never enumerates that subtree, prefix
+    and suffix included.  Every other assignment is yielded in the order
+    above.
     """
     bits = [1 << k for k in range(len(targets))]
     letter = dict(zip(bits, targets))
@@ -595,7 +590,7 @@ def _block_assignments(targets, degrees, tideal, identity, deg=None, vanishing=(
     def spell(block):
         return tuple(map(letter.__getitem__, block))
 
-    def rec(j, remaining, blocks, empty):
+    def rec(j, remaining, blocks):
         if j == len(degrees):
             if tideal:
                 blocks = [spell(b) for b in blocks]
@@ -606,18 +601,16 @@ def _block_assignments(targets, degrees, tideal, identity, deg=None, vanishing=(
                 yield [spell(b) for b in blocks], (), ()
             return
         dj = degrees[j]
-        if dj == identity:
-            covered = empty | 1 << j
-            if not any(v & covered == v for v in vanishing):
-                yield from rec(j + 1, remaining, blocks + [()], covered)
+        if dj == identity and not killers >> j & 1:
+            yield from rec(j + 1, remaining, blocks + [()])
         for size in range(1, len(remaining) - nonempty[j + 1] + 1):
             for combo in itertools.permutations(remaining, size):
                 mask = sum(combo)
                 if dj is None or deg[mask] == dj:
                     left = tuple(x for x in remaining if not x & mask)
-                    yield from rec(j + 1, left, blocks + [combo], empty)
+                    yield from rec(j + 1, left, blocks + [combo])
 
-    yield from rec(0, tuple(bits), [], 0)
+    yield from rec(0, tuple(bits), [])
 
 
 def _sparse_vector(pg, terms):
@@ -642,38 +635,36 @@ def _instance_terms(shape, blocks, prefix, suffix):
 class _Template:
     """One row of a template table: a multilinear template and the facts of
     it that _generic_instances reads (see _template_table)."""
-    __slots__ = ("poly", "degrees", "key", "needed", "product", "shape", "vanishing")
+    __slots__ = ("poly", "degrees", "key", "needed", "product", "shape", "killers")
 
-    def __init__(self, poly, degrees, key, needed, product, shape, vanishing):
+    def __init__(self, poly, degrees, key, needed, product, shape, killers):
         self.poly, self.degrees, self.key = poly, degrees, key
         self.needed, self.product, self.shape = needed, product, shape
-        self.vanishing = vanishing
+        self.killers = killers
 
 
-def _vanishing_sets(shape, degrees, identity):
-    """The minimal vanishing sets of a multilinear template, given by its
-    _shape and its sorted letters' degrees: bit masks S over its letters of
-    identity degree (letter k is bit 1 << k) such that setting the letters
-    of S to 1 makes the template the zero polynomial, while no proper subset
-    of S does.
+def _killers(shape, degrees, identity):
+    """The killer letters of a multilinear template, given by its _shape and
+    its sorted letters' degrees: a bit mask (letter k is bit 1 << k) of the
+    letters of identity degree whose setting to 1 makes the template the
+    zero polynomial.
 
-    Vanishing is monotone: setting more letters to 1 substitutes into the
-    zero polynomial f|_S, so a superset of a vanishing set vanishes.  Sets
-    are tried by size, and the supersets of those found are skipped."""
-    units = [1 << k for k, d in enumerate(degrees) if d == identity]
-    found = []
-    for size in range(1, len(units) + 1):
-        for combo in itertools.combinations(units, size):
-            mask = sum(combo)
-            if any(v & mask == v for v in found):
-                continue
+    Vanishing is monotone: setting more letters to 1 substitutes into that
+    zero polynomial, so every instance that puts 1 in a killer's place is
+    zero, whatever the other letters get.  Sets of two or more letters that
+    vanish together, with no killer among them, are not looked for: no
+    template of the catalog's generator sets has one, and their instances
+    are dropped as zero vectors anyway."""
+    killers = 0
+    for k, d in enumerate(degrees):
+        if d == identity:
             restricted = {}
             for positions, c in shape:
-                mono = tuple(k for k in positions if not mask >> k & 1)
+                mono = tuple(x for x in positions if x != k)
                 restricted[mono] = restricted[mono] + c if mono in restricted else c
             if all(c.is_zero() for c in restricted.values()):
-                found.append(mask)
-    return found
+                killers |= 1 << k
+    return killers
 
 
 class _TemplateTable:
@@ -691,7 +682,7 @@ def _template_table(polys):
     """The facts _generic_instances reads of each multilinear template, one
     _Template per poly: its sorted letters' degrees, its key (letter count,
     sorted degrees), its count of non-identity letters, its degree product,
-    its _shape and its minimal vanishing sets (see _vanishing_sets).  Rows
+    its _shape and its killer letters (see _killers).  Rows
     are ordered by letter count, ties in polys' order, and grouped by
     degree product (see _TemplateTable)."""
     rows = []
@@ -702,7 +693,7 @@ def _template_table(polys):
         rows.append(_Template(
             poly, degrees, (len(degrees), tuple(sorted(degrees))),
             sum(1 for d in degrees if d != group.identity), group.product(degrees),
-            shape, _vanishing_sets(shape, degrees, group.identity)))
+            shape, _killers(shape, degrees, group.identity)))
     rows.sort(key=lambda row: row.key[0])
     return _TemplateTable(rows)
 
@@ -720,9 +711,10 @@ def _generic_instances(templates, pg, tideal):
     only the table's group of its own product.  One subset-degree table of
     the target letters (see _subset_degrees), 2^n - 1 group operations,
     gives the target's product and every block degree of the record, so no
-    block degree is multiplied out.  The assignments that empty one of a
-    row's vanishing sets, whose instances are zero, are never enumerated
-    (see _block_assignments); zero vectors are not yielded either way.
+    block degree is multiplied out.  The assignments that leave one of a
+    row's killer letters empty, whose instances are zero, are never
+    enumerated (see _block_assignments); zero vectors are not yielded
+    either way.
     """
     n = len(pg.letters)
     deg = _subset_degrees(pg)
@@ -732,7 +724,7 @@ def _generic_instances(templates, pg, tideal):
     fits = [row for row in rows if row.needed <= n]
     for row in sorted(fits, key=lambda row: row.key != key):
         for blocks, prefix, suffix in _block_assignments(pg.letters, row.degrees, tideal,
-                                                         identity, deg, row.vanishing):
+                                                         identity, deg, row.killers):
             vec = _sparse_vector(pg, _instance_terms(row.shape, blocks, prefix, suffix))
             if vec:
                 yield vec, (row.poly, blocks, prefix, suffix)

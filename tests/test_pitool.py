@@ -216,17 +216,23 @@ def _assignments(algebra, letters):
         yield choice, {lt: algebra.basis_vector(i) for lt, i in zip(letters, choice)}
 
 
+_LONG_EVALUATION_CASES = ("m2-4", "m2-8", "e-series")
+
+
 @pytest.mark.parametrize("name, params", _EVALUATION_CASES,
                          ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
                               for name, params in _EVALUATION_CASES])
 def test_word_evaluation_matches_evaluate(name, params):
     """One memo of basis-index words per multidegree gives the values that
     evaluate gives substitution by substitution, and _component_rows gives
-    the rows of a per-substitution loop, at every multidegree of length <= 3."""
+    the rows of a per-substitution loop, each value reduced modulo the whole
+    center when central, at every multidegree of length <= 3 (<= 4 on m2-4,
+    m2-8 and e-series(-1,4), whose components meet the center in every way:
+    see test_central_components_of_every_kind_are_checked)."""
     alg = build_catalog(name, **params)
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
     zero = Cyclo.zero()
-    for n in (1, 2, 3):
+    for n in range(1, 5 if name in _LONG_EVALUATION_CASES else 4):
         for degs in itertools.product(alg.support, repeat=n):
             pg = MultidegreeBasis(alg.group, degs)
             memo = {}
@@ -324,48 +330,10 @@ def test_component_rows_are_real(name, params):
                     assert all(c.is_real() for c in row), (degs, central)
 
 
-def _reduced_value_rows(algebra, pg):
-    """The central target's rows as built value by value: every monomial
-    value, under every representative substitution, reduced modulo the
-    whole center's echelon form, then one row per coordinate the reduced
-    values meet."""
-    zero = Cyclo.zero()
-    rows = []
-    for _, assign in _assignments(algebra, pg.letters):
-        values = [center_echelon(algebra).reduce(
-                      evaluate(monomial_poly(algebra.group, algebra.order, m), assign, algebra))
-                  for m in pg.monomials]
-        for k in sorted({k for v in values for k in v}):
-            rows.append([v.get(k, zero) for v in values])
-    return rows
-
-
-_CENTRAL_EQUATION_CASES = [(name, params, 4 if name in ("m2-4", "m2-8", "e-series") else 3)
-                           for name, params in _TARGET_CASES]
-
-
-@pytest.mark.parametrize("name, params, max_length", _CENTRAL_EQUATION_CASES,
-                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
-                              for name, params, _ in _CENTRAL_EQUATION_CASES])
-def test_central_equations_match_value_by_value_reduction(name, params, max_length):
-    """A central target, built on the graded part of the center at its
-    component alone, has the reduced equations of the rows of every value
-    reduced modulo the whole center, at every sorted multidegree of length
-    <= max_length."""
-    alg = build_catalog(name, **params)
-    for n in range(1, max_length + 1):
-        for degs in itertools.combinations_with_replacement(sorted(alg.support), n):
-            target = multilinear_central_space(alg, degs)
-            reference = Echelon(target.pg.ncols)
-            for row in _reduced_value_rows(alg, target.pg):
-                reference.add(row)
-            assert target.equations.sparse_basis() == reference.sparse_basis(), degs
-
-
 def test_central_components_of_every_kind_are_checked():
-    """The algebras of the test above cover each way a component meets the
-    center: inside it (m2-8 at a^2), in 0 (m2-8 at a) and neither
-    (e-series(-1,4) at e)."""
+    """The algebras that test_word_evaluation_matches_evaluate checks at
+    length 4 cover each way a component meets the center: inside it (m2-8
+    at a^2), in 0 (m2-8 at a) and neither (e-series(-1,4) at e)."""
     m28 = build_catalog("m2-8")
     e4 = build_catalog("e-series", eps=-1, n=4)
     for alg, g, meet in ((m28, (2, 0), 1), (m28, (1, 0), 0), (e4, (0,), 1)):
@@ -748,7 +716,7 @@ def test_generic_stream_reads_block_degrees_off_one_table(monkeypatch):
     assert instances
 
 
-_VANISHING_CASES = [
+_KILLER_CASES = [
     ("e-series", {"eps": -1, "n": 4}, "corollary", "identities"),
     ("e-series", {"eps": -1, "n": 4}, "corollary", "centrals"),
     ("m2c-z4", {}, "corollary", "identities"),
@@ -758,7 +726,7 @@ _VANISHING_CASES = [
     ("m2r-triv", {}, "okhitin", "centrals"),
     ("m2r-triv", {}, "s4-hall", "identities"),
 ]
-_VANISHING_IDS = ["%s-%s-%s" % (name, basis, mode) for name, _, basis, mode in _VANISHING_CASES]
+_KILLER_IDS = ["%s-%s-%s" % (name, basis, mode) for name, _, basis, mode in _KILLER_CASES]
 
 
 def _set_to_one(poly, letters):
@@ -768,12 +736,13 @@ def _set_to_one(poly, letters):
                      for mono, c in poly.terms.items()))
 
 
-@pytest.mark.parametrize("name, params, basis, mode", _VANISHING_CASES, ids=_VANISHING_IDS)
-def test_vanishing_sets_are_the_minimal_sets_that_vanish(name, params, basis, mode):
+@pytest.mark.parametrize("name, params, basis, mode", _KILLER_CASES, ids=_KILLER_IDS)
+def test_killer_letters_are_every_vanishing_set(name, params, basis, mode):
     """On every template row, setting a set S of identity-degree letters to 1
     gives the zero polynomial exactly when S contains one of the row's
-    vanishing sets, for every such S; the sets are of identity-degree
-    letters, and none contains another."""
+    killer letters, for every such S: the killers are of identity degree,
+    and these rows have no vanishing set of two or more letters without a
+    killer."""
     alg = build_catalog(name, **params)
     genset = resolve_basis(basis, alg, mode, 4)
     identity = alg.group.identity
@@ -781,22 +750,19 @@ def test_vanishing_sets_are_the_minimal_sets_that_vanish(name, params, basis, mo
     for row in genset.templates().rows:
         letters = row.poly.letters()
         units = [k for k, (_, d) in enumerate(letters) if d == identity]
-        allowed = sum(1 << k for k in units)
-        for v in row.vanishing:
-            assert v and v & allowed == v, (row.poly, v)
-            assert not any(w != v and w & v == w for w in row.vanishing), (row.poly, v)
+        assert row.killers & sum(1 << k for k in units) == row.killers, row.poly
         for size in range(len(units) + 1):
             for subset in itertools.combinations(units, size):
                 mask = sum(1 << k for k in subset)
                 zero = _set_to_one(row.poly, {letters[k] for k in subset}).is_zero()
-                assert zero == any(v & mask == v for v in row.vanishing), (row.poly, subset)
-        found += len(row.vanishing)
+                assert zero == bool(mask & row.killers), (row.poly, subset)
+        found += bin(row.killers).count("1")
     assert found
 
 
 def _skipped_assignments(table, group, support, tideal):
     """Assert that, at every multidegree over support of length <= 4, the
-    block assignments each row's vanishing sets prune are the reference
+    block assignments each row's killer letters prune are the reference
     assignments with some left out, in the same order, and that each one
     left out substitutes into a zero instance; returns how many were left
     out."""
@@ -809,7 +775,7 @@ def _skipped_assignments(table, group, support, tideal):
                 if row.needed > n or not (tideal or row.product == deg[-1]):
                     continue
                 got = list(pitool._block_assignments(pg.letters, row.degrees, tideal,
-                                                     group.identity, deg, row.vanishing))
+                                                     group.identity, deg, row.killers))
                 kept = 0
                 for blocks, prefix, suffix in _reference_block_assignments(
                         pg.letters, row.degrees, tideal, group):
@@ -825,9 +791,9 @@ def _skipped_assignments(table, group, support, tideal):
     return skipped
 
 
-@pytest.mark.parametrize("name, params, basis, mode", _VANISHING_CASES, ids=_VANISHING_IDS)
+@pytest.mark.parametrize("name, params, basis, mode", _KILLER_CASES, ids=_KILLER_IDS)
 def test_skipped_assignments_have_zero_instances(name, params, basis, mode):
-    """Pruning by vanishing sets leaves out only zero instances of the
+    """Pruning by killer letters leaves out only zero instances of the
     family's templates, at every multidegree of length <= 4."""
     alg = build_catalog(name, **params)
     genset = resolve_basis(basis, alg, mode, 4)
@@ -835,28 +801,21 @@ def test_skipped_assignments_have_zero_instances(name, params, basis, mode):
                                 mode == "identities")
 
 
-def test_two_letter_vanishing_set_prunes_only_when_both_are_empty():
+def test_two_letter_vanishing_set_is_left_to_the_zero_filter():
     """x1 x2 x3 - x3 x2 x1 with x1 and x3 of identity degree vanishes when
-    both are set to 1 but not when one is: its one vanishing set has two
-    letters, and an assignment that empties only one of them is kept."""
+    both are set to 1 but not when one is: it has no killer letter, nothing
+    is pruned, and its zero instances are dropped as vectors, so its stream
+    is the unpruned reference at every multidegree of length <= 3."""
     group = FiniteAbelianGroup((2,))
     poly = parse_poly("x1:e*x2:a*x3:e - x3:e*x2:a*x1:e", group, 1)
     table = pitool._template_table([poly])
-    assert [row.vanishing for row in table.rows] == [[0b101]]
-    for tideal in (False, True):
-        assert _skipped_assignments(table, group, [(0,), (1,)], tideal)
-    row = table.rows[0]
-
-    def tspace_blocks(degs):
-        pg = MultidegreeBasis(group, degs)
-        return pg.letters, [blocks for blocks, _, _ in pitool._block_assignments(
-            pg.letters, row.degrees, False, group.identity, pitool._subset_degrees(pg),
-            row.vanishing)]
-
-    _, got = tspace_blocks([(1,)])
-    assert got == []  # the one assignment empties both
-    (l1, l2), got = tspace_blocks([(1,), (0,)])
-    assert got == [[(), (l1,), (l2,)], [(l2,), (l1,), ()]]
+    assert [row.killers for row in table.rows] == [0]
+    for n in (1, 2, 3):
+        for degs in itertools.product([(0,), (1,)], repeat=n):
+            pg = MultidegreeBasis(group, degs)
+            for tideal in (False, True):
+                assert list(pitool._generic_instances(table, pg, tideal)) == \
+                    list(_unpruned_instances([poly], pg, tideal)), (degs, tideal)
 
 
 def test_one_substitution_instance_through_every_path():
