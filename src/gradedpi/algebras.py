@@ -5,8 +5,9 @@ An algebra is a basis with a degree map into a finite abelian group and a
 sparse multiplication table with exact real cyclotomic entries.  Construction
 always validates realness, graded multiplication, the unit and associativity,
 so a GradedAlgebra in hand is a certified object.  Associativity is proved by
-Light's test on a generating set: (xa)y = x(ay) for every basis x, y and every
-generator a, which costs (generators) * dim^2 products instead of dim^3.
+Light's test on a generating set none of whose members can be dropped:
+(xa)y = x(ay) for every basis x, y and every generator a, which costs
+(generators) * dim^2 products instead of dim^3.
 Structural analysis (center, commutation bicharacters, graded-division
 certificates) is exact linear algebra over the real subfield.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceRefusal
 from .groups import Bicharacter, FiniteAbelianGroup, quotient_by
 from . import scalars
 from .scalars import Cyclo, Echelon, _lcm
@@ -190,20 +191,37 @@ class GradedAlgebra:
 
     def _generators(self):
         """Basis indices a_1, a_2, ... whose products unit*a_i*a_j*... span
-        the algebra: in basis order, each index not yet in that span."""
+        the algebra, none of which can be dropped.  Each basis index outside
+        the span of the products of those taken before it is taken; then each
+        one taken, in turn, is dropped when the others still span.  Once one
+        is kept, no subset of the others spans, so none left can be dropped."""
+        gens = []
+        span = self._word_span(gens)
+        for i in range(self.dim):
+            if span.dim == self.dim:
+                break
+            if not span.contains(self.basis_vector(i)):
+                gens.append(i)
+                span = self._word_span(gens)
+        for a in list(gens):
+            rest = [g for g in gens if g != a]
+            if self._word_span(rest).dim == self.dim:
+                gens = rest
+        return gens
+
+    def _word_span(self, gens):
+        """The span of the unit and its products unit*a_i*a_j*... with basis
+        indices a_i from gens, as an Echelon.  The products are formed left
+        to right, so the span is right for a table that is not associative."""
         span = Echelon(self.dim)
         span.add(self.unit)
-        products, gens = [self.unit], []
-        for i in range(self.dim):
-            if span.contains(self.basis_vector(i)):
-                continue
-            gens.append(i)
-            for w in products:  # also visits the products appended below
-                for g in gens:
-                    wg = self.mul_vec(w, self.basis_vector(g))
-                    if span.add(wg):
-                        products.append(wg)
-        return gens
+        products = [self.unit]
+        for w in products:  # also visits the products appended below
+            for g in gens:
+                wg = self.mul_vec(w, self.basis_vector(g))
+                if span.add(wg):
+                    products.append(wg)
+        return span
 
     # -- complex structure (central square root of -1 permuting the basis) ----
 
@@ -827,6 +845,13 @@ def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
     its validation proves it associative, and associativity at the basis
     triple (u_g, u_h, u_k) reads sigma(g,h)*sigma(gh,k) = sigma(g,hk)*sigma(h,k);
     the commutation scalars are compared with beta below.
+
+    Every scalar here is a power of zeta_n, n the algebra's order, which
+    must be a multiple of N, the order of beta, and of 4 (else
+    PreconditionError): the table entry (i^r1 u_g)(i^r2 u_h) is zeta_n^m u_gh
+    with m = k*n/N + (r1 + r2)*n/4, where sigma(g, h) = zeta_N^k.  So the
+    real and i parts of zeta_n^m are split once for each m < n, and the table
+    and the check against beta read them off by exponent.
     """
     group = beta.group
     exps = beta.table_exponents
@@ -834,12 +859,19 @@ def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
         raise PreconditionError(
             "twisted group algebra needs an alternating bicharacter "
             "(beta(g,g) = 1 on generators)")
-    n = _lcm(beta.order, 4) if order is None else order
-    i_s = Cyclo.zeta(n, n // 4)
+    need = _lcm(beta.order, 4)
+    n = need if order is None else order
+    if not isinstance(n, int) or n < 1 or n % need:
+        raise PreconditionError(
+            "twisted group algebra of a bicharacter of order %d needs a cyclotomic "
+            "order that is a multiple of %d, got %r" % (beta.order, need, n))
+    step, quarter = n // beta.order, n // 4
+    # parts[m] = (real part, i part) of zeta_n^m
+    parts = [(z.real_part(), z.imag_over_i())
+             for z in (Cyclo.zeta(n, m) for m in range(n))]
 
-    def sigma(g, h):
-        k = sum(g[i] * h[j] * exps[i][j] for i in range(group.rank) for j in range(i))
-        return beta.powers[k % beta.order]
+    def sigma_exponent(g, h):
+        return sum(g[i] * h[j] * exps[i][j] for i in range(group.rank) for j in range(i))
 
     elements = group.elements()
     labels = []
@@ -853,14 +885,11 @@ def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
     mult = {}
     for d1 in elements:
         for d2 in elements:
-            c = sigma(d1, d2).lift(n)
+            m = sigma_exponent(d1, d2) * step
             d3 = group.op(d1, d2)
             for r1 in (0, 1):
                 for r2 in (0, 1):
-                    # i^(r1+r2) * c, split into real and i parts
-                    total = c * i_s ** (r1 + r2)
-                    t_re = total.real_part()
-                    t_im = total.imag_over_i()
+                    t_re, t_im = parts[(m + (r1 + r2) * quarter) % n]
                     row = {}
                     if not t_re.is_zero():
                         row[index[(d3, 0)]] = t_re
@@ -877,9 +906,9 @@ def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
         for h in elements:
             uv = algebra.mul_basis(index[(g, 0)], index[(h, 0)])
             vu = algebra.mul_basis(index[(h, 0)], index[(g, 0)])
-            b = beta.eval(g, h).lift(n)
-            expected = vec_add(vec_scale(vu, b.real_part()),
-                               vec_scale(algebra.mul_vec(j_vec, vu), b.imag_over_i()))
+            b_re, b_im = parts[beta.exponent(g, h) * step]
+            expected = vec_add(vec_scale(vu, b_re),
+                               vec_scale(algebra.mul_vec(j_vec, vu), b_im))
             if uv != expected:
                 raise AssertionError("twisted group algebra does not realize beta")
     return algebra
@@ -977,33 +1006,33 @@ def build_e_series(eps: int, n: int):
                          name="e-series(%d,%d)" % (eps, n))
 
 
-# each entry: its builder, and the parameters it takes (as keywords)
+# Catalog algebras, tensor products included, may have at most this dimension.
+# Construction cost grows with dim^2 (the table and Light's test); the bound
+# admits pauli-8, of dimension 128, and refuses pauli-9, of dimension 162.
+MAX_CATALOG_DIM = 128
+
+# each entry: its builder, the parameters it takes (as keywords, with their
+# defaults; None for a required one), and the dimension of what it builds from
+# those parameters: 0 for a size below 2, which the builder refuses, so that a
+# negative size is refused as a precondition and not by the dimension bound
 _CATALOG = {
-    "c2": (build_c2, ()),
-    "m2-4": (build_m2_4, ()),
-    "m2-2": (lambda: coarsen_by_quotient(build_m2_4(), (1, 1)), ()),
-    "h4": (build_h4, ()),
-    "h2": (lambda: coarsen_by_quotient(build_h4(), (1, 0)), ()),
-    "h-triv": (build_h_trivial, ()),
-    "m2r-triv": (build_m2r_trivial, ()),
-    "m2-elem": (build_m2_elem, ()),
-    "m2-8": (build_m2_8, ()),
-    "m2c-z4": (lambda: coarsen_by_quotient(build_m2_8(), (0, 1)), ()),
-    "pauli": (lambda n=None: build_pauli(_require_int("pauli", "n", n)), ("n",)),
-    "d-cyclic": (lambda m=None, eps=1: build_d_cyclic(
-        _require_int("d-cyclic", "m", m), int(eps)), ("m", "eps")),
-    "d-pair": (lambda k=None, l=None, mu=1, nu=1: build_d_pair(
-        _require_int("d-pair", "k", k), _require_int("d-pair", "l", l), int(mu), int(nu)),
-        ("k", "l", "mu", "nu")),
-    "e-series": (lambda eps=1, n=None: build_e_series(
-        int(eps), _require_int("e-series", "n", n)), ("eps", "n")),
+    "c2": (build_c2, {}, lambda: 2),
+    "m2-4": (build_m2_4, {}, lambda: 4),
+    "m2-2": (lambda: coarsen_by_quotient(build_m2_4(), (1, 1)), {}, lambda: 4),
+    "h4": (build_h4, {}, lambda: 4),
+    "h2": (lambda: coarsen_by_quotient(build_h4(), (1, 0)), {}, lambda: 4),
+    "h-triv": (build_h_trivial, {}, lambda: 4),
+    "m2r-triv": (build_m2r_trivial, {}, lambda: 4),
+    "m2-elem": (build_m2_elem, {}, lambda: 4),
+    "m2-8": (build_m2_8, {}, lambda: 8),
+    "m2c-z4": (lambda: coarsen_by_quotient(build_m2_8(), (0, 1)), {}, lambda: 8),
+    "pauli": (build_pauli, {"n": None}, lambda n: 2 * n * n if n >= 2 else 0),
+    "d-cyclic": (build_d_cyclic, {"m": None, "eps": 1}, lambda m, eps: m if m >= 2 else 0),
+    "d-pair": (build_d_pair, {"k": None, "l": None, "mu": 1, "nu": 1},
+               lambda k, l, mu, nu: k * l if k >= 2 and l >= 2 else 0),
+    "e-series": (build_e_series, {"eps": 1, "n": None},
+                 lambda eps, n: 2 * n if n >= 2 else 0),
 }
-
-
-def _require_int(catalog_id, key, value):
-    if value is None:
-        raise PreconditionError("catalog entry %r requires parameter %r" % (catalog_id, key))
-    return int(value)
 
 
 def catalog_ids():
@@ -1014,7 +1043,9 @@ def build_catalog(name: str, **params) -> GradedAlgebra:
     """Build a catalog algebra; tensor products via 'id1@id2@...'.
 
     Each factor gets the params it takes, and a param that no factor takes
-    is refused (PreconditionError) rather than ignored."""
+    is refused (PreconditionError) rather than ignored.  A product whose
+    dimension exceeds MAX_CATALOG_DIM is refused (ResourceRefusal) before any
+    factor is built."""
     name = name.strip()
     parts = [p.strip() for p in name.split("@")]
     for part in parts:
@@ -1024,9 +1055,23 @@ def build_catalog(name: str, **params) -> GradedAlgebra:
     if unused:
         raise PreconditionError("catalog entry %r takes no parameter %s" % (
             name, ", ".join(map(repr, sorted(unused)))))
-    out = None
+    factors, dim = [], 1
     for part in parts:
-        build, takes = _CATALOG[part]
-        nxt = build(**{key: params[key] for key in takes if key in params})
+        build, takes, dimension = _CATALOG[part]
+        kwargs = {}
+        for key, default in takes.items():
+            value = params.get(key, default)
+            if value is None:
+                raise PreconditionError(
+                    "catalog entry %r requires parameter %r" % (part, key))
+            kwargs[key] = int(value)
+        factors.append((build, kwargs))
+        dim *= dimension(**kwargs)
+    if dim > MAX_CATALOG_DIM:
+        raise ResourceRefusal("catalog algebra %r has dimension %d, over the bound %d" % (
+            name, dim, MAX_CATALOG_DIM))
+    out = None
+    for build, kwargs in factors:
+        nxt = build(**kwargs)
         out = nxt if out is None else tensor(out, nxt)
     return out

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from gradedpi import algebras, scalars
 from gradedpi.algebras import (
     build_catalog,
+    build_twisted_group_algebra,
     catalog_ids,
     center,
     center_echelon,
@@ -17,8 +20,9 @@ from gradedpi.algebras import (
     invert,
     tensor,
 )
-from gradedpi.errors import PreconditionError
-from gradedpi.groups import bichar_tensor
+from gradedpi.cli import algebra_spec_dict
+from gradedpi.errors import PreconditionError, ResourceRefusal
+from gradedpi.groups import Bicharacter, FiniteAbelianGroup, bichar_tensor
 from gradedpi.scalars import Cyclo
 
 
@@ -347,9 +351,19 @@ def _failing_triples(alg):
             != alg.mul_vec(alg.basis_vector(i), alg.mul_basis(j, k))]
 
 
+def _pauli2x2():
+    """The twisted group algebra of the pauli-2 bicharacter tensored with itself."""
+    beta2, _ = detect_regular(build_catalog("pauli", n=2))
+    return build_twisted_group_algebra(bichar_tensor(beta2, beta2), name="pauli2x2")
+
+
+def _build_case(name, params):
+    return _pauli2x2() if name == "pauli2x2" else build_catalog(name, **params)
+
+
 _ASSOCIATIVITY_CASES = [(name, {}) for name in catalog_ids()
                         if name not in ("pauli", "d-cyclic", "d-pair", "e-series")] + [
-    ("pauli", {"n": 2}), ("pauli", {"n": 3}),
+    ("pauli", {"n": 2}), ("pauli", {"n": 3}), ("pauli", {"n": 4}), ("pauli2x2", {}),
     ("e-series", {"eps": -1, "n": 4}), ("e-series", {"eps": 1, "n": 2}),
     ("d-pair", {"k": 2, "l": 2, "mu": -1, "nu": -1}),
     ("d-pair", {"k": 4, "l": 2, "mu": -1, "nu": 1}),
@@ -377,8 +391,9 @@ def _perturbed(alg, rng):
                               for n, p in _ASSOCIATIVITY_CASES])
 def test_light_associativity_matches_triple_scan(name, params):
     """validate() accepts exactly the tables the dim^3 scan accepts, and a
-    rejection names a basis triple that really fails."""
-    alg = build_catalog(name, **params)
+    rejection names a basis triple that really fails.  On pauli-3 and
+    pauli-4 the generators are u[y] and u[x] alone, without J = i*u[e]."""
+    alg = _build_case(name, params)
     assert _failing_triples(alg) == []
     rng = random.Random("%s%s" % (name, sorted(params.items())))
     for _ in range(4):
@@ -392,6 +407,36 @@ def test_light_associativity_matches_triple_scan(name, params):
             assert str(exc) in named
         else:
             assert failing == []
+
+
+def _generated_dim(alg, gens):
+    """The dimension of the span of the unit and its products
+    unit*a_1*...*a_k with basis indices a_i from gens, grown one round of
+    products at a time until a round adds nothing."""
+    span = scalars.Echelon(alg.dim)
+    span.add(alg.unit)
+    new = [alg.unit]
+    while new:
+        new = [wa for wa in (alg.mul_vec(w, alg.basis_vector(a)) for w in new for a in gens)
+               if span.add(wa)]
+    return span.dim
+
+
+@pytest.mark.parametrize("name, params", _ASSOCIATIVITY_CASES,
+                         ids=["%s%s" % (n, "".join("-%s" % v for v in p.values()))
+                              for n, p in _ASSOCIATIVITY_CASES])
+def test_generators_span_and_none_can_be_dropped(name, params):
+    """Light's test runs on _generators(): their products span the algebra,
+    and without any one of them they do not."""
+    alg = _build_case(name, params)
+    gens = alg._generators()
+    assert _generated_dim(alg, gens) == alg.dim
+    for a in gens:
+        assert _generated_dim(alg, [g for g in gens if g != a]) < alg.dim, alg.labels[a]
+    if name == "pauli":
+        # u_x u_y = zeta_n u_y u_x, and zeta_n is real only for n = 2
+        expected = ["i*u[e]", "u[y]", "u[x]"] if params["n"] == 2 else ["u[y]", "u[x]"]
+        assert [alg.labels[a] for a in gens] == expected
 
 
 def _mul_vec_reference(alg, u, v):
@@ -651,3 +696,85 @@ def test_tensor_and_trivial_eval_match_the_table_extension():
     trivial = algebras.Bicharacter.trivial(p3.group)
     _assert_eval_is_the_table_extension(trivial)
     assert trivial.radical() == p3.group.elements()
+
+
+# -- twisted group algebras read off the powers of zeta_n --------------------------
+
+def _p4():
+    """The twisted group algebra over Z_4 x Z_4 of tests/test_freealg.py."""
+    g = FiniteAbelianGroup((4, 4), ("x", "y"))
+    eps = Cyclo.zeta(4)
+    beta = Bicharacter(g, 4, [[Cyclo.one(), eps], [eps.inv(), Cyclo.one()]])
+    return build_twisted_group_algebra(beta, name="p4")
+
+
+# SHA-256 of json.dumps(algebra_spec_dict(algebra), sort_keys=True), recorded
+# from tables whose every entry was a Cyclo product split into its real and i
+# parts: the table read off the powers of zeta_n must give the same bytes
+_FROZEN_SPEC_DIGESTS = {
+    "pauli-2": "10cc9567016388e947a65a81eaa1c0fda1e7f9ff3cd8aac0e9430c8e47c96c22",
+    "pauli-3": "afa767b7ce7740f921a3548af2635e6ba53fa7c24c09016b1e4e1384ff7fb023",
+    "pauli-4": "83a1ec79c2fa2724bc24234b2879ec1bf3e5aeff6ff59a11ff2b94e75f5ef047",
+    "pauli-5": "d4797c9c73d69bd33974a9f4a3154f42e04c66ac21c95c72416a0645bfc9bcb5",
+    "pauli-6": "4eb3d62b99ef99ea41b9b074124c135f3bcd5f8481bd34f22cdf9a9a79d3ccc2",
+    "pauli2x2": "4d3ac42710f1a814b9dd856e681a0f799bba37f0be09d638b42f6ae46dbae1a9",
+    "p4": "49dceaef200ee0c2f79bfc96e465ce843d77aa3b392f68c437bb9ff7a605bb7f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_SPEC_DIGESTS))
+def test_twisted_group_algebra_specs_are_frozen(name):
+    if name.startswith("pauli-"):
+        alg = build_catalog("pauli", n=int(name[len("pauli-"):]))
+    else:
+        alg = {"pauli2x2": _pauli2x2, "p4": _p4}[name]()
+    text = json.dumps(algebra_spec_dict(alg), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _FROZEN_SPEC_DIGESTS[name]
+
+
+def test_twisted_group_algebra_refuses_an_order_without_its_roots():
+    """beta of order 3 needs zeta_3 and i, so an order that 12 does not
+    divide is refused (exit 3)."""
+    g = FiniteAbelianGroup((3, 3), ("x", "y"))
+    beta = Bicharacter(g, 3, [[Cyclo.one(), Cyclo.zeta(3)], [Cyclo.zeta(3, 2), Cyclo.one()]])
+    for order in (3, 4, 6, 8, 18):
+        with pytest.raises(PreconditionError, match="multiple of 12"):
+            build_twisted_group_algebra(beta, order=order)
+    for admitted in (None, 12, 24):
+        alg = build_twisted_group_algebra(beta, order=admitted)
+        assert alg.order == (admitted or 12) and alg.dim == 18
+
+
+# -- the catalog's dimension bound -------------------------------------------------
+
+@pytest.mark.parametrize("name, params", _DETECTOR_CASES,
+                         ids=["%s%s" % (n, "".join("-%s%s" % kv for kv in p.items()))
+                              for n, p in _DETECTOR_CASES])
+def test_catalog_bound_reads_the_built_dimension(name, params, monkeypatch):
+    """The dimension the bound is checked against, before building, is the
+    dimension of the algebra built."""
+    dim = build_catalog(name, **params).dim
+    monkeypatch.setattr(algebras, "MAX_CATALOG_DIM", dim - 1)
+    with pytest.raises(ResourceRefusal, match="has dimension %d, over the bound" % dim):
+        build_catalog(name, **params)
+
+
+def _refuse_to_construct(self, *args, **kwargs):
+    raise AssertionError("an algebra was constructed")
+
+
+def test_catalog_refuses_past_the_bound_before_building(monkeypatch):
+    """The smallest pauli-n past the bound, and a tensor product past it, are
+    refused before any algebra is constructed; the pauli-n below is not."""
+    n = next(n for n in itertools.count(2) if 2 * n * n > algebras.MAX_CATALOG_DIM)
+    assert n == 9
+    monkeypatch.setattr(algebras.GradedAlgebra, "__init__", _refuse_to_construct)
+    with pytest.raises(ResourceRefusal):
+        build_catalog("pauli", n=n)
+    with pytest.raises(ResourceRefusal):
+        build_catalog("m2-8@m2-8@c2@c2")
+    with pytest.raises(AssertionError, match="constructed"):
+        build_catalog("pauli", n=n - 1)
+    # a size the builder refuses is a precondition, whatever the product
+    with pytest.raises(PreconditionError):
+        build_catalog("pauli@d-pair", n=-20, k=-16, l=-16)

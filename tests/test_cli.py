@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from gradedpi import cli
+from gradedpi import algebras, cli
 from gradedpi.algebras import build_catalog, catalog_ids
 from gradedpi.cli import (
     algebra_spec_dict,
@@ -30,6 +30,16 @@ def test_build_summary_and_exit(capsys):
 def test_build_invalid_params_exit3(capsys):
     assert run(["build", "--algebra", "pauli", "--n", "0"]) == 3
     assert run(["build", "--algebra", "no-such-entry"]) == 3
+
+
+def test_build_past_the_catalog_bound_exit4(monkeypatch, capsys):
+    """pauli-9, the smallest past the bound, is refused before it is built."""
+    def construct(self, *args, **kwargs):
+        raise AssertionError("an algebra was constructed")
+
+    monkeypatch.setattr(algebras.GradedAlgebra, "__init__", construct)
+    assert run(["build", "--algebra", "pauli", "--n", "9"]) == 4
+    assert "dimension 162, over the bound 128" in capsys.readouterr().err
 
 
 def test_build_refuses_a_parameter_no_factor_takes(capsys):
