@@ -9,7 +9,11 @@ Light's test on a generating set none of whose members can be dropped:
 (xa)y = x(ay) for every basis x, y and every generator a, which costs
 (generators) * dim^2 products instead of dim^3.
 Structural analysis (center, commutation bicharacters, graded-division
-certificates) is exact linear algebra over the real subfield.
+certificates) is exact linear algebra over the real subfield, with
+scalars.kernel_over_real_subfield the one solver.  Each system spans only the
+coordinates of the graded components it can touch: the center is solved as
+Z cap A_g one component at a time, the inverse of a homogeneous element of
+degree g over A_(g^-1), and the spans that classify A_e over A_e alone.
 """
 
 from __future__ import annotations
@@ -324,7 +328,8 @@ def center(algebra: GradedAlgebra):
     """Basis of the center, as homogeneous elements.
 
     For abelian grading groups the homogeneous parts of central elements are
-    central, so returning homogeneous elements loses nothing.  The result is
+    central, so the center is the sum of its parts Z cap A_g, and each is
+    solved over the coordinates of A_g alone (see _center).  The result is
     memoized on the algebra.
     """
     if algebra._center is None:
@@ -358,35 +363,39 @@ def center_rows(algebra: GradedAlgebra, g):
 
 
 def _center(algebra):
-    rows = []
-    dim = algebra.dim
-    for j in range(dim):
-        row_for_coord = {}
-        for i in range(dim):
-            left = algebra.mul_basis(i, j)
-            right = algebra.mul_basis(j, i)
-            for k in set(left) | set(right):
-                c = left.get(k, Cyclo.zero()) - right.get(k, Cyclo.zero())
-                if not c.is_zero():
-                    row_for_coord.setdefault(k, [Cyclo.zero()] * dim)[i] = c
-        rows.extend(row_for_coord.values())
-    basis = scalars.kernel_over_real_subfield(rows) if rows else [
-        [Cyclo.one() if t == s else Cyclo.zero() for t in range(dim)] for s in range(dim)]
+    """Z cap A_g solved once for each supported g, over the coordinates of
+    A_g alone: for z in A_g and b_j of degree h, z b_j - b_j z lies in
+    A_(gh) and reads only z's coordinates, so the whole-algebra commutator
+    system is one block per component.  A component with no commutator
+    rows is central.  Each kernel vector has a 1 in its free column, the
+    last of its support, and the elements are listed in the order of those
+    columns, as one kernel of the whole algebra lists them."""
+    zero = Cyclo.zero()
     out = []
-    for v in basis:
-        by_degree = {}
-        for idx, c in enumerate(v):
-            if not c.is_zero():
-                by_degree.setdefault(algebra.degrees[idx], {})[idx] = c
-        for degree, coords in sorted(by_degree.items()):
-            out.append(HomogeneousElement(algebra, degree, coords))
-    # prune to an independent set
-    ech = Echelon(dim)
-    independent = [h for h in out if ech.add(h.coords)]
+    for g in algebra.support:
+        comp = algebra.component(g)
+        rows = []
+        for j in range(algebra.dim):
+            row_for_coord = {}
+            for t, i in enumerate(comp):
+                left = algebra.mul_basis(i, j)
+                right = algebra.mul_basis(j, i)
+                for k in set(left) | set(right):
+                    c = left.get(k, zero) - right.get(k, zero)
+                    if not c.is_zero():
+                        row_for_coord.setdefault(k, [zero] * len(comp))[t] = c
+            rows.extend(row_for_coord.values())
+        basis = scalars.kernel_over_real_subfield(rows) if rows else [
+            [Cyclo.one() if t == s else zero for t in comp] for s in comp]
+        out.extend(HomogeneousElement(algebra, g, dict(zip(comp, v))) for v in basis)
+    out.sort(key=lambda h: max(h.coords))
+    ech = Echelon(algebra.dim)
+    for h in out:
+        ech.add(h.coords)
     rows_by_degree = {}
     for row in ech.sparse_basis():
         rows_by_degree.setdefault(algebra.degrees[min(row)], []).append(row)
-    return independent, ech, rows_by_degree
+    return out, ech, rows_by_degree
 
 
 class RegularityWitness:
@@ -540,35 +549,37 @@ def _detect_complex_bicharacter(algebra):
 
 
 def invert(algebra: GradedAlgebra, v):
-    """Two-sided inverse of v in the algebra (real coordinates), or None."""
-    dim = algebra.dim
-    cols = []
-    for i in range(dim):
-        cols.append(algebra.mul_vec(v, algebra.basis_vector(i)))
-    rows = []
-    for k in range(dim):
-        row = [cols[i].get(k, Cyclo.zero()) for i in range(dim)]
-        row.append(-algebra.unit.get(k, Cyclo.zero()))
-        rows.append(row)
-    for sol in scalars.kernel_over_real_subfield(rows):
-        if sol[dim].is_zero():
-            continue
-        t = sol[dim].inv()
-        y = {i: sol[i] * t for i in range(dim) if not sol[i].is_zero()}
-        if algebra.mul_vec(v, y) == dict(algebra.unit) and \
-                algebra.mul_vec(y, v) == dict(algebra.unit):
-            return y
-    return None
+    """Two-sided inverse of a homogeneous v with real coordinates, or None.
+
+    A zero v has none; a v that is not homogeneous is refused
+    (PreconditionError).  The inverse of a homogeneous v of degree g lies in
+    A_(g^-1), and v y then lies in A_e, so y is solved for over the
+    coordinates of A_(g^-1) against the unit's coordinates in A_e
+    (_solve_in_span).  No check of v y = y v = 1 follows: validate() proves
+    the grading, so v y = 1 holds on all of A once it holds on A_e, and it
+    proves associativity, under which a one-sided inverse in a
+    finite-dimensional algebra is two-sided.
+    """
+    if not v:
+        return None
+    degrees = {algebra.degrees[k] for k in v}
+    if len(degrees) != 1:
+        raise PreconditionError("invert needs a homogeneous element, got one of degrees %s" % (
+            ", ".join(sorted(algebra.group.element_to_word(g) for g in degrees))))
+    comp = algebra.component(algebra.group.inverse(degrees.pop()))
+    coeffs = _solve_in_span(
+        algebra, [algebra.mul_vec(v, algebra.basis_vector(i)) for i in comp], algebra.unit)
+    if coeffs is None:
+        return None
+    return {i: c for i, c in zip(comp, coeffs) if not c.is_zero()}
 
 
 def _solve_in_span(algebra, span_vecs, target):
-    """Coefficients writing target in the span of span_vecs, or None."""
-    dim = algebra.dim
-    rows = []
-    for k in range(dim):
-        row = [v.get(k, Cyclo.zero()) for v in span_vecs]
-        row.append(-Cyclo.one() * target.get(k, Cyclo.zero()))
-        rows.append(row)
+    """Coefficients writing target in the span of span_vecs, or None.
+
+    Every vector given lies in A_e, so the system reads only A_e's rows."""
+    rows = [[v.get(k, Cyclo.zero()) for v in span_vecs] + [-target.get(k, Cyclo.zero())]
+            for k in algebra.component(algebra.group.identity)]
     for sol in scalars.kernel_over_real_subfield(rows):
         if not sol[-1].is_zero():
             t = sol[-1].inv()
@@ -579,12 +590,21 @@ def _solve_in_span(algebra, span_vecs, target):
 def _classify_identity_component(algebra: GradedAlgebra):
     """Classify A_e as R, C or H by exact normalization, else a failure reason.
 
-    The classification is a validator for the shapes the catalog can produce,
-    not a general real-division-algebra decision procedure.
+    One loop serves every dimension d of A_e: it takes the basis elements
+    outside the span of 1 and the pure elements found so far, makes each
+    pure (p^2 a negative real multiple of 1), the second one anticommuting
+    with the first, and stops after d // 2 of them.  R is the loop stopping
+    at once (validate() puts the nonzero unit in A_e); C is the loop
+    stopping after one pure element, whose span with 1 is A_e; H is the
+    loop stopping after two, i and j, with 1, i, j, ij spanning A_e.  Every
+    system it solves lies in A_e (_solve_in_span).  The classification is a
+    validator for the shapes the catalog can produce, not a general
+    real-division-algebra decision procedure.
     """
-    e = algebra.group.identity
-    comp = algebra.component(e)
+    comp = algebra.component(algebra.group.identity)
     d = len(comp)
+    if d not in (1, 2, 4):
+        return None, "identity component dimension %d is not 1, 2 or 4" % d
     unit_vec = dict(algebra.unit)
 
     def pure_part(v):
@@ -599,105 +619,72 @@ def _classify_identity_component(algebra: GradedAlgebra):
         dval = s + half_t * half_t
         return p, dval
 
-    if d == 1:
-        k = comp[0]
-        if algebra.unit.get(k) is None or any(kk != k for kk in algebra.unit):
-            return None, "one-dimensional identity component does not contain the unit"
-        return "R", None
-    if d == 2:
-        i1, i2 = comp
-        if algebra.mul_basis(i1, i2) != algebra.mul_basis(i2, i1):
-            return None, "two-dimensional identity component is not commutative"
-        ech = Echelon(algebra.dim)
-        ech.add(unit_vec)
-        w_idx = next(i for i in comp if not ech.contains(algebra.basis_vector(i)))
-        res = pure_part(algebra.basis_vector(w_idx))
+    span = Echelon(algebra.dim)
+    span.add(unit_vec)
+    pures = []
+    for idx in comp:
+        if len(pures) == d // 2:
+            break
+        if span.contains(algebra.basis_vector(idx)):
+            continue
+        res = pure_part(algebra.basis_vector(idx))
         if res is None:
-            return None, "identity component element with square outside span{1, w}"
-        _, dval = res
+            return None, "element with square outside span{1, w}"
+        p, dval = res
         if not dval.is_real() or dval.real_sign() >= 0:
-            return None, "two-dimensional identity component is split (not C)"
-        return "C", None
-    if d == 4:
-        # quaternion normalization
-        dim = algebra.dim
-        ech = Echelon(dim)
-        ech.add(unit_vec)
-        pures = []
-        for idx in comp:
-            if ech.contains(algebra.basis_vector(idx)):
+            return None, "pure element with nonnegative square (split algebra)"
+        if pures:
+            p1, d1 = pures[0]
+            sym = vec_add(algebra.mul_vec(p1, p), algebra.mul_vec(p, p1))
+            coeffs = _solve_in_span(algebra, [unit_vec], sym)
+            if coeffs is None:
+                return None, "symmetrized product is not scalar"
+            c = coeffs[0] * Cyclo.rational(Fraction(1, 2))
+            p = vec_add(p, vec_scale(p1, -(c / d1)))
+            if not p:
                 continue
-            res = pure_part(algebra.basis_vector(idx))
-            if res is None:
-                return None, "element with square outside span{1, w}"
-            p, dval = res
+            res2 = pure_part(p)
+            if res2 is None:
+                return None, "orthogonalized element is not pure"
+            p, dval = res2
             if not dval.is_real() or dval.real_sign() >= 0:
-                return None, "pure element with nonnegative square (split algebra)"
-            if pures:
-                p1, d1 = pures[0]
-                sym = vec_add(algebra.mul_vec(p1, p), algebra.mul_vec(p, p1))
-                coeffs = _solve_in_span(algebra, [unit_vec], sym)
-                if coeffs is None:
-                    return None, "symmetrized product is not scalar"
-                c = coeffs[0] * Cyclo.rational(Fraction(1, 2))
-                p = vec_add(p, vec_scale(p1, -(c / d1)))
-                if not p:
-                    continue
-                res2 = pure_part(p)
-                if res2 is None:
-                    return None, "orthogonalized element is not pure"
-                p, dval = res2
-                if not dval.is_real() or dval.real_sign() >= 0:
-                    return None, "orthogonalized pure element with nonnegative square"
-                if vec_add(algebra.mul_vec(p1, p), algebra.mul_vec(p, p1)):
-                    return None, "orthogonalization failed to anticommute"
-            pures.append((p, dval))
-            ech.add(p)
-            if len(pures) == 2:
-                break
-        if len(pures) < 2:
-            return None, "identity component has no anticommuting pure pair"
-        (p1, d1), (p2, d2) = pures
-        k_el = algebra.mul_vec(p1, p2)
-        span = Echelon(dim)
-        for v in (unit_vec, p1, p2, k_el):
-            span.add(v)
+                return None, "orthogonalized pure element with nonnegative square"
+            if vec_add(algebra.mul_vec(p1, p), algebra.mul_vec(p, p1)):
+                return None, "orthogonalization failed to anticommute"
+        pures.append((p, dval))
+        span.add(p)
+    if len(pures) < d // 2:
+        return None, "identity component has no anticommuting pure pair"
+    if d == 4:
+        (p1, _), (p2, _) = pures
+        span.add(algebra.mul_vec(p1, p2))
         if span.dim != 4:
             return None, "1, i, j, ij do not span the identity component"
-        return "H", None
-    return None, "identity component dimension %d is not 1, 2 or 4" % d
+    return "RCH"[d // 2], None
 
 
 def check_graded_division(algebra: GradedAlgebra):
     """Certificate that the grading is a division grading, or a failure reason.
 
-    Verifies the unit, classifies the identity component as R, C or H, and for
-    every supported degree finds an invertible u_g with A_g = A_e * u_g.
+    validate() has proved the unit.  This classifies the identity component
+    as R, C or H, a division algebra, and then tries the first basis element
+    u_g of each supported component A_g, one inverse solved over A_(g^-1)
+    (invert).  That one element decides the component: when u_g is
+    invertible, every nonzero x in A_g is (x u_g^-1) u_g with x u_g^-1 a
+    nonzero, hence invertible, element of A_e, so A_g = A_e u_g and every
+    nonzero element of A_g is invertible; when it is not, the grading is
+    not a division grading.
     """
     cls, reason = _classify_identity_component(algebra)
     if cls is None:
         return False, {"reason": reason}
     units = {}
-    e = algebra.group.identity
     for g in algebra.support:
-        comp = algebra.component(g)
-        candidates = [algebra.basis_vector(i) for i in comp]
-        candidates += [vec_add(a, b) for a, b in itertools.combinations(candidates, 2)]
-        u_g = None
-        for cand in candidates:
-            if invert(algebra, cand) is not None:
-                u_g = cand
-                break
-        if u_g is None:
-            return False, {"reason": "component %s has no invertible element among "
-                                     "basis candidates" % algebra.group.element_to_word(g),
+        u_g = algebra.basis_vector(algebra.component(g)[0])
+        if invert(algebra, u_g) is None:
+            return False, {"reason": "the first basis element of component %s is not "
+                                     "invertible" % algebra.group.element_to_word(g),
                            "degree": g}
-        shifted = Echelon(algebra.dim)
-        for i in algebra.component(e):
-            shifted.add(algebra.mul_vec(algebra.basis_vector(i), u_g))
-        if shifted.dim != len(comp):
-            return False, {"reason": "A_e * u_g does not span the component of %s"
-                                     % algebra.group.element_to_word(g), "degree": g}
         units[g] = u_g
     return True, {"e_class": cls, "units": units}
 

@@ -296,7 +296,8 @@ def resolve_algebra(args) -> GradedAlgebra:
 def _auto_lift_degree(algebra):
     """A degree carrying an invertible central element whose quotient is a
     two-element group (the corollary shape); the identity degree is the
-    trivial-quotient fallback."""
+    trivial-quotient fallback.  The elements tried are those of
+    center(algebra), which are homogeneous, as invert requires."""
     candidates = sorted(center(algebra),
                         key=lambda h: (h.degree == algebra.group.identity, h.degree))
     for h in candidates:

@@ -1317,7 +1317,9 @@ def lift_basis(algebra: GradedAlgebra, g, quotient_genset: GeneratorSet,
 
     The full preimage set of the quotient construction is infinite; the
     consistent relabelings are the finite part that generates, which is what
-    the section homomorphisms in the construction use.
+    the section homomorphisms in the construction use.  The central element
+    is sought among the homogeneous elements of center(algebra), as invert
+    requires.
     """
     algebra.group.check(g)
     central_ok = False

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -212,18 +213,25 @@ def test_complex_bicharacter_is_memoized():
 
 
 def test_center_is_memoized(monkeypatch):
-    """center() solves its commutator system once per algebra, and
-    center_echelon() spans the same elements."""
+    """center() solves one commutator system for each component that has
+    commutator rows, on its first call only, and center_echelon() spans the
+    same elements."""
     alg = build_catalog("pauli", n=3)
     kernel = scalars.kernel_over_real_subfield
     calls = []
     monkeypatch.setattr(scalars, "kernel_over_real_subfield",
                         lambda rows: calls.append(rows) or kernel(rows))
-    assert center(alg) is center(alg)
+    z = center(alg)
+    noncentral = [g for g in alg.support
+                  if any(alg.mul_basis(i, j) != alg.mul_basis(j, i)
+                         for i in alg.component(g) for j in range(alg.dim))]
+    assert len(noncentral) == 8  # every component but A_e = C
+    assert len(calls) == len(noncentral)
+    assert center(alg) is z
     assert center_echelon(alg) is center_echelon(alg)
+    assert len(calls) == len(noncentral)
     assert center_echelon(alg).dim == len(center(alg)) == 2
     assert all(center_echelon(alg).contains(h.coords) for h in center(alg))
-    assert len(calls) == 1
 
 
 def test_complex_unit_pauli():
@@ -245,6 +253,17 @@ def test_invert():
     elem = build_catalog("m2-elem")
     e11 = alg2_vec = elem.basis_vector(0)
     assert invert(elem, e11) is None
+
+
+def test_invert_takes_a_homogeneous_element():
+    """A zero vector has no inverse; a vector with parts in two components
+    is refused (exit 3), not solved."""
+    alg = build_catalog("m2-4")
+    assert invert(alg, {}) is None
+    idx = {lab: i for i, lab in enumerate(alg.labels)}
+    mixed = algebras.vec_add(alg.basis_vector(idx["I"]), alg.basis_vector(idx["A"]))
+    with pytest.raises(PreconditionError, match="homogeneous"):
+        invert(alg, mixed)
 
 
 def test_check_graded_division_catalog():
@@ -778,3 +797,262 @@ def test_catalog_refuses_past_the_bound_before_building(monkeypatch):
     # a size the builder refuses is a precondition, whatever the product
     with pytest.raises(PreconditionError):
         build_catalog("pauli@d-pair", n=-20, k=-16, l=-16)
+
+
+# -- structure solved inside one graded component, against the whole algebra ------
+
+def _reference_center(algebra):
+    """The center as one commutator system over all dim coordinates, split
+    into homogeneous parts and pruned to an independent set."""
+    rows = []
+    dim = algebra.dim
+    for j in range(dim):
+        row_for_coord = {}
+        for i in range(dim):
+            left = algebra.mul_basis(i, j)
+            right = algebra.mul_basis(j, i)
+            for k in set(left) | set(right):
+                c = left.get(k, Cyclo.zero()) - right.get(k, Cyclo.zero())
+                if not c.is_zero():
+                    row_for_coord.setdefault(k, [Cyclo.zero()] * dim)[i] = c
+        rows.extend(row_for_coord.values())
+    basis = scalars.kernel_over_real_subfield(rows) if rows else [
+        [Cyclo.one() if t == s else Cyclo.zero() for t in range(dim)] for s in range(dim)]
+    out = []
+    for v in basis:
+        by_degree = {}
+        for idx, c in enumerate(v):
+            if not c.is_zero():
+                by_degree.setdefault(algebra.degrees[idx], {})[idx] = c
+        for degree, coords in sorted(by_degree.items()):
+            out.append(algebras.HomogeneousElement(algebra, degree, coords))
+    ech = scalars.Echelon(dim)
+    independent = [h for h in out if ech.add(h.coords)]
+    rows_by_degree = {}
+    for row in ech.sparse_basis():
+        rows_by_degree.setdefault(algebra.degrees[min(row)], []).append(row)
+    return independent, ech, rows_by_degree
+
+
+def _reference_invert(algebra, v):
+    """A two-sided inverse of v solved for over all dim coordinates."""
+    dim = algebra.dim
+    cols = [algebra.mul_vec(v, algebra.basis_vector(i)) for i in range(dim)]
+    rows = []
+    for k in range(dim):
+        row = [cols[i].get(k, Cyclo.zero()) for i in range(dim)]
+        row.append(-algebra.unit.get(k, Cyclo.zero()))
+        rows.append(row)
+    for sol in scalars.kernel_over_real_subfield(rows):
+        if sol[dim].is_zero():
+            continue
+        t = sol[dim].inv()
+        y = {i: sol[i] * t for i in range(dim) if not sol[i].is_zero()}
+        if algebra.mul_vec(v, y) == dict(algebra.unit) and \
+                algebra.mul_vec(y, v) == dict(algebra.unit):
+            return y
+    return None
+
+
+def _reference_solve_in_span(algebra, span_vecs, target):
+    rows = []
+    for k in range(algebra.dim):
+        row = [v.get(k, Cyclo.zero()) for v in span_vecs]
+        row.append(-Cyclo.one() * target.get(k, Cyclo.zero()))
+        rows.append(row)
+    for sol in scalars.kernel_over_real_subfield(rows):
+        if not sol[-1].is_zero():
+            t = sol[-1].inv()
+            return [c * t for c in sol[:-1]]
+    return None
+
+
+def _reference_classify_identity_component(algebra):
+    """A_e classified with separate branches for dimensions 1, 2 and 4."""
+    vec_add, vec_scale = algebras.vec_add, algebras.vec_scale
+    comp = algebra.component(algebra.group.identity)
+    d = len(comp)
+    unit_vec = dict(algebra.unit)
+    half = Cyclo.rational(Fraction(1, 2))
+
+    def pure_part(v):
+        coeffs = _reference_solve_in_span(algebra, [unit_vec, v], algebra.mul_vec(v, v))
+        if coeffs is None:
+            return None
+        s, t = coeffs
+        half_t = t * half
+        return vec_add(v, vec_scale(unit_vec, -half_t)), s + half_t * half_t
+
+    if d == 1:
+        k = comp[0]
+        if algebra.unit.get(k) is None or any(kk != k for kk in algebra.unit):
+            return None, "one-dimensional identity component does not contain the unit"
+        return "R", None
+    if d == 2:
+        i1, i2 = comp
+        if algebra.mul_basis(i1, i2) != algebra.mul_basis(i2, i1):
+            return None, "two-dimensional identity component is not commutative"
+        ech = scalars.Echelon(algebra.dim)
+        ech.add(unit_vec)
+        w_idx = next(i for i in comp if not ech.contains(algebra.basis_vector(i)))
+        res = pure_part(algebra.basis_vector(w_idx))
+        if res is None:
+            return None, "identity component element with square outside span{1, w}"
+        if not res[1].is_real() or res[1].real_sign() >= 0:
+            return None, "two-dimensional identity component is split (not C)"
+        return "C", None
+    if d == 4:
+        ech = scalars.Echelon(algebra.dim)
+        ech.add(unit_vec)
+        pures = []
+        for idx in comp:
+            if ech.contains(algebra.basis_vector(idx)):
+                continue
+            res = pure_part(algebra.basis_vector(idx))
+            if res is None:
+                return None, "element with square outside span{1, w}"
+            p, dval = res
+            if not dval.is_real() or dval.real_sign() >= 0:
+                return None, "pure element with nonnegative square (split algebra)"
+            if pures:
+                p1, d1 = pures[0]
+                sym = vec_add(algebra.mul_vec(p1, p), algebra.mul_vec(p, p1))
+                coeffs = _reference_solve_in_span(algebra, [unit_vec], sym)
+                if coeffs is None:
+                    return None, "symmetrized product is not scalar"
+                p = vec_add(p, vec_scale(p1, -(coeffs[0] * half / d1)))
+                if not p:
+                    continue
+                res2 = pure_part(p)
+                if res2 is None:
+                    return None, "orthogonalized element is not pure"
+                p, dval = res2
+                if not dval.is_real() or dval.real_sign() >= 0:
+                    return None, "orthogonalized pure element with nonnegative square"
+                if vec_add(algebra.mul_vec(p1, p), algebra.mul_vec(p, p1)):
+                    return None, "orthogonalization failed to anticommute"
+            pures.append((p, dval))
+            ech.add(p)
+            if len(pures) == 2:
+                break
+        if len(pures) < 2:
+            return None, "identity component has no anticommuting pure pair"
+        (p1, _), (p2, _) = pures
+        span = scalars.Echelon(algebra.dim)
+        for v in (unit_vec, p1, p2, algebra.mul_vec(p1, p2)):
+            span.add(v)
+        if span.dim != 4:
+            return None, "1, i, j, ij do not span the identity component"
+        return "H", None
+    return None, "identity component dimension %d is not 1, 2 or 4" % d
+
+
+def _reference_check_graded_division(algebra):
+    """Each component tries every basis element and every pairwise sum, then
+    checks that A_e u_g spans the component."""
+    cls, reason = _reference_classify_identity_component(algebra)
+    if cls is None:
+        return False, {"reason": reason}
+    units = {}
+    for g in algebra.support:
+        comp = algebra.component(g)
+        candidates = [algebra.basis_vector(i) for i in comp]
+        candidates += [algebras.vec_add(a, b) for a, b in itertools.combinations(candidates, 2)]
+        u_g = next((cand for cand in candidates
+                    if _reference_invert(algebra, cand) is not None), None)
+        if u_g is None:
+            return False, {"reason": "no invertible candidate", "degree": g}
+        shifted = scalars.Echelon(algebra.dim)
+        for i in algebra.component(algebra.group.identity):
+            shifted.add(algebra.mul_vec(algebra.basis_vector(i), u_g))
+        if shifted.dim != len(comp):
+            return False, {"reason": "A_e u_g does not span", "degree": g}
+        units[g] = u_g
+    return True, {"e_class": cls, "units": units}
+
+
+def _reversed_basis(alg):
+    """alg with its basis listed in reverse order."""
+    last = alg.dim - 1
+    mult = {(last - i, last - j): {last - k: c for k, c in row.items()}
+            for (i, j), row in alg.mult.items()}
+    return algebras.GradedAlgebra(alg.group, alg.order, alg.labels[::-1], alg.degrees[::-1],
+                                  mult, {last - k: c for k, c in alg.unit.items()},
+                                  name="%s-reversed" % alg.name)
+
+
+_STRUCTURE_CASES = [case for case in _DETECTOR_CASES if "@" not in case[0]] + [
+    ("c2@c2", {}), ("pauli@pauli", {"n": 2}), ("c2@e-series", {"eps": -1, "n": 4}),
+    ("m2-elem@c2", {}), ("m2r-triv@c2", {}), ("c2@h-triv", {}), ("h-triv@h4", {}),
+    ("e-series@e-series", {"n": 2}), ("m2-8@c2", {}), ("h2@c2", {})]
+
+
+@pytest.mark.parametrize("name, params", _STRUCTURE_CASES,
+                         ids=["%s%s" % (n, "".join("-%s%s" % kv for kv in p.items()))
+                              for n, p in _STRUCTURE_CASES])
+def test_component_systems_match_the_whole_algebra(name, params):
+    """The center, the inverses and the graded-division certificate, solved
+    inside one graded component at a time, equal the whole-algebra solves:
+    the center's elements in order, its rows by degree and its reduced
+    basis, the inverse of every basis element, and the certificate's
+    verdict, identity class and units.  Each case is also run with its basis
+    listed in reverse, where the order of the center's elements is not the
+    order of their degrees."""
+    alg = build_catalog(name, **params)
+    for alg in (alg, _reversed_basis(alg)):
+        ref_elements, ref_echelon, ref_rows = _reference_center(alg)
+        assert [(h.degree, h.coords) for h in center(alg)] == \
+            [(h.degree, h.coords) for h in ref_elements]
+        for g in alg.group.elements():
+            assert algebras.center_rows(alg, g) == ref_rows.get(g, []), g
+        assert center_echelon(alg).sparse_basis() == ref_echelon.sparse_basis()
+        for i in range(alg.dim):
+            b = alg.basis_vector(i)
+            assert invert(alg, b) == _reference_invert(alg, b), alg.labels[i]
+        ok, info = check_graded_division(alg)
+        ref_ok, ref_info = _reference_check_graded_division(alg)
+        assert ok == ref_ok
+        assert (info.get("e_class"), info.get("units")) == \
+            (ref_info.get("e_class"), ref_info.get("units"))
+
+
+def test_certificate_refutes_a_nilpotent_component():
+    """The dual numbers R[x]/(x^2), graded by Z2 with x odd: A_e = R is a
+    division algebra, but x, the first (and only) basis element of its
+    component, is not invertible, so the grading is refuted there."""
+    group = FiniteAbelianGroup((2,), ("a",))
+    alg = algebras.GradedAlgebra(group, 1, ["1", "x"], [(0,), (1,)],
+                                 {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                                 {0: 1}, name="dual")
+    ok, info = check_graded_division(alg)
+    assert not ok and info["degree"] == (1,)
+    assert not _reference_check_graded_division(alg)[0]
+    assert invert(alg, alg.basis_vector(1)) is None
+    assert _reference_invert(alg, alg.basis_vector(1)) is None
+
+
+@pytest.mark.parametrize("name, params", _STRUCTURE_CASES,
+                         ids=["%s%s" % (n, "".join("-%s%s" % kv for kv in p.items()))
+                              for n, p in _STRUCTURE_CASES])
+def test_structure_solves_are_fed_real_rows(name, params, monkeypatch):
+    """Every row that center, invert, check_graded_division and
+    detect_complex_bicharacter hand the solver is conj-fixed: validate()
+    refuses non-real structure constants, and every vector the rows are
+    read off is a product of basis vectors and solver output."""
+    alg = build_catalog(name, **params)
+    kernel = scalars.kernel_over_real_subfield
+    seen = []
+
+    def checked(rows):
+        seen.append(all(c.is_real() for r in rows for c in r))
+        return kernel(rows)
+
+    monkeypatch.setattr(scalars, "kernel_over_real_subfield", checked)
+    center(alg)
+    for i in range(alg.dim):
+        invert(alg, alg.basis_vector(i))
+    for h in center(alg):
+        invert(alg, h.coords)
+    check_graded_division(alg)
+    detect_complex_bicharacter(alg)
+    assert seen and all(seen)
