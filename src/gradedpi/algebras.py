@@ -110,6 +110,7 @@ class GradedAlgebra:
         self._complex_checked = False
         self._complex_bicharacter = None
         self._center = None
+        self._validated = False  # set once validate() has proved the table associative
         if validate:
             self.validate()
 
@@ -192,6 +193,7 @@ class GradedAlgebra:
                         raise ValueError(
                             "%s: associativity fails at (%s, %s, %s)" % (
                                 self.name, self.labels[x], self.labels[a], self.labels[y]))
+        self._validated = True
 
     def _generators(self):
         """Basis indices a_1, a_2, ... whose products unit*a_i*a_j*... span
@@ -413,12 +415,22 @@ class RegularityWitness:
 def _commutation_scalar(uv, vu, jvu):
     """(l1, l2) with uv = l1 vu + l2 J vu, or None when there is none.  jvu is
     J vu, or None when there is no J: then l2 is None and l1 is the ratio of
-    one coordinate, real because the structure constants are."""
+    one coordinate, real because the structure constants are.  When vu and
+    J vu have disjoint supports (J permutes the basis, say) the system is
+    diagonal: l1 and l2 are coordinate ratios, the one solution, and a real
+    one exists only if they are real.  Otherwise the real solutions are
+    solved for.  Either way the answer is checked against uv exactly."""
+    zero = Cyclo.zero()
     if jvu is None:
         k = next(iter(vu))
-        lam = (uv.get(k, Cyclo.zero()) / vu[k], None)
+        lam = (uv.get(k, zero) / vu[k], None)
+    elif vu.keys().isdisjoint(jvu):
+        k1, k2 = next(iter(vu)), next(iter(jvu))
+        lam = (uv.get(k1, zero) / vu[k1], uv.get(k2, zero) / jvu[k2])
+        if not (lam[0].is_real() and lam[1].is_real()):
+            return None
     else:
-        rows = [[vu.get(k, Cyclo.zero()), jvu.get(k, Cyclo.zero()), -uv.get(k, Cyclo.zero())]
+        rows = [[vu.get(k, zero), jvu.get(k, zero), -uv.get(k, zero)]
                 for k in set(vu) | set(jvu) | set(uv)]
         sols = [v for v in scalars.kernel_over_real_subfield(rows) if not v[2].is_zero()]
         if not sols:
@@ -443,18 +455,32 @@ def _commutation_bicharacter(algebra, j_vec, order):
     central J, is None), and every basis pair must satisfy it; the scalar is
     l1 + l2 i.  The scalars must be multiplicative, and the bicharacter is
     read off the generators.
+
+    Once validate() has proved the table associative, only the basis pairs
+    of substitution_reps are walked: one b of each pair (b, J'b) of the
+    algebra's complex structure J', a central basis-permuting J' with
+    J'^2 = -1, so J'b is a nonzero multiple of a basis element.  For any
+    u, v, (J'u)v = J'(uv), v(J'u) = J'(vu) and J (v (J'u)) = J'(J vu), so
+    uv = l1 vu + l2 J vu holds exactly when it holds with J'u for u (J' is
+    invertible), and likewise for v: all four pairs of b, J'b and c, J'c
+    share the representative's vanishing products and scalar.  The
+    representative is the least index of its pair, so the first failing
+    basis pair of the walk over all pairs is a representative pair, and
+    both walks give the same bicharacter and the same witness.  Without
+    validate() every basis pair is walked.
     """
     support = algebra.support
     group = algebra.group
     if set(support) != set(group.elements()):
         return None, RegularityWitness("support is a proper subset of the grading group")
+    walked = algebra.substitution_reps if algebra._validated else algebra.component
     i_scalar = None if j_vec is None else Cyclo.zeta(order, order // 4)
     values = {}
     for g in support:
         for h in support:
             lam = first = None
-            for i in algebra.component(g):
-                for j in algebra.component(h):
+            for i in walked(g):
+                for j in walked(h):
                     pair = (algebra.labels[i], algebra.labels[j])
                     uv = algebra.mul_basis(i, j)
                     vu = algebra.mul_basis(j, i)

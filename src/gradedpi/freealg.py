@@ -47,20 +47,29 @@ class FreePoly:
     coefficients of a repeated monomial are summed, zero coefficients are
     skipped, and a monomial whose sum cancels is dropped.  Monomials keep
     the order in which they first occur.
+
+    Each letter is made (int index, tuple degree) and its degree checked in
+    the group (ValueError otherwise) once per construction: the distinct
+    letters met are kept with their canonical forms, and a letter that
+    cannot be kept (a list degree, say) is canonicalised and checked where
+    it occurs.
     """
 
     def __init__(self, group: FiniteAbelianGroup, order: int, terms=()):
         self.group = group
         self.order = int(order)
         clean = {}
+        letters = {}  # each distinct letter met, to its canonical form
         for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
             if not isinstance(coeff, Cyclo):
                 coeff = Cyclo.rational(coeff)
             if coeff.is_zero():
                 continue
-            mono = tuple((int(i), tuple(d)) for i, d in mono)
-            for _, d in mono:
-                group.check(d)
+            mono = tuple(mono)
+            try:
+                mono = tuple([letters[lt] for lt in mono])
+            except (KeyError, TypeError):
+                mono = _canonical_monomial(group, mono, letters)
             prev = clean.get(mono)
             clean[mono] = coeff if prev is None else prev + coeff
         self.terms = {mono: c for mono, c in clean.items() if not c.is_zero()}
@@ -171,6 +180,26 @@ class FreePoly:
 
     def __repr__(self):
         return "FreePoly[%s]" % self
+
+
+def _canonical_monomial(group, mono, letters):
+    """The monomial with each letter (int index, tuple degree), the degree
+    of each letter not in letters checked in the group; letters maps each
+    letter met to its canonical form and gains the new ones that can be
+    keys (a letter with a list degree cannot, and is checked each time)."""
+    out = []
+    for lt in mono:
+        try:
+            canonical = letters.get(lt)
+        except TypeError:
+            i, d = lt
+            canonical = (int(i), group.check(tuple(d)))
+        else:
+            if canonical is None:
+                i, d = lt
+                canonical = letters[lt] = (int(i), group.check(tuple(d)))
+        out.append(canonical)
+    return tuple(out)
 
 
 def monomial_poly(group, order, letters, coeff=1) -> FreePoly:

@@ -926,28 +926,26 @@ def _quadratic_pair(val):
 
 def _pair_member(group, order, g, h, val):
     """x1:g x2:h - val x2:h x1:g."""
-    x1 = monomial_poly(group, order, [(1, g)])
-    x2 = monomial_poly(group, order, [(2, h)])
-    return x1 * x2 - (x2 * x1).scale(val)
+    x1, x2 = (1, g), (2, h)
+    return FreePoly(group, _lcm(order, val.order), (((x1, x2), Cyclo.one()), ((x2, x1), -val)))
 
 
 def _triple_member(group, order, g, h, p, q):
-    """x1:g x2:g x3:h + p x1:g x3:h x2:g + q x3:h x1:g x2:g."""
-    x1 = monomial_poly(group, order, [(1, g)])
-    x2 = monomial_poly(group, order, [(2, g)])
-    x3 = monomial_poly(group, order, [(3, h)])
-    return x1 * x2 * x3 + (x1 * x3 * x2).scale(p) + (x3 * x1 * x2).scale(q)
+    """x1:g x2:g x3:h + p x1:g x3:h x2:g + q x3:h x1:g x2:g; a zero p (at
+    the values i and -i) leaves out its term."""
+    x1, x2, x3 = (1, g), (2, g), (3, h)
+    return FreePoly(group, _lcm(_lcm(order, p.order), q.order),
+                    (((x1, x2, x3), Cyclo.one()), ((x1, x3, x2), p), ((x3, x1, x2), q)))
 
 
 def _swap_member(group, order, g, h):
     """x1:g x2:h x3:g - x3:g x2:h x1:g."""
-    x1 = monomial_poly(group, order, [(1, g)])
-    x2 = monomial_poly(group, order, [(2, h)])
-    x3 = monomial_poly(group, order, [(3, g)])
-    return x1 * x2 * x3 - x3 * x2 * x1
+    x1, x2, x3 = (1, g), (2, h), (3, g)
+    return FreePoly(group, order, (((x1, x2, x3), Cyclo.one()),
+                                   ((x3, x2, x1), -Cyclo.one())))
 
 
-def _kernel_perm_vectors(beta, degrees):
+def _kernel_perm_vectors(beta, degrees, realness, coefficients):
     """Literal (I)/(II)-shaped identities spanning the kernel at one tuple.
 
     With gamma_sigma the reordering scalars, the real solutions of
@@ -958,15 +956,18 @@ def _kernel_perm_vectors(beta, degrees):
 
     The scalars are roots of unity with few distinct values (at most 4 among
     the 120 of a pauli-4 tuple of length 5), each one of beta's shared
-    powers, and an identity's coefficients depend only on its gamma_sigma, so
-    each value's realness and coefficients are computed, and the
-    coefficients checked real and an identity, once.
+    powers, and an identity's coefficients depend only on its gamma_sigma
+    and the tuple's gamma_tau0, so each value's realness and each pair's
+    coefficients are computed, and the coefficients checked real and an
+    identity, once.  realness (value -> whether it is real) and coefficients
+    ((gamma_sigma, gamma_tau0) -> _kernel_coefficients) are the caller's
+    tables they are kept in, filled as values are met; _PauliSource shares
+    its own between all the tuples of its bicharacter.
     """
     gammas = _gamma_values(beta, degrees)
     identity_perm = tuple(range(len(degrees)))
     one = Cyclo.one()
     real_perms, nonreal_perms = [], []
-    realness = {}  # gamma_sigma -> whether it is real
     for p, g in gammas.items():
         real = realness.get(g)
         if real is None:
@@ -981,13 +982,11 @@ def _kernel_perm_vectors(beta, degrees):
     if nonreal_perms:
         tau0 = nonreal_perms[0]
         g_tau = gammas[tau0]
-        b = g_tau.inv()
-        coefficients = {}  # gamma_sigma -> its binomial ratio or trinomial (p, q)
         for p in nonreal_perms[1:]:
-            g_sig = gammas[p]
-            coeffs = coefficients.get(g_sig)
+            key = (gammas[p], g_tau)
+            coeffs = coefficients.get(key)
             if coeffs is None:
-                coeffs = coefficients[g_sig] = _kernel_coefficients(g_sig, g_tau, b)
+                coeffs = coefficients[key] = _kernel_coefficients(*key)
             if len(coeffs) == 1:
                 out.append([(p, one), (tau0, -coeffs[0])])
             else:
@@ -995,12 +994,13 @@ def _kernel_perm_vectors(beta, degrees):
     return out
 
 
-def _kernel_coefficients(g_sig, g_tau, b):
+def _kernel_coefficients(g_sig, g_tau):
     """(ratio,) of the binomial sigma - ratio tau0 when g_tau / g_sig is real,
-    else (p, q) of the trinomial id + p sigma + q tau0, with b = 1 / g_tau;
-    each checked exactly (AssertionError otherwise)."""
+    else (p, q) of the trinomial id + p sigma + q tau0; each checked exactly
+    (AssertionError otherwise)."""
     one = Cyclo.one()
     a = g_sig.inv()
+    b = g_tau.inv()
     det = a * b.conj() - b * a.conj()
     if det.is_zero():
         # gamma ratios real: binomial with the real ratio
@@ -1039,12 +1039,18 @@ class _PauliSource:
     vector yielded is a genuine instance of a family member.
 
     This is the one place that derives the grading's Pauli facts, each once
-    per source: the commutation value of every pair of degrees, the
-    quadratic pair (p, q) of every distinct nonreal value, shared by the
-    pairs that take it, the i-partners of every degree g (the h with
-    beta(g, h) = i) with the degree-seven record shape they give, and the
-    kernel shapes of every degree tuple (``kernel_shapes``).  The family,
-    every instance stage, the reducer and the degree-seven record read them.
+    per source: at construction, the commutation value of every pair of
+    degrees, the quadratic pair (p, q) of every distinct nonreal value,
+    shared by the pairs that take it, and the i-partners of every degree g
+    (the h with beta(g, h) = i) with the degree-seven record shape they
+    give; on first use, the kernel shapes of each degree tuple
+    (``kernel_shapes``).  The shapes of every tuple read two tables of the
+    source that are filled as values are met: the realness of each
+    reordering scalar and the kernel coefficients of each pair
+    (gamma_sigma, gamma_tau0) of them, so each is computed once per source
+    however many tuples share it (4 pairs on pauli-3 and pauli-4 up to
+    degree 3).  The family, every instance stage, the reducer and the
+    degree-seven record read them.  Nothing is shared between sources.
     """
 
     exact = False  # stages are sound but may undershoot; callers fall back
@@ -1079,6 +1085,8 @@ class _PauliSource:
         self.long_shape = next(((g, ps[0], g, ps[1], g, ps[2], g)
                                 for g, ps in self.partners.items() if len(ps) >= 3), None)
         self._shapes = {}
+        self._realness = {}
+        self._coefficients = {}
 
     def imaginary(self, g, h):
         """Whether beta(g, h) is i or -i: the nonreal roots of unity whose
@@ -1094,12 +1102,14 @@ class _PauliSource:
 
     def kernel_shapes(self, degrees):
         """The kernel identities of _kernel_perm_vectors at a degree tuple,
-        built on first use and kept; every caller gets the same list, which
-        none may change."""
+        built on first use from the source's realness and coefficient
+        tables and kept; every caller gets the same list, which none may
+        change."""
         key = tuple(degrees)
         shapes = self._shapes.get(key)
         if shapes is None:
-            shapes = self._shapes[key] = _kernel_perm_vectors(self.beta, key)
+            shapes = self._shapes[key] = _kernel_perm_vectors(
+                self.beta, key, self._realness, self._coefficients)
         return shapes
 
     def _pair_relations(self, pg):
@@ -1220,6 +1230,7 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     group = beta.group
     order = beta.order
     elements = group.elements()
+    one = Cyclo.one()
     s1 = []
     extras = []
     for (g, h), val in sorted(source.values.items()):
@@ -1237,9 +1248,9 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
         for h1, h2, h3 in itertools.product(partners, repeat=3):
             lts = {1: (1, g), 2: (2, h1), 3: (3, g), 4: (4, h2),
                    5: (5, g), 6: (6, h3), 7: (7, g)}
-            m1 = monomial_poly(group, order, [lts[k] for k in (1, 2, 3, 4, 5, 6, 7)])
-            m2 = monomial_poly(group, order, [lts[k] for k in (1, 3, 5, 7, 2, 4, 6)])
-            s1.append(m1 + m2)
+            s1.append(FreePoly(group, order, (
+                (tuple(lts[k] for k in (1, 2, 3, 4, 5, 6, 7)), one),
+                (tuple(lts[k] for k in (1, 3, 5, 7, 2, 4, 6)), one))))
     for n in range(2, max_degree + 1):
         for degrees in itertools.combinations_with_replacement(sorted(elements), n):
             if not source.admitted(degrees):

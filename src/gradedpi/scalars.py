@@ -711,7 +711,10 @@ def _real_rows(rows):
 
     A real vector c solves (row) . c = 0 iff it solves both the conj-symmetrized
     row (row + conj row) and the skew part divided by zeta - zeta^(-1); both of
-    those have conj-fixed entries.
+    those have conj-fixed entries.  A row that is already conj-fixed is kept
+    as it stands: its symmetrized row is 2 row and its skew part is zero, so
+    the split spans the same rows, and the echelon form and kernel are the
+    same.  Every row the structure solves of algebras.py pass is of this kind.
     """
     out = []
     for row in rows:
@@ -720,6 +723,10 @@ def _real_rows(rows):
             n = _lcm(n, e.order)
         row = [e.lift(n) for e in row]
         crow = [e.conj() for e in row]
+        if row == crow:
+            if any(not e.is_zero() for e in row):
+                out.append(row)
+            continue
         plus = [a + b for a, b in zip(row, crow)]
         if any(not e.is_zero() for e in plus):
             out.append(plus)

@@ -1056,3 +1056,175 @@ def test_structure_solves_are_fed_real_rows(name, params, monkeypatch):
     check_graded_division(alg)
     detect_complex_bicharacter(alg)
     assert seen and all(seen)
+
+
+# -- the commutation walk over representatives against the all-pairs walk --------
+
+
+def _all_pairs_commutation_scalar(uv, vu, jvu):
+    """_commutation_scalar as it was: every system with a J solved by
+    kernel_over_real_subfield, diagonal or not."""
+    if jvu is None:
+        k = next(iter(vu))
+        lam = (uv.get(k, Cyclo.zero()) / vu[k], None)
+    else:
+        rows = [[vu.get(k, Cyclo.zero()), jvu.get(k, Cyclo.zero()), -uv.get(k, Cyclo.zero())]
+                for k in set(vu) | set(jvu) | set(uv)]
+        sols = [v for v in scalars.kernel_over_real_subfield(rows) if not v[2].is_zero()]
+        if not sols:
+            return None
+        sol = sols[0]
+        lam = (sol[0] / sol[2], sol[1] / sol[2])
+    return lam if uv == algebras._commuted(vu, jvu, lam) else None
+
+
+def _all_pairs_commutation_bicharacter(algebra, j_vec, order):
+    """_commutation_bicharacter as it was: every basis pair of every pair of
+    components walked, kept as the reference."""
+    RegularityWitness = algebras.RegularityWitness
+    support = algebra.support
+    group = algebra.group
+    if set(support) != set(group.elements()):
+        return None, RegularityWitness("support is a proper subset of the grading group")
+    i_scalar = None if j_vec is None else Cyclo.zeta(order, order // 4)
+    values = {}
+    for g in support:
+        for h in support:
+            lam = first = None
+            for i in algebra.component(g):
+                for j in algebra.component(h):
+                    pair = (algebra.labels[i], algebra.labels[j])
+                    uv = algebra.mul_basis(i, j)
+                    vu = algebra.mul_basis(j, i)
+                    if not vu:
+                        if uv:
+                            return None, RegularityWitness("uv != 0 but vu = 0", (g, h), pair)
+                        continue
+                    jvu = None if j_vec is None else algebra.mul_vec(j_vec, vu)
+                    if lam is None:
+                        lam, first = _all_pairs_commutation_scalar(uv, vu, jvu), pair
+                        if lam is None:
+                            return None, RegularityWitness(
+                                "no scalar relates uv and vu", (g, h), pair)
+                    elif uv != algebras._commuted(vu, jvu, lam):
+                        if _all_pairs_commutation_scalar(uv, vu, jvu) is None:
+                            return None, RegularityWitness(
+                                "no scalar relates uv and vu", (g, h), pair)
+                        return None, RegularityWitness(
+                            "commutation scalar differs between basis pairs", (g, h),
+                            (first, pair))
+            if lam is None:
+                return None, RegularityWitness("all products of the components vanish (P1)",
+                                               (g, h))
+            l1, l2 = lam
+            values[(g, h)] = l1 if l2 is None else l1 + l2 * i_scalar
+    return _reference_bicharacter(group, order, values), None
+
+
+def _walk_result(result):
+    beta, witness = result
+    return ((beta.order, beta.table) if beta is not None else None,
+            None if witness is None else
+            (witness.reason, witness.pair, witness.elements, witness.scalar))
+
+
+def _all_pairs_detect_regular(algebra):
+    beta, witness = _all_pairs_commutation_bicharacter(algebra, None,
+                                                      algebras._lcm(2, algebra.order))
+    if witness is not None and witness.pair is not None:
+        j_vec = complex_unit(algebra)
+        if j_vec is not None:
+            cbeta, _ = _all_pairs_commutation_bicharacter(
+                algebra, j_vec, algebras._lcm(algebra.order, 4))
+            if cbeta is not None:
+                return None, algebras.RegularityWitness(
+                    "commutation scalar is not real", witness.pair,
+                    scalar=cbeta.eval(*witness.pair))
+    return beta, witness
+
+
+def _case_id(name, params):
+    return "%s%s" % (name, "".join("-%s%s" % kv for kv in params.items()))
+
+
+_WALK_CASES = list({_case_id(*case): case for case in (
+    _DETECTOR_CASES + _STRUCTURE_CASES
+    + [("pauli", {"n": 5}), ("pauli@m2-4", {"n": 2}), ("m2-4@c2", {})])}.values())
+
+
+@pytest.mark.parametrize("name, params", _WALK_CASES,
+                         ids=[_case_id(*case) for case in _WALK_CASES])
+def test_representative_walk_matches_the_all_pairs_walk(name, params):
+    """The walk over the representatives of substitution_reps, with the
+    diagonal systems read off coordinate ratios, gives the all-pairs walk's
+    result, with every system solved, for the real walk and (when there is
+    a central J) the complex walk: the same generator table, or the same
+    witness (reason, degree pair, basis labels and scalar).  detect_regular
+    gives the same table or witness as well."""
+    alg = build_catalog(name, **params)
+    walks = [(None, algebras._lcm(2, alg.order))]
+    j_vec = complex_unit(alg)
+    if j_vec is not None:
+        walks.append((j_vec, algebras._lcm(alg.order, 4)))
+    for j, order in walks:
+        assert _walk_result(algebras._commutation_bicharacter(alg, j, order)) == \
+            _walk_result(_all_pairs_commutation_bicharacter(alg, j, order))
+    assert _walk_result(detect_regular(alg)) == _walk_result(_all_pairs_detect_regular(alg))
+
+
+def test_representative_walk_needs_validate():
+    """On pauli-3 the walk reads one basis pair per pair of components (its
+    complex structure pairs every component's two basis elements), 2 products
+    each; on a copy whose table validate() has not proved associative it
+    reads all four, with the same bicharacter."""
+    import copy
+
+    p3 = build_catalog("pauli", n=3)
+    assert p3.complex_structure() is not None
+    unproved = copy.copy(p3)
+    unproved._validated = False
+    j_vec = complex_unit(p3)
+    results = []
+    for alg in (p3, unproved):
+        calls = []
+
+        def counted(i, j, alg=alg):
+            calls.append((i, j))
+            return type(alg).mul_basis(alg, i, j)
+
+        alg.mul_basis = counted
+        results.append(_walk_result(algebras._commutation_bicharacter(alg, j_vec, 12)))
+        del alg.mul_basis
+        results.append(len(calls))
+    assert results[0] == results[2] and results[0][0] is not None
+    assert (results[1], results[3]) == (2 * 81, 2 * 324)
+
+
+def test_diagonal_commutation_scalar_is_the_solved_one():
+    """When vu and J vu have disjoint supports, the scalar read off
+    coordinate ratios is the one the kernel solve gives, on every basis pair
+    of pauli-3, pauli-4 and pauli@m2-4; a pair related by no real scalar,
+    or by none at all, gets None both ways."""
+    for name, params in (("pauli", {"n": 3}), ("pauli", {"n": 4}),
+                         ("pauli@m2-4", {"n": 2})):
+        alg = build_catalog(name, **params)
+        j_vec = complex_unit(alg)
+        diagonal = 0
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                uv, vu = alg.mul_basis(i, j), alg.mul_basis(j, i)
+                if not vu:
+                    continue
+                jvu = alg.mul_vec(j_vec, vu)
+                diagonal += vu.keys().isdisjoint(jvu)
+                assert algebras._commutation_scalar(uv, vu, jvu) == \
+                    _all_pairs_commutation_scalar(uv, vu, jvu)
+        assert diagonal
+    one, z = Cyclo.one(), Cyclo.zeta(12)
+    # uv = 2 vu + 3 J vu, real; uv = zeta12 vu has no real (l1, l2)
+    assert algebras._commutation_scalar({0: Cyclo.rational(2), 1: Cyclo.rational(3)},
+                                        {0: one}, {1: one}) == \
+        (Cyclo.rational(2), Cyclo.rational(3))
+    assert algebras._commutation_scalar({0: z}, {0: one}, {1: one}) is None
+    assert _all_pairs_commutation_scalar({0: z}, {0: one}, {1: one}) is None
+    assert algebras._commutation_scalar({2: one}, {0: one}, {1: one}) is None

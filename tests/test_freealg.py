@@ -52,6 +52,67 @@ def test_equal_coefficients_at_two_orders_make_one_set_element():
     assert len({at4, at12}) == 1
 
 
+Z33 = FiniteAbelianGroup((3, 3), ("x", "y"))
+
+
+def test_freepoly_checks_each_distinct_letter_once():
+    """A construction checks each distinct letter's degree once, however
+    many terms it occurs in; a letter given with a list degree, which cannot
+    be kept, is checked where it occurs and made canonical all the same."""
+    checked = []
+    group = FiniteAbelianGroup((3, 3), ("x", "y"))
+    check = group.check
+
+    def counted(g):
+        checked.append(g)
+        return check(g)
+
+    group.check = counted
+    a, b, c = (1, (1, 0)), (2, (0, 1)), (3, (1, 1))
+    f = FreePoly(group, 3, [((a, b, c), 1), ((c, b, a), 2), ((b, a, c), -1), ((a, b, c), 1)])
+    assert sorted(checked) == sorted([a[1], b[1], c[1]])
+    assert list(f.terms) == [(a, b, c), (c, b, a), (b, a, c)]
+    assert f.terms[(a, b, c)] == Cyclo.rational(2)
+    del checked[:]
+    g = FreePoly(group, 3, [(((1, [1, 0]), b), 1), ((b, (1, [1, 0])), 1)])
+    assert len(checked) == 3  # the list degree at each occurrence, b once
+    assert list(g.terms) == [(a, b), (b, a)]
+    assert all(type(d) is tuple for mono in g.terms for _, d in mono)
+    # an index that is not an int, and an equal key given twice, are canonical
+    h = FreePoly(group, 3, [((("1", (1, 0)), b), 1), (((1, (1, 0)), b), 1)])
+    assert list(h.terms.items()) == [((a, b), Cyclo.rational(2))]
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param((4, (3, 0)), id="residue-at-order"),
+    pytest.param((4, (-1, 2)), id="negative-residue"),
+    pytest.param((4, (5, 7)), id="outside-the-group"),
+    pytest.param((4, (1,)), id="rank-too-small"),
+    pytest.param((4, (1, 0, 0)), id="rank-too-large"),
+    pytest.param((4, [0, 3]), id="list-degree-out-of-range"),
+    pytest.param((4, [1]), id="list-degree-wrong-rank"),
+])
+@pytest.mark.parametrize("where", ["first", "later", "later-again"])
+def test_freepoly_rejects_a_bad_letter_in_any_term(bad, where):
+    """A letter whose degree is not an element of the group is refused
+    (ValueError), whether it is in the first term, first appears in a later
+    term after good letters were kept, or is met again; a dict of terms is
+    refused the same way as pairs."""
+    good = ((1, (1, 0)), (2, (0, 1)))
+    if where == "first":
+        terms = [((bad,) + good, 1), (good, 1)]
+    elif where == "later":
+        terms = [(good, 1), (good[::-1], 2), (good + (bad,), 1)]
+    else:
+        terms = [(good, 1), (good + ((4, (2, 2)),), 1), (good + (bad,), 1),
+                 ((bad,) + good, 1)]
+    with pytest.raises(ValueError):
+        FreePoly(Z33, 3, terms)
+    if isinstance(bad[1], tuple):
+        with pytest.raises(ValueError):
+            FreePoly(Z33, 3, dict(terms))
+
+
 def test_freepoly_sums_repeated_monomials_of_pairs():
     """Pairs with a repeated monomial are summed, a sum that cancels is
     dropped, a zero coefficient is skipped (it places no monomial), and a

@@ -1841,9 +1841,11 @@ def test_pair_relations_build_one_block_degree_table_per_monomial(pauli_families
 
 @pytest.mark.parametrize("name", ["pauli3", "pauli4"])
 def test_kernel_shapes_match_kernel_perm_vectors(pauli_families, name):
-    """kernel_shapes is _kernel_perm_vectors at every admitted sorted degree
-    tuple of length up to four (and, on pauli-3, at the reversed tuple), and
-    a second lookup returns the kept shapes."""
+    """kernel_shapes, which shares the source's realness and coefficient
+    tables between tuples, is _kernel_perm_vectors with tables of the
+    tuple's own at every admitted sorted degree tuple of length up to four
+    (and, on pauli-3, at the reversed tuple), and a second lookup returns
+    the kept shapes."""
     algebra, _ = pauli_families[name]
     source = pitool._pauli_source(algebra)
     elements = sorted(algebra.group.elements())
@@ -1854,7 +1856,7 @@ def test_kernel_shapes_match_kernel_perm_vectors(pauli_families, name):
             tuples = [degs, degs[::-1]] if name == "pauli3" else [degs]
             for d in tuples:
                 shapes = source.kernel_shapes(d)
-                assert shapes == pitool._kernel_perm_vectors(source.beta, d)
+                assert shapes == pitool._kernel_perm_vectors(source.beta, d, {}, {})
                 assert source.kernel_shapes(list(d)) is shapes
 
 
@@ -1938,10 +1940,10 @@ def test_family_and_verification_build_each_kernel_shape_once(monkeypatch):
     builds = {}
     build = pitool._kernel_perm_vectors
 
-    def counted(beta, degrees):
+    def counted(beta, degrees, *tables):
         key = tuple(degrees)
         builds[key] = builds.get(key, 0) + 1
-        return build(beta, degrees)
+        return build(beta, degrees, *tables)
 
     monkeypatch.setattr(pitool, "_kernel_perm_vectors", counted)
     p3 = build_catalog("pauli", n=3)
@@ -1950,6 +1952,197 @@ def test_family_and_verification_build_each_kernel_shape_once(monkeypatch):
     assert verify_basis(p3, fam, 4).ok
     assert set(builds.values()) == {1}
     assert len(builds) > len(from_family)  # the partition stage adds unsorted tuples
+
+
+# -- the family's members, each built in one construction -------------------------------
+
+
+def _parent_pair_member(group, order, g, h, val):
+    """x1:g x2:h - val x2:h x1:g, assembled as the builders once did."""
+    x1 = monomial_poly(group, order, [(1, g)])
+    x2 = monomial_poly(group, order, [(2, h)])
+    return x1 * x2 - (x2 * x1).scale(val)
+
+
+def _parent_triple_member(group, order, g, h, p, q):
+    x1 = monomial_poly(group, order, [(1, g)])
+    x2 = monomial_poly(group, order, [(2, g)])
+    x3 = monomial_poly(group, order, [(3, h)])
+    return x1 * x2 * x3 + (x1 * x3 * x2).scale(p) + (x3 * x1 * x2).scale(q)
+
+
+def _parent_swap_member(group, order, g, h):
+    x1 = monomial_poly(group, order, [(1, g)])
+    x2 = monomial_poly(group, order, [(2, h)])
+    x3 = monomial_poly(group, order, [(3, g)])
+    return x1 * x2 * x3 - x3 * x2 * x1
+
+
+def _parent_family_pauli(algebra, max_degree):
+    """(name, assumptions, s1, extras) of family_pauli, every member built
+    from monomials with *, scale, + and -, and the kernel shapes computed
+    permutation by permutation."""
+    source = pitool._pauli_source(algebra)
+    beta, i_present = source.beta, source.i_present
+    group, order = beta.group, beta.order
+    s1, extras = [], []
+    for (g, h), val in sorted(source.values.items()):
+        if (g, h) in source.quadratic:
+            s1.append(_parent_triple_member(group, order, g, h, *source.quadratic[(g, h)]))
+        else:
+            s1.append(_parent_pair_member(group, order, g, h, val))
+        (s1 if i_present else extras).append(_parent_swap_member(group, order, g, h))
+    for g, partners in source.partners.items():
+        for h1, h2, h3 in itertools.product(partners, repeat=3):
+            lts = {1: (1, g), 2: (2, h1), 3: (3, g), 4: (4, h2),
+                   5: (5, g), 6: (6, h3), 7: (7, g)}
+            m1 = monomial_poly(group, order, [lts[k] for k in (1, 2, 3, 4, 5, 6, 7)])
+            m2 = monomial_poly(group, order, [lts[k] for k in (1, 3, 5, 7, 2, 4, 6)])
+            s1.append(m1 + m2)
+    for n in range(2, max_degree + 1):
+        for degrees in itertools.combinations_with_replacement(sorted(group.elements()), n):
+            if not source.admitted(degrees):
+                continue
+            for combo in _per_permutation_kernel_perm_vectors(beta, degrees):
+                member = FreePoly(group, order, {})
+                for perm, c in combo:
+                    member = member + monomial_poly(
+                        group, order, [(k + 1, degrees[k]) for k in perm], c)
+                s1.append(member)
+    assumptions = ["repeat bound %d per group element (imaginary commutation "
+                   "value %s)" % (source.max_repeat, "present" if i_present else "absent")]
+    return "pauli-families(max_degree=%d)" % max_degree, assumptions, s1, extras
+
+
+def _poly_key(f):
+    """Everything of a polynomial that its users read: its text, its order,
+    and its terms in order."""
+    return str(f), f.order, list(f.terms.items())
+
+
+@pytest.mark.parametrize("n, max_degree", [(3, 3), (4, 3), (5, 3), (3, 4)])
+def test_family_members_match_the_assembled_members(n, max_degree):
+    """family_pauli, whose pair, triple, swap and alternating members are
+    each one FreePoly construction, gives the members the assembled
+    builders give, in the same order, with the same text, order and terms,
+    and the same name and assumptions."""
+    algebra = build_catalog("pauli", n=n)
+    fam = family_pauli(algebra, max_degree)
+    name, assumptions, s1, extras = _parent_family_pauli(algebra, max_degree)
+    assert (fam.name, fam.assumptions) == (name, assumptions)
+    assert [_poly_key(f) for f in fam.s1] == [_poly_key(f) for f in s1]
+    assert [_poly_key(f) for f in fam.extras] == [_poly_key(f) for f in extras]
+
+
+def test_member_builders_match_the_assembled_builders():
+    """The three builders equal the assembled ones at every pair of degrees
+    of pauli-3 to pauli-5, at the source's values and quadratic pairs (p = 0
+    at i and -i on pauli-4 drops the middle term of the triple) and at a
+    rational value with an order that is not the family's."""
+    for n in (3, 4, 5):
+        source = pitool._pauli_source(build_catalog("pauli", n=n))
+        group, order = source.beta.group, source.beta.order
+        for (g, h), val in source.values.items():
+            for v in (val, Cyclo.rational(-2)):
+                assert _poly_key(pitool._pair_member(group, 2, g, h, v)) == \
+                    _poly_key(_parent_pair_member(group, 2, g, h, v))
+            assert _poly_key(pitool._swap_member(group, order, g, h)) == \
+                _poly_key(_parent_swap_member(group, order, g, h))
+            pq = source.quadratic.get((g, h))
+            if pq is not None:
+                assert _poly_key(pitool._triple_member(group, 2, g, h, *pq)) == \
+                    _poly_key(_parent_triple_member(group, 2, g, h, *pq))
+                if pq[0].is_zero():
+                    assert len(pitool._triple_member(group, order, g, h, *pq).terms) == 2
+
+
+def _certificate_key(reduced, rounds):
+    def use_key(use):
+        member, prefix, blocks, suffix, coeff = use
+        return _poly_key(member), prefix, blocks, suffix, coeff
+
+    return _poly_key(reduced), [
+        (r["degree"], r["alpha"], r["beta"], r["new"], _poly_key(r["result"]),
+         [(m["coeff"], m["before"], _poly_key(m["after"]), [use_key(u) for u in m["uses"]])
+          for m in r["monomials"]])
+        for r in rounds]
+
+
+def test_reduction_certificates_match_the_assembled_members(monkeypatch):
+    """pauli_reduce gives the same reduced polynomial and certificate, every
+    recorded member included, with the one-construction builders as with
+    the assembled ones: on the README example and on random multilinear
+    polynomials of pauli-3 and pauli-4, which between them use all three
+    builders."""
+    cases = [(3, "x1:x*x2:x*x3:y - x3:y*x2:x*x1:x")]
+    rng = random.Random(17)
+    for n_alg in (3, 4):
+        elems = sorted(build_catalog("pauli", n=n_alg).group.elements())
+        for _ in range(12):
+            n = rng.randint(3, 6)
+            degrees = [rng.choice(elems) for _ in range(n)]
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                terms[tuple((k + 1, degrees[k]) for k in perm)] = rng.randint(-3, 3)
+            cases.append((n_alg, terms))
+    # four letters of one degree split by blocks of value i: the swap detour
+    shape = pitool._pauli_source(build_catalog("pauli", n=4)).long_shape
+    cases.append((4, {tuple((k + 1, d) for k, d in enumerate(shape)): 1,
+                      tuple((k + 1, shape[k]) for k in (1, 0, 2, 3, 5, 4, 6)): -2}))
+    results = []
+    for builders in ("one construction", "assembled"):
+        used = set()
+        if builders == "assembled":
+            for name, parent in (("_pair_member", _parent_pair_member),
+                                 ("_triple_member", _parent_triple_member),
+                                 ("_swap_member", _parent_swap_member)):
+                def counted(*args, name=name, parent=parent):
+                    used.add(name)
+                    return parent(*args)
+
+                monkeypatch.setattr(pitool, name, counted)
+        out = []
+        for n_alg, poly in cases:
+            alg = build_catalog("pauli", n=n_alg)
+            f = (parse_poly(poly, alg.group, alg.order) if isinstance(poly, str)
+                 else FreePoly(alg.group, alg.order, poly))
+            try:
+                red, rounds = pauli_reduce(alg, f)
+            except PreconditionError as exc:
+                out.append(str(exc))
+                continue
+            replay_certificate(FreePoly(alg.group, red.order, f.terms), red, rounds)
+            out.append(_certificate_key(red, rounds))
+        results.append(out)
+    assert used == {"_pair_member", "_triple_member", "_swap_member"}
+    assert results[0] == results[1]
+
+
+def test_kernel_coefficients_once_per_value_pair(monkeypatch):
+    """A Pauli source computes the kernel coefficients of each distinct
+    (gamma_sigma, gamma_tau0) once, for all its degree tuples: 4 times for
+    the family of pauli-3 and of pauli-4 up to degree 3 (against 110 and
+    650 tuple-by-tuple computations).  Another source, such as the one
+    check_pauli_multidegree builds, computes its own."""
+    calls = []
+    compute = pitool._kernel_coefficients
+
+    def counted(g_sig, g_tau):
+        calls.append((g_sig, g_tau))
+        return compute(g_sig, g_tau)
+
+    monkeypatch.setattr(pitool, "_kernel_coefficients", counted)
+    for n in (3, 4):
+        del calls[:]
+        alg = build_catalog("pauli", n=n)
+        fam = family_pauli(alg, 3)
+        assert len(calls) == len(set(calls)) == 4
+        assert fam.fast_source._coefficients == {key: compute(*key) for key in calls}
+        del calls[:]
+        check_pauli_multidegree(alg, [(1, 0), (0, 1), (1, 1)])
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_complex_fastpath_matches_full_enumeration():

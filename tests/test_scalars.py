@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gradedpi.scalars import (
     Cyclo,
     Echelon,
+    _real_rows,
     cyclotomic_polynomial,
     kernel_over_real_subfield,
     parse_cyclo,
@@ -149,6 +150,82 @@ def test_kernel_zero_matrix_full():
     rows = [[Cyclo.zero(), Cyclo.zero(), Cyclo.zero()]]
     basis = kernel_over_real_subfield(rows)
     assert len(basis) == 3
+
+
+def _split_real_rows(rows):
+    """Every row split into its conj-symmetrized row and its skew part over
+    zeta - zeta^(-1), conj-fixed or not: the split _real_rows made of all
+    rows before it kept conj-fixed ones as they stand."""
+    out = []
+    for row in rows:
+        n = 1
+        for e in row:
+            n = lcm(n, e.order)
+        row = [e.lift(n) for e in row]
+        crow = [e.conj() for e in row]
+        plus = [a + b for a, b in zip(row, crow)]
+        if any(not e.is_zero() for e in plus):
+            out.append(plus)
+        if n > 2:
+            dinv = (Cyclo.zeta(n) - Cyclo.zeta(n, n - 1)).inv()
+            minus = [(a - b) * dinv for a, b in zip(row, crow)]
+            if any(not e.is_zero() for e in minus):
+                out.append(minus)
+    return out
+
+
+def _split_kernel(rows):
+    ech = Echelon(len(rows[0]))
+    for row in _split_real_rows(rows):
+        ech.add(row)
+    return ech.kernel()
+
+
+def _conj_fixed_rows(rng, count, width):
+    """Random rows of rationals, sqrt2 = zeta8 + zeta8^-1 and sqrt3 =
+    zeta12 + zeta12^-1 combinations: conj-fixed at orders 1, 8 and 12."""
+    sqrt2 = Cyclo.zeta(8) + Cyclo.zeta(8, 7)
+    sqrt3 = Cyclo.zeta(12) + Cyclo.zeta(12, 11)
+    pool = [Cyclo.zero(), Cyclo.zero(), Cyclo.one(), -Cyclo.one(), Cyclo.rational(2),
+            sqrt2, sqrt3, Cyclo.rational(Fraction(1, 3)) - sqrt3, sqrt2 * sqrt3]
+    return [[rng.choice(pool) for _ in range(width)] for _ in range(count)]
+
+
+def test_conj_fixed_rows_are_kept_and_give_the_split_kernel():
+    """A conj-fixed row goes to the echelon as it stands, not as 2 row and a
+    zero skew row; the kernel, entries and their representations included,
+    is the one of the full split, on random conj-fixed systems and on
+    systems mixing them with non-real rows."""
+    rng = random.Random(11)
+    for trial in range(60):
+        rows = _conj_fixed_rows(rng, rng.randint(1, 4), rng.randint(1, 5))
+        if trial % 3 == 0:
+            width = len(rows[0])
+            rows.append([rng.choice((Cyclo.zero(), Cyclo.one(), Cyclo.zeta(12),
+                                     Cyclo.zeta(8, 3))) for _ in range(width)])
+        assert all(c.is_real() for c in rows[0])
+        zero_row = all(c.is_zero() for c in rows[0])
+        assert _real_rows(rows[:1]) == ([] if zero_row else [rows[0]])
+        got = kernel_over_real_subfield(rows)
+        ref = _split_kernel(rows)
+        assert got == ref
+        assert [[(c.order, c.nums, c.den) for c in v] for v in got] == \
+            [[(c.order, c.nums, c.den) for c in v] for v in ref]
+
+
+def test_non_real_rows_are_still_split():
+    """[1, zeta12] is not conj-fixed: it is split into its symmetrized row
+    and its skew part, and its only real solution is zero."""
+    z = Cyclo.zeta(12)
+    row = [Cyclo.one(), z]
+    split = _real_rows([row])
+    assert split == _split_real_rows([row]) and len(split) == 2
+    assert all(c.is_real() for r in split for c in r)
+    assert kernel_over_real_subfield([row]) == []
+    # a conj-fixed row is one row, the row itself
+    sqrt3 = z + z.conj()
+    assert _real_rows([[Cyclo.one(), sqrt3]]) == [[Cyclo.one(), sqrt3]]
+    assert _real_rows([[Cyclo.zero(), Cyclo.zero()]]) == []
 
 
 @settings(max_examples=30, deadline=None)
