@@ -56,6 +56,8 @@ class FiniteAbelianGroup:
         self.identity = (0,) * len(orders)
         # words[g]: the generator word of g, rendered on its first lookup
         self.words = _WordTable(self.gen_names)
+        # the elements that have passed contains, as they are met
+        self._members = set()
 
     @property
     def rank(self) -> int:
@@ -84,8 +86,21 @@ class FiniteAbelianGroup:
         return [tuple(e) for e in itertools.product(*(range(o) for o in self.orders))]
 
     def contains(self, g) -> bool:
-        return (isinstance(g, tuple) and len(g) == self.rank
-                and all(0 <= x < o for x, o in zip(g, self.orders)))
+        """Whether g is a tuple of one residue 0 <= x < o per cyclic factor.
+        An element that has passed is kept, so it is accepted again with
+        one set lookup; a value equal to a kept one passes the full test as
+        well, so the lookup changes no answer."""
+        members = self._members
+        try:
+            if g in members:
+                return True
+        except TypeError:  # unhashable, such as a list: the full test decides
+            members = None
+        ok = (isinstance(g, tuple) and len(g) == self.rank
+              and all(0 <= x < o for x, o in zip(g, self.orders)))
+        if ok and members is not None:
+            members.add(g)
+        return ok
 
     def check(self, g):
         if not self.contains(g):

@@ -909,13 +909,51 @@ def family_regular(beta: Bicharacter, mode: str) -> GeneratorSet:
 # -- Pauli families -----------------------------------------------------------------------------
 
 
+def _inversion_exponents(column, order):
+    """The sum mod order of column[v][u] over the inverted pairs u < v of
+    each permutation of range(n), listed in itertools.permutations order.
+
+    A permutation that places v before the variables rest of a sorted set
+    inverts (u, v) for every u < v in rest, so the sums over the
+    permutations of each subset, in lexicographic order, are those over its
+    subsets one smaller, shifted by that pair sum; the subsets are walked
+    smallest first, each once.
+    """
+    n = len(column)
+    walks = {(): [0]}
+    for size in range(1, n + 1):
+        for rest in itertools.combinations(range(n), size):
+            out = walks[rest] = []
+            for k, v in enumerate(rest):
+                col = column[v]
+                inc = 0
+                for u in rest[:k]:
+                    inc += col[u]
+                tail = walks[rest[:k] + rest[k + 1:]]
+                out += map(inc.__add__, tail) if inc else tail
+    return [e % order for e in walks[tuple(range(n))]]
+
+
 def _gamma_values(beta, degrees):
-    """Reordering scalars for every permutation of the given degree tuple."""
+    """The exponent e_sigma of each permutation's reordering scalar
+    gamma_sigma = zeta_N^e_sigma (see freealg.reorder_scalar), listed in
+    itertools.permutations order, which is the column order of the
+    MultidegreeBasis at the tuple: the k-th exponent is that of the
+    permutation of column rank k.
+
+    The exponents are walked off one n x n matrix of beta's pair exponents
+    (_inversion_exponents).  The reversal, which inverts every pair, is
+    checked against reorder_scalar, and a mismatch raises AssertionError.
+    """
     n = len(degrees)
-    out = {}
-    for perm in itertools.permutations(range(n)):
-        out[perm] = reorder_scalar(perm, degrees, beta)
-    return out
+    exponent = beta.exponent
+    # column[v][u]: the exponent of beta(d_u, d_v)
+    exps = _inversion_exponents([[exponent(du, dv) for du in degrees] for dv in degrees],
+                                beta.order)
+    if beta.powers[exps[-1]] != reorder_scalar(tuple(range(n - 1, -1, -1)), degrees, beta):
+        raise AssertionError("reordering exponent walk disagrees with reorder_scalar "
+                             "at the reversal of %r" % (tuple(degrees),))
+    return exps
 
 
 def _quadratic_pair(val):
@@ -946,52 +984,62 @@ def _swap_member(group, order, g, h):
 
 
 def _kernel_perm_vectors(beta, degrees, realness, coefficients):
-    """Literal (I)/(II)-shaped identities spanning the kernel at one tuple.
+    """Literal (I)/(II)-shaped identities spanning the kernel at one tuple,
+    with the column ranks of their permutations.
 
     With gamma_sigma the reordering scalars, the real solutions of
     sum mu_sigma gamma_sigma^(-1) = 0 are spanned by binomials with real
     ratios and trinomials with the exact real pair (p, q).  Each identity is
     a list of (permutation, coefficient); every one is a literal family shape
-    and together they span all linear identities at the tuple.
+    and together they span all linear identities at the tuple.  The second
+    value is one flat tuple of the itertools.permutations ranks of every
+    identity's permutations, identity after identity: at a MultidegreeBasis
+    of the tuple's own degrees, the rank is the permutation's column.
 
-    The scalars are roots of unity with few distinct values (at most 4 among
-    the 120 of a pauli-4 tuple of length 5), each one of beta's shared
-    powers, and an identity's coefficients depend only on its gamma_sigma
-    and the tuple's gamma_tau0, so each value's realness and each pair's
-    coefficients are computed, and the coefficients checked real and an
-    identity, once.  realness (value -> whether it is real) and coefficients
-    ((gamma_sigma, gamma_tau0) -> _kernel_coefficients) are the caller's
-    tables they are kept in, filled as values are met; _PauliSource shares
-    its own between all the tuples of its bicharacter.
+    The scalars are roots of unity zeta_N^e with few distinct exponents e
+    (at most 4 among the 120 of a pauli-4 tuple of length 5), read off
+    _gamma_values, and an identity's coefficients depend only on its
+    e_sigma and the tuple's e_tau0, so each exponent's realness and each
+    pair's coefficients are computed, and the coefficients checked real and
+    an identity, once.  realness (e -> whether zeta_N^e is real) and
+    coefficients ((e_sigma, e_tau0) -> _kernel_coefficients) are the
+    caller's tables they are kept in, filled as exponents are met;
+    _PauliSource shares its own between all the tuples of its bicharacter.
     """
-    gammas = _gamma_values(beta, degrees)
-    identity_perm = tuple(range(len(degrees)))
+    powers = beta.powers
+    exps = _gamma_values(beta, degrees)
+    perms = list(itertools.permutations(range(len(degrees))))
+    identity_perm = perms[0]
     one = Cyclo.one()
-    real_perms, nonreal_perms = [], []
-    for p, g in gammas.items():
-        real = realness.get(g)
+    real_ranks, nonreal_ranks = [], []
+    for rank, e in enumerate(exps):
+        real = realness.get(e)
         if real is None:
-            real = realness[g] = g.is_real()
+            real = realness[e] = powers[e].is_real()
         if not real:
-            nonreal_perms.append(p)
-        elif p != identity_perm:
-            real_perms.append(p)
-    out = []
-    for p in real_perms:
-        out.append([(identity_perm, one), (p, -gammas[p])])
-    if nonreal_perms:
-        tau0 = nonreal_perms[0]
-        g_tau = gammas[tau0]
-        for p in nonreal_perms[1:]:
-            key = (gammas[p], g_tau)
+            nonreal_ranks.append(rank)
+        elif rank:
+            real_ranks.append(rank)
+    out, ranks = [], []
+    for r in real_ranks:
+        out.append([(identity_perm, one), (perms[r], -powers[exps[r]])])
+        ranks.extend((0, r))
+    if nonreal_ranks:
+        t = nonreal_ranks[0]
+        tau0, e_tau = perms[t], exps[t]
+        for r in nonreal_ranks[1:]:
+            key = (exps[r], e_tau)
             coeffs = coefficients.get(key)
             if coeffs is None:
-                coeffs = coefficients[key] = _kernel_coefficients(*key)
+                coeffs = coefficients[key] = _kernel_coefficients(powers[exps[r]],
+                                                                  powers[e_tau])
             if len(coeffs) == 1:
-                out.append([(p, one), (tau0, -coeffs[0])])
+                out.append([(perms[r], one), (tau0, -coeffs[0])])
+                ranks.extend((r, t))
             else:
-                out.append([(identity_perm, one), (p, coeffs[0]), (tau0, coeffs[1])])
-    return out
+                out.append([(identity_perm, one), (perms[r], coeffs[0]), (tau0, coeffs[1])])
+                ranks.extend((0, r, t))
+    return out, tuple(ranks)
 
 
 def _kernel_coefficients(g_sig, g_tau):
@@ -1044,13 +1092,15 @@ class _PauliSource:
     shared by the pairs that take it, and the i-partners of every degree g
     (the h with beta(g, h) = i) with the degree-seven record shape they
     give; on first use, the kernel shapes of each degree tuple
-    (``kernel_shapes``).  The shapes of every tuple read two tables of the
-    source that are filled as values are met: the realness of each
-    reordering scalar and the kernel coefficients of each pair
-    (gamma_sigma, gamma_tau0) of them, so each is computed once per source
-    however many tuples share it (4 pairs on pauli-3 and pauli-4 up to
-    degree 3).  The family, every instance stage, the reducer and the
-    degree-seven record read them.  Nothing is shared between sources.
+    (``kernel_shapes``), with the permutation ranks of their terms.  The
+    shapes of every tuple read two tables of the source, keyed by the
+    integer exponents e of the reordering scalars zeta_N^e and filled as
+    exponents are met: the realness of each scalar and the kernel
+    coefficients of each pair (e_sigma, e_tau0), so each is computed once
+    per source however many tuples share it (4 pairs on pauli-3 and pauli-4
+    up to degree 3).  The family, every instance stage, the reducer and the
+    degree-seven record read the shapes; the direct kernel stage reads the
+    ranks, which are its columns.  Nothing is shared between sources.
     """
 
     exact = False  # stages are sound but may undershoot; callers fall back
@@ -1100,17 +1150,22 @@ class _PauliSource:
             counts[d] = counts.get(d, 0) + 1
         return all(v <= self.max_repeat for v in counts.values())
 
+    def _kernel(self, degrees):
+        """(shapes, ranks) of _kernel_perm_vectors at a degree tuple, built
+        on first use from the source's realness and coefficient tables,
+        keyed by exponent, and kept."""
+        key = tuple(degrees)
+        kernel = self._shapes.get(key)
+        if kernel is None:
+            kernel = self._shapes[key] = _kernel_perm_vectors(
+                self.beta, key, self._realness, self._coefficients)
+        return kernel
+
     def kernel_shapes(self, degrees):
         """The kernel identities of _kernel_perm_vectors at a degree tuple,
-        built on first use from the source's realness and coefficient
-        tables and kept; every caller gets the same list, which none may
-        change."""
-        key = tuple(degrees)
-        shapes = self._shapes.get(key)
-        if shapes is None:
-            shapes = self._shapes[key] = _kernel_perm_vectors(
-                self.beta, key, self._realness, self._coefficients)
-        return shapes
+        each a list of (permutation, coefficient), built once (see _kernel);
+        every caller gets the same list, which none may change."""
+        return self._kernel(degrees)[0]
 
     def _pair_relations(self, pg):
         group = self.beta.group
@@ -1171,10 +1226,21 @@ class _PauliSource:
                     yield _sparse_vector(pg, ((mono, one), (other, one)))
 
     def _direct_kernel(self, pg):
+        """The kernel identities at the multidegree itself, each letter its
+        own block: _kernel_vectors(pg, shapes, [(lt,) for lt in pg.letters]),
+        read straight off the shapes' permutation ranks, which are pg's
+        columns, with no monomial built or hashed.  The terms of one
+        identity have distinct permutations, so no two share a column, and
+        no coefficient is zero, so no entry is dropped: each is 1, minus a
+        root of unity, minus a ratio of two of them, or the p or q of
+        _kernel_coefficients, which vanish only when gamma_tau0 or
+        gamma_sigma is real, and both are nonreal there."""
         if not self.admitted(pg.degrees):
             return
-        yield from _kernel_vectors(pg, self.kernel_shapes(pg.degrees),
-                                   [(lt,) for lt in pg.letters])
+        shapes, ranks = self._kernel(pg.degrees)
+        ranks = iter(ranks)
+        for shape in shapes:
+            yield {next(ranks): c for _, c in shape}
 
     def _partition_kernels(self, pg):
         """Kernel identities on merged blocks: for each ordered partition of

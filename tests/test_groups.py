@@ -36,6 +36,54 @@ def test_group_basics():
     assert g.word_to_element("(3,1)") == (3, 1)
 
 
+def _full_check_outcome(group, g):
+    """The outcome of group.check as it was before passing elements were
+    kept: "ok", or the name of the exception the full residue test raises."""
+    try:
+        ok = (isinstance(g, tuple) and len(g) == group.rank
+              and all(0 <= x < o for x, o in zip(g, group.orders)))
+    except TypeError:
+        return "TypeError"
+    return "ok" if ok else "ValueError"
+
+
+def _check_outcome(group, g):
+    try:
+        assert group.check(g) is g
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+_CHECK_INPUTS = [
+    (1, 2), (0, 0), (3, 1), (True, 0), (1, False), (True, True), (1.0, 0),
+    (0.5, 1), (2.0, 1.0), (3.0, 0), (-1, 0), (-0.5, 0), (1, 2, 0), (1,), (),
+    [1, 2], [0, 0], (1, [0]), ("a", 0), ((1,), 0), None, 5, "ab",
+]
+
+
+@pytest.mark.parametrize("order", ["given", "reversed"])
+def test_check_keeps_passing_elements_and_refuses_as_before(order):
+    """check accepts and refuses exactly what the full residue test does,
+    on the first and the second meeting of every input, whichever of the
+    values equal to a kept element (1, 1.0, True) comes first: a list, a
+    wrong-length tuple or an out-of-range residue is refused, and bool and
+    float residues in range pass as before.  Only passing elements are kept,
+    each once per distinct value, with nothing laid out in advance."""
+    inputs = _CHECK_INPUTS if order == "given" else _CHECK_INPUTS[::-1]
+    group = FiniteAbelianGroup((3, 2))
+    assert group._members == set()
+    for rounds in range(2):
+        for g in inputs:
+            expected = _full_check_outcome(group, g)
+            assert _check_outcome(group, g) == expected, (rounds, g)
+            if expected != "TypeError":
+                assert group.contains(g) == (expected == "ok"), g
+    passing = [g for g in inputs if _full_check_outcome(group, g) == "ok"]
+    assert group._members == set(passing)
+    assert len(group._members) < len(passing)  # (1, 0), (True, 0), (1.0, 0): one entry
+
+
 def test_quotient_z4_by_square():
     g = FiniteAbelianGroup((4,))
     q, proj = quotient_by(g, (2,))

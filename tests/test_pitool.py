@@ -1675,7 +1675,7 @@ class ReorderingScalarReference:
 
     def __init__(self, algebra, degrees):
         beta, _ = detect_complex_bicharacter(algebra)
-        gamma = list(pitool._gamma_values(beta, tuple(degrees)).values())
+        gamma = [beta.powers[e] for e in pitool._gamma_values(beta, tuple(degrees))]
         self.weights = [g.inv() for g in gamma]
         self.codim = 1 if all((w * gamma[0]).is_real() for w in self.weights) else 2
 
@@ -1844,8 +1844,9 @@ def test_kernel_shapes_match_kernel_perm_vectors(pauli_families, name):
     """kernel_shapes, which shares the source's realness and coefficient
     tables between tuples, is _kernel_perm_vectors with tables of the
     tuple's own at every admitted sorted degree tuple of length up to four
-    (and, on pauli-3, at the reversed tuple), and a second lookup returns
-    the kept shapes."""
+    (and, on pauli-3, at the reversed tuple), a second lookup returns
+    the kept shapes, and the kept ranks are the itertools.permutations
+    ranks of the shapes' permutations, identity after identity."""
     algebra, _ = pauli_families[name]
     source = pitool._pauli_source(algebra)
     elements = sorted(algebra.group.elements())
@@ -1856,8 +1857,12 @@ def test_kernel_shapes_match_kernel_perm_vectors(pauli_families, name):
             tuples = [degs, degs[::-1]] if name == "pauli3" else [degs]
             for d in tuples:
                 shapes = source.kernel_shapes(d)
-                assert shapes == pitool._kernel_perm_vectors(source.beta, d, {}, {})
+                shapes_alone, ranks = pitool._kernel_perm_vectors(source.beta, d, {}, {})
+                assert shapes == shapes_alone
                 assert source.kernel_shapes(list(d)) is shapes
+                rank_of = {p: r for r, p in enumerate(itertools.permutations(range(n)))}
+                assert list(source._kernel(d)[1]) == list(ranks) == \
+                    [rank_of[perm] for shape in shapes for perm, _ in shape]
 
 
 def _parent_gamma_values(beta, degrees):
@@ -1909,13 +1914,29 @@ def _per_permutation_kernel_perm_vectors(beta, degrees):
     return out
 
 
+def _assert_walk_matches_parent(source, degs):
+    """The exponent walk, mapped through beta.powers, is _parent_gamma_values
+    permutation by permutation in itertools.permutations order, and
+    kernel_shapes, which decides realness and computes coefficients once per
+    distinct exponent, is the per-permutation computation on them."""
+    beta = source.beta
+    parent = _parent_gamma_values(beta, degs)
+    assert list(parent) == list(itertools.permutations(range(len(degs))))
+    assert [beta.powers[e] for e in pitool._gamma_values(beta, degs)] == \
+        list(parent.values()), degs
+    assert source.kernel_shapes(degs) == \
+        _per_permutation_kernel_perm_vectors(beta, degs), degs
+
+
 def test_kernel_coefficients_once_per_value_match_per_permutation():
-    """The reordering scalars, read off exponents, equal the Cyclo products
-    of generator-table powers, permutation by permutation and in the same
-    order; kernel_shapes, which decides realness and computes coefficients
-    once per distinct scalar, equals the per-permutation computation on
-    them.  Both at every sorted tuple of pauli-3 and pauli-4 (length <= 4)
-    and pauli-5 (length <= 3).  The quadratic pairs, computed once per
+    """The reordering exponents, walked off beta's pair exponents, give the
+    Cyclo products of generator-table powers, permutation by permutation
+    and in the same order; kernel_shapes equals the per-permutation
+    computation on them.  Both at every sorted tuple of pauli-3 and pauli-4
+    (length <= 4) and pauli-5 (length <= 3), at every admitted sorted tuple
+    of pauli-3 of length 5 and its reversal, and at the pauli-4 shape of
+    the pauli4-deg5 benchmark workload and its six-degree prefix, whose
+    record closes at 718 of 718.  The quadratic pairs, computed once per
     distinct value, equal each pair's own _quadratic_pair on pauli-2 to
     pauli-5.  Only pauli-5 has trinomials with p != q and two distinct
     quadratic pairs."""
@@ -1928,10 +1949,78 @@ def test_kernel_coefficients_once_per_value_match_per_permutation():
         elements = sorted(beta.group.elements())
         for length in range(1, max_length + 1):
             for degs in itertools.combinations_with_replacement(elements, length):
-                assert list(pitool._gamma_values(beta, degs).items()) == \
-                    list(_parent_gamma_values(beta, degs).items()), degs
-                assert source.kernel_shapes(degs) == \
-                    _per_permutation_kernel_perm_vectors(beta, degs), degs
+                _assert_walk_matches_parent(source, degs)
+    source = pitool._pauli_source(build_catalog("pauli", n=3))
+    for degs in itertools.combinations(sorted(source.beta.group.elements()), 5):
+        assert source.admitted(degs)
+        _assert_walk_matches_parent(source, degs)
+        _assert_walk_matches_parent(source, degs[::-1])
+    p4 = build_catalog("pauli", n=4)
+    source = pitool._pauli_source(p4)
+    assert source.long_shape[:5] == ((0, 1), (3, 0), (0, 1), (3, 1), (0, 1))
+    for length in (5, 6):
+        _assert_walk_matches_parent(source, source.long_shape[:length])
+    record = check_pauli_multidegree(p4, source.long_shape[:6])
+    assert (record.equal, record.dim_target, record.dim_consequence) == (True, 718, 718)
+
+
+def test_direct_kernel_reads_ranks_as_kernel_vectors():
+    """The direct kernel stage, read off the shapes' permutation ranks,
+    yields the dicts of _kernel_vectors with each letter its own block, in
+    the same order and with the same key order, at every admitted sorted
+    tuple of pauli-3 (length <= 5) and pauli-4 (length <= 4)."""
+    for n, max_length in ((3, 5), (4, 4)):
+        algebra = build_catalog("pauli", n=n)
+        source = pitool._pauli_source(algebra)
+        elements = sorted(algebra.group.elements())
+        for length in range(1, max_length + 1):
+            for degs in itertools.combinations_with_replacement(elements, length):
+                if not source.admitted(degs):
+                    continue
+                pg = MultidegreeBasis(algebra.group, degs)
+                direct = list(source._direct_kernel(pg))
+                expected = list(pitool._kernel_vectors(pg, source.kernel_shapes(degs),
+                                                       [(lt,) for lt in pg.letters]))
+                assert direct == expected, degs
+                assert [list(v) for v in direct] == [list(v) for v in expected], degs
+
+
+_OFF_BY_ONE_WALK = textwrap.dedent("""
+    from gradedpi import pitool
+    from gradedpi.algebras import build_catalog
+
+    walk = pitool._inversion_exponents
+
+    def off_by_one(column, order):
+        return [(e + 1) % order for e in walk(column, order)]
+
+    pitool._inversion_exponents = off_by_one
+    p4 = build_catalog("pauli", n=4)
+    degrees = [(0, 1), (3, 0), (0, 1), (3, 1), (0, 1)]
+    try:
+        pitool.check_pauli_multidegree(p4, degrees)
+    except AssertionError as exc:
+        print("raised" if "reorder_scalar" in str(exc) else "other: %s" % exc)
+    else:
+        print("accepted")
+    print("debug" if __debug__ else "optimized")
+""")
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "python-O"])
+def test_off_by_one_exponent_walk_raises(optimize):
+    """A reordering exponent walk that is off by one disagrees with
+    reorder_scalar at the reversal, and the kernel shapes refuse it with
+    AssertionError, also under python -O, which strips assert statements."""
+    import gradedpi
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedpi.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", _OFF_BY_ONE_WALK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split() == ["raised", "optimized" if optimize else "debug"], \
+        proc.stderr
 
 
 def test_family_and_verification_build_each_kernel_shape_once(monkeypatch):
@@ -2139,7 +2228,12 @@ def test_kernel_coefficients_once_per_value_pair(monkeypatch):
         alg = build_catalog("pauli", n=n)
         fam = family_pauli(alg, 3)
         assert len(calls) == len(set(calls)) == 4
-        assert fam.fast_source._coefficients == {key: compute(*key) for key in calls}
+        # the table is keyed by the exponents (e_sigma, e_tau0) of the values
+        powers = fam.fast_source.beta.powers
+        table = fam.fast_source._coefficients
+        assert {(powers[e_sig], powers[e_tau]): coeffs
+                for (e_sig, e_tau), coeffs in table.items()} == \
+            {key: compute(*key) for key in calls}
         del calls[:]
         check_pauli_multidegree(alg, [(1, 0), (0, 1), (1, 1)])
         assert calls and len(calls) == len(set(calls))
