@@ -454,7 +454,9 @@ def cmd_report(args):
     doc = _load_json(args.input)
     if doc.get("format") != "gradedpi-report":
         raise SpecParseError("not a gradedpi-report file")
-    _emit(args, records_tsv(doc.get("records", [])))
+    with _spec_content(args.input):
+        text = records_tsv(doc.get("records", []))
+    _emit(args, text)
     return 0
 
 

@@ -458,6 +458,16 @@ class Target:
         return [self.pg.from_vector(v, order) for v in self.span().sparse_basis()]
 
 
+def _refuse_past_degree_bound(max_degree):
+    """Refuse (exit 4) a campaign or family past the dense-engine bound."""
+    if max_degree > DEFAULT_DEGREE_BOUND:
+        raise ResourceRefusal(
+            "max degree %d exceeds the dense-engine bound %d (component "
+            "dimension %d); the large-multidegree path handles single "
+            "multidegrees beyond it" % (max_degree, DEFAULT_DEGREE_BOUND,
+                                        math.factorial(max_degree)))
+
+
 def _component(group, degrees, bound=DEFAULT_DEGREE_BOUND):
     """The component at degrees, refused (exit 3) when empty and (exit 4)
     past bound letters, before its n! monomials are enumerated."""
@@ -781,13 +791,11 @@ def _block_degrees(mono, group):
     return out
 
 
-def _adjacent_cuts(mono, group, deg=None):
+def _adjacent_cuts(mono, deg):
     """Cuts u|B1|B2|v of a monomial with B1 and B2 nonempty, as
-    (d1, d2, u B2 B1 v) with di the product degree of Bi.  deg is the
-    monomial's _block_degrees table, built when not given."""
+    (d1, d2, u B2 B1 v) with di the product degree of Bi, read off the
+    monomial's _block_degrees table deg."""
     n = len(mono)
-    if deg is None:
-        deg = _block_degrees(mono, group)
     for a in range(n):
         for b in range(a + 1, n + 1):
             d1 = deg[a][b]
@@ -795,13 +803,11 @@ def _adjacent_cuts(mono, group, deg=None):
                 yield d1, deg[b][c], mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
 
 
-def _separated_cuts(mono, group, deg=None):
+def _separated_cuts(mono, deg):
     """Cuts u|B1|W|B2|v of a monomial with B1 and B2 nonempty of one product
-    degree g and W possibly empty, as (u, B1, W, B2, v, g).  deg is the
-    monomial's _block_degrees table, built when not given."""
+    degree g and W possibly empty, as (u, B1, W, B2, v, g), read off the
+    monomial's _block_degrees table deg."""
     n = len(mono)
-    if deg is None:
-        deg = _block_degrees(mono, group)
     for a in range(n):
         for b in range(a + 1, n + 1):
             g = deg[a][b]
@@ -818,22 +824,26 @@ def _binomial(pg, mono, other, c):
 
 
 class _RegularSource:
-    """Exact fast instance streams for the regular-grading families, in two
-    stages.
+    """Exact fast instance streams for the regular-grading families, in one
+    stage: the central family's radical monomials, then for each monomial
+    but the first the single-letter swap u(ab - beta(a,b) ba)v at its first
+    descent ab.
 
-    The T-ideal instances of the commutation binomials at a multidegree are
-    precisely the block relations u(B1 B2 - beta(d1,d2) B2 B1)v over all ways
-    of cutting each monomial into four (possibly empty) consecutive parts with
-    B1, B2 nonempty; the central family adds every full monomial whose product
-    degree lies in the radical.  The second stage streams all of them, so the
-    source is exact.
-
-    The first stage streams the central family's monomials, then for each
-    monomial but the first the single-letter swap u(ab - beta(a,b) ba)v at
-    its first descent ab.  The swapped monomial is lexicographically
-    smaller, so under a Subspace's last-column pivots each swap brings in
-    its monomial's column as a new pivot: the n! - 1 swaps are independent
-    and close an identities record without the second stage.
+    Why the stage spans the generic span.  Every T-ideal instance of a
+    commutation binomial at a multidegree, and every T-space instance of a
+    padded one, is a block relation u(B1 B2 - beta(d1,d2) B2 B1)v, and each
+    swap is one.  Write s(m) for the scalar freealg.reorder_scalar of a
+    monomial m's ordering of the variables: it is well defined, a product
+    over inverted pairs, because beta is a skew-symmetric bicharacter.  A
+    block relation is m - c m' with c = beta(d1,d2) = s(m') / s(m), so the
+    functional m -> 1 / s(m) kills every block relation.  Its kernel has
+    dimension n! - 1.  The swapped monomial is lexicographically smaller,
+    so under a Subspace's last-column pivots each swap brings in its
+    monomial's column as a new pivot: the n! - 1 swaps are independent and
+    span that kernel, hence the whole span of the binomials.  In centrals
+    mode the radical monomials come first in the same stage: when the
+    multidegree's product lies in the radical they span every monomial, and
+    otherwise there are none.
     """
 
     exact = True  # the streamed instances span exactly the generic span
@@ -844,7 +854,7 @@ class _RegularSource:
         self.radical = set(beta.radical())
 
     def _descents(self, pg: MultidegreeBasis):
-        """The first stage: the radical monomials, then the descent swaps."""
+        """The stage: the radical monomials, then the descent swaps."""
         group = self.beta.group
         if self.mode == "centrals":
             total = group.product(pg.degrees)
@@ -857,18 +867,8 @@ class _RegularSource:
             yield _binomial(pg, mono, mono[:i] + (b, a) + mono[i + 2:],
                             self.beta.eval(a[1], b[1]))
 
-    def _all_cuts(self, pg: MultidegreeBasis):
-        """The second stage: the block relation of every cut."""
-        group = self.beta.group
-        for mono in pg.monomials:
-            for d1, d2, swapped in _adjacent_cuts(mono, group):
-                vec = _binomial(pg, mono, swapped, self.beta.eval(d1, d2))
-                if vec:
-                    yield vec
-
     def stages(self, pg):
         yield self._descents(pg)
-        yield self._all_cuts(pg)
 
 
 def family_regular(beta: Bicharacter, mode: str) -> GeneratorSet:
@@ -1173,7 +1173,7 @@ class _PauliSource:
         values, quadratic = self.values, self.quadratic
         for mono in pg.monomials:
             deg = _block_degrees(mono, group)
-            for d1, d2, swapped in _adjacent_cuts(mono, group, deg):
+            for d1, d2, swapped in _adjacent_cuts(mono, deg):
                 if (d1, d2) not in quadratic:
                     # pair family: u(B1 B2 - val B2 B1)v
                     vec = _binomial(pg, mono, swapped, values[(d1, d2)])
@@ -1182,7 +1182,7 @@ class _PauliSource:
             # one walk over the separated cuts: the triple instances as they
             # come, the swap instances after all of them
             swaps = []
-            for u, b1, w, b2, v, g in _separated_cuts(mono, group, deg):
+            for u, b1, w, b2, v, g in _separated_cuts(mono, deg):
                 if self.i_present:
                     swaps.append(u + b2 + w + b1 + v)
                 if not w:
@@ -1285,8 +1285,10 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
 
     The members are read off the tables of the set's fast source (its
     commutation values, quadratic pairs, i-partners and kernel shapes), so
-    verifying the set reuses every kernel shape built here.
+    verifying the set reuses every kernel shape built here.  A max_degree
+    past the dense-engine bound is refused (exit 4) before any is built.
     """
+    _refuse_past_degree_bound(max_degree)
     real_beta, _ = detect_regular(algebra)
     if real_beta is not None:
         raise PreconditionError(
@@ -1563,9 +1565,10 @@ def _witness_text(witness):
 
 def _instance_stages(genset, pg):
     """Iterator of instance-vector stages; later stages are only consumed when
-    earlier ones do not already close the span.  The generic template
-    enumeration always comes last as the exhaustive fallback (it is skipped
-    entirely for fast sources that are exact)."""
+    earlier ones do not already close the span.  An exact fast source's
+    stages are all there is (the regular source has one, which spans the
+    generic span); otherwise the generic template enumeration comes last as
+    the exhaustive fallback."""
     source = genset.fast_source
     if source is not None:
         yield from source.stages(pg)
@@ -1659,12 +1662,7 @@ def verify_basis(algebra: GradedAlgebra, genset: GeneratorSet, max_degree: int,
     t0 = time.time()
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1, got %d" % max_degree)
-    if max_degree > DEFAULT_DEGREE_BOUND:
-        raise ResourceRefusal(
-            "max degree %d exceeds the dense-engine bound %d (component "
-            "dimension %d); the large-multidegree path handles single "
-            "multidegrees beyond it" % (max_degree, DEFAULT_DEGREE_BOUND,
-                                        math.factorial(max_degree)))
+    _refuse_past_degree_bound(max_degree)
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1, got %d" % jobs)
     if jobs > os.cpu_count():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from gradedpi import algebras, cli
+from gradedpi import algebras, cli, pitool
 from gradedpi.algebras import build_catalog, catalog_ids
 from gradedpi.cli import (
     algebra_spec_dict,
@@ -312,6 +312,26 @@ def test_report_rerender(tmp_path, capsys):
     assert "\tyes\t" in text
 
 
+_ONE_RECORD = {"degrees": ["a"], "orbit": 1, "dim_target": 0, "dim_consequence": 0,
+               "equal": True, "witness": None}
+
+
+@pytest.mark.parametrize("records", [
+    [{key: val for key, val in _ONE_RECORD.items() if key != "orbit"}],
+    "x",
+    [dict(_ONE_RECORD, degrees=5)],
+], ids=["record-without-orbit", "records-a-string", "degrees-a-number"])
+def test_report_of_the_wrong_shape_exit2(tmp_path, capsys, records):
+    """A report file whose records have the wrong shape is a parse error,
+    not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "gradedpi-report", "records": records}))
+    assert run(["report", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: malformed %s" % path)
+
+
 def test_tsv_report_same_on_stdout_in_file_and_rerendered(tmp_path, capsys):
     argv = ["verify", "--algebra", "m2-elem", "--basis", "dv-lemma", "--max-degree", "2"]
     tsv, report = tmp_path / "r.tsv", tmp_path / "r.json"
@@ -342,6 +362,22 @@ def test_jobs_flag(tmp_path):
 def test_resource_refusal_exit4():
     assert run(["verify", "--algebra", "m2-elem", "--basis", "dv-lemma",
                 "--mode", "identities", "--max-degree", "9"]) == 4
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("families", []),
+    ("transfer", ["--with", "c2"]),
+    ("verify", []),
+], ids=["families", "transfer", "verify"])
+def test_pauli_family_past_the_degree_bound_exit4(monkeypatch, capsys, command, extra):
+    """The pauli family past degree 6 is refused before a kernel shape is built."""
+    def build(*args):
+        raise AssertionError("a kernel shape was built")
+
+    monkeypatch.setattr(pitool, "_kernel_perm_vectors", build)
+    assert run([command, "--algebra", "pauli", "--n", "4", "--basis", "pauli",
+                "--max-degree", "7"] + extra) == 4
+    assert "max degree 7 exceeds the dense-engine bound 6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_degree", ["0", "-2"])

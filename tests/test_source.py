@@ -18,7 +18,6 @@ from gradedpi.pitool import (
     multilinear_central_space,
     multilinear_identity_space,
 )
-from gradedpi.scalars import Cyclo
 
 SOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
 
@@ -43,7 +42,8 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
-# every regular catalog algebra, with the largest degree checked on it
+# every regular catalog algebra, with the largest degree checked on it, and a
+# tensor-product regular grading with a nontrivial radical
 _REGULAR_CASES = [
     ("c2", {}, 4),
     ("m2-4", {}, 5),
@@ -53,6 +53,7 @@ _REGULAR_CASES = [
     ("d-cyclic", {"m": 3, "eps": 1}, 4),
     ("d-cyclic", {"m": 3, "eps": -1}, 4),
     ("d-pair", {"k": 2, "l": 2}, 4),
+    ("c2@m2-4", {}, 4),
 ]
 
 
@@ -62,41 +63,38 @@ def _swap_cut(mono, group, i):
     n = len(mono)
     cuts = [(a, b, c) for a in range(n) for b in range(a + 1, n + 1)
             for c in range(b + 1, n + 1)]
-    return dict(zip(cuts, pitool._adjacent_cuts(mono, group)))[(i, i + 1, i + 2)]
+    walk = pitool._adjacent_cuts(mono, pitool._block_degrees(mono, group))
+    return dict(zip(cuts, walk))[(i, i + 1, i + 2)]
 
 
 @pytest.mark.parametrize("name, params, max_degree", _REGULAR_CASES,
                          ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
                               for name, params, _ in _REGULAR_CASES])
 def test_regular_descent_stage(name, params, max_degree):
-    """The regular source's descent stage changes no record: streamed before
-    the all-cuts stage, it gives every record (dimensions, verdict, witness)
-    of the all-cuts stream alone, in both modes.  Each descent instance is
-    the all-cuts instance swapping the monomial's first descent, and in
-    identities mode the n! - 1 of them are all kept and close the record."""
+    """The regular source's one stage gives every record (dimensions,
+    verdict, witness) of the generic template stream of the family's own
+    members, in both modes.  Each descent instance is the cut instance
+    swapping the monomial's first descent, and in identities mode the
+    n! - 1 of them are all kept and close the record."""
     algebra = build_catalog(name, **params)
     beta, _ = detect_regular(algebra)
     group = beta.group
-    one = Cyclo.one()
     for mode, space in (("identities", multilinear_identity_space),
                         ("centrals", multilinear_central_space)):
         genset = family_regular(beta, mode)
         source, order = genset.fast_source, genset.order
+        templates = genset.templates()
         for n in range(1, max_degree + 1):
             for degrees in itertools.combinations_with_replacement(
                     sorted(algebra.support), n):
                 target = space(algebra, degrees)
                 pg = target.pg
                 record = pitool._record(target, source.stages(pg), order)
-                # the stream before the descent stage: the radical monomials of
-                # the central family, then every cut
-                units = [{k: one} for k in range(pg.ncols)] if (
-                    mode == "centrals" and group.product(degrees) in source.radical) else []
-                alone = pitool._record(
-                    target, [itertools.chain(units, source._all_cuts(pg))], order)
+                generic = pitool._record(target, [(vec for vec, _ in pitool._generic_instances(
+                    templates, pg, mode == "identities"))], order)
                 assert (record.dim_target, record.dim_consequence, record.equal,
-                        record.witness) == (alone.dim_target, alone.dim_consequence,
-                                            alone.equal, alone.witness), (mode, degrees)
+                        record.witness) == (generic.dim_target, generic.dim_consequence,
+                                            generic.equal, generic.witness), (mode, degrees)
                 if mode != "identities":
                     continue
                 descents = list(source._descents(pg))
