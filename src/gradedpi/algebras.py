@@ -87,8 +87,7 @@ class HomogeneousElement:
 
 
 class GradedAlgebra:
-    def __init__(self, group, order, labels, degrees, mult, unit, name="algebra",
-                 validate=True):
+    def __init__(self, group, order, labels, degrees, mult, unit, name="algebra"):
         self.group = group
         self.order = int(order)
         self.labels = list(labels)
@@ -110,9 +109,7 @@ class GradedAlgebra:
         self._complex_checked = False
         self._complex_bicharacter = None
         self._center = None
-        self._validated = False  # set once validate() has proved the table associative
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structure ------------------------------------------------------------
 
@@ -193,7 +190,6 @@ class GradedAlgebra:
                         raise ValueError(
                             "%s: associativity fails at (%s, %s, %s)" % (
                                 self.name, self.labels[x], self.labels[a], self.labels[y]))
-        self._validated = True
 
     def _generators(self):
         """Basis indices a_1, a_2, ... whose products unit*a_i*a_j*... span
@@ -456,31 +452,30 @@ def _commutation_bicharacter(algebra, j_vec, order):
     l1 + l2 i.  The scalars must be multiplicative, and the bicharacter is
     read off the generators.
 
-    Once validate() has proved the table associative, only the basis pairs
-    of substitution_reps are walked: one b of each pair (b, J'b) of the
-    algebra's complex structure J', a central basis-permuting J' with
-    J'^2 = -1, so J'b is a nonzero multiple of a basis element.  For any
-    u, v, (J'u)v = J'(uv), v(J'u) = J'(vu) and J (v (J'u)) = J'(J vu), so
-    uv = l1 vu + l2 J vu holds exactly when it holds with J'u for u (J' is
-    invertible), and likewise for v: all four pairs of b, J'b and c, J'c
-    share the representative's vanishing products and scalar.  The
-    representative is the least index of its pair, so the first failing
-    basis pair of the walk over all pairs is a representative pair, and
-    both walks give the same bicharacter and the same witness.  Without
-    validate() every basis pair is walked.
+    The constructor's validate() has proved the table associative, so only
+    the basis pairs of substitution_reps are walked: one b of each pair
+    (b, J'b) of the algebra's complex structure J', a central
+    basis-permuting J' with J'^2 = -1, so J'b is a nonzero multiple of a
+    basis element.  For any u, v, (J'u)v = J'(uv), v(J'u) = J'(vu) and
+    J (v (J'u)) = J'(J vu), so uv = l1 vu + l2 J vu holds exactly when it
+    holds with J'u for u (J' is invertible), and likewise for v: all four
+    pairs of b, J'b and c, J'c share the representative's vanishing
+    products and scalar.  The representative is the least index of its
+    pair, so the first failing basis pair of a walk over all pairs is a
+    representative pair, and this walk gives that walk's bicharacter and
+    witness.
     """
     support = algebra.support
     group = algebra.group
     if set(support) != set(group.elements()):
         return None, RegularityWitness("support is a proper subset of the grading group")
-    walked = algebra.substitution_reps if algebra._validated else algebra.component
     i_scalar = None if j_vec is None else Cyclo.zeta(order, order // 4)
     values = {}
     for g in support:
         for h in support:
             lam = first = None
-            for i in walked(g):
-                for j in walked(h):
+            for i in algebra.substitution_reps(g):
+                for j in algebra.substitution_reps(h):
                     pair = (algebra.labels[i], algebra.labels[j])
                     uv = algebra.mul_basis(i, j)
                     vu = algebra.mul_basis(j, i)

@@ -130,9 +130,18 @@ def load_algebra_spec(path) -> GradedAlgebra:
         return algebra
 
 
+def _cyclotomic_order(doc, default):
+    """The cyclotomic order a spec document declares, a positive integer."""
+    order = doc.get("cyclotomic_order", default)
+    if type(order) is not int or order < 1:
+        raise SpecParseError("cyclotomic_order must be a positive integer, got %r"
+                             % (order,))
+    return order
+
+
 def _explicit_algebra(doc, path) -> GradedAlgebra:
     """The algebra of a spec file's explicit basis, degrees and table."""
-    order = doc.get("cyclotomic_order", 1)
+    order = _cyclotomic_order(doc, 1)
     group = _parse_group(doc.get("group", {}))
     basis = doc.get("basis")
     if basis is None:
@@ -207,7 +216,7 @@ def _genset_from_doc(doc, name, algebra: GradedAlgebra) -> GeneratorSet:
     """The generator set of a generator-set document, a file of its own or an
     entry of an algebra file: its parts s1, s2 and extras are polynomial
     literals over the declared cyclotomic order (the algebra's by default)."""
-    order = doc.get("cyclotomic_order", algebra.order)
+    order = _cyclotomic_order(doc, algebra.order)
     parts = {key: [parse_poly(t, algebra.group, order) for t in doc.get(key, [])]
              for key in ("s1", "s2", "extras")}
     return GeneratorSet(name, doc.get("mode", "identities"), algebra.group, order,

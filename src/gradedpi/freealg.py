@@ -570,7 +570,7 @@ def parse_poly(text: str, group: FiniteAbelianGroup, order: int) -> FreePoly:
                     factor = factor[1:-1]
                 try:
                     coeff = coeff * parse_cyclo(factor, order)
-                except (ValueError, ZeroDivisionError) as exc:
+                except ValueError as exc:
                     raise SpecParseError("bad coefficient %r in %r: %s" % (factor, text, exc))
         total = total + FreePoly(group, order, {tuple(letters): coeff})
     return total

@@ -18,11 +18,13 @@ Conventions that the engine depends on:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
 import time
+import weakref
 
 from .algebras import (
     GradedAlgebra,
@@ -84,6 +86,18 @@ class MultidegreeBasis:
         self.monomials = [tuple(p) for p in itertools.permutations(self.letters)]
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self.ncols = len(self.monomials)
+
+    @functools.cached_property
+    def subset_degrees(self):
+        """deg[mask]: the product degree of the letters whose bits are set in
+        mask (letter (k + 1, d) is bit 1 << k), built on first use at 2^n - 1
+        group operations, each entry one past the entry without its highest
+        letter.  Every block degree of the record's streams is read off it."""
+        op = self.group.op
+        deg = [self.group.identity]
+        for k, d in enumerate(self.degrees):
+            deg.extend([op(e, d) for e in deg[:1 << k]])
+        return deg
 
     def from_vector(self, vec, order=1) -> FreePoly:
         """The polynomial of a sparse vector {column: coefficient}."""
@@ -357,7 +371,7 @@ def _component_rows(algebra, pg, central: bool):
         return None
     reducers = []
     if central:
-        g = pg.group.product(pg.degrees)
+        g = pg.subset_degrees[-1]
         reducers = [(min(z), z) for z in center_rows(algebra, g)]
         if len(reducers) == len(algebra.component(g)):
             return []
@@ -558,29 +572,17 @@ class GeneratorSet:
 # -- consequence instances ------------------------------------------------------------------
 
 
-def _subset_degrees(pg):
-    """deg[mask]: the product degree of the letters of pg whose bits are set
-    in mask (letter k is bit 1 << k); each entry is one group operation past
-    the entry without its highest letter, so the table costs 2^n - 1."""
-    op = pg.group.op
-    deg = [pg.group.identity]
-    for k, (_, d) in enumerate(pg.letters):
-        deg.extend([op(e, d) for e in deg[:1 << k]])
-    return deg
+def _block_assignments(pg, degrees, tideal, killers=0):
+    """Assignments of the letters of a record pg to consecutive blocks.
 
-
-def _block_assignments(targets, degrees, tideal, identity, deg=None, killers=0):
-    """Assignments of target letters to consecutive blocks.
-
-    Yields (blocks, prefix, suffix): blocks[j] is an ordered tuple of target
+    Yields (blocks, prefix, suffix): blocks[j] is an ordered tuple of pg's
     letters whose product degree is degrees[j] (any nonempty block when
     degrees[j] is None); a block may be empty only at the identity degree.
     For T-ideal instances the leftovers split into an ordered prefix and
     suffix, for T-space instances there are no leftovers.  Blocks are
     ordered permutations of the remaining letters, tried in the order of
-    itertools.permutations; a candidate's degree is read off deg, the
-    targets' subset-degree table (see _subset_degrees), which only a call
-    whose degrees are all None may leave out.
+    itertools.permutations; a candidate's degree is read off the record's
+    subset-degree table (see MultidegreeBasis.subset_degrees).
 
     killers is a bit mask over the blocks (block j is bit 1 << j), the
     killer letters of the template the blocks are substituted into (see
@@ -590,8 +592,9 @@ def _block_assignments(targets, degrees, tideal, identity, deg=None, killers=0):
     and suffix included.  Every other assignment is yielded in the order
     above.
     """
-    bits = [1 << k for k in range(len(targets))]
-    letter = dict(zip(bits, targets))
+    deg, identity = pg.subset_degrees, pg.group.identity
+    bits = [1 << k for k in range(len(pg.letters))]
+    letter = dict(zip(bits, pg.letters))
     # nonempty[j]: how many of the blocks j.. must be nonempty
     nonempty = [0] * (len(degrees) + 1)
     for j in range(len(degrees) - 1, -1, -1):
@@ -718,8 +721,8 @@ def _generic_instances(templates, pg, tideal):
     non-identity letters than the target has, or, for T-space instances,
     whose blocks partition the target letters, when its degree product
     differs from the target's (the group is abelian): a T-space record reads
-    only the table's group of its own product.  One subset-degree table of
-    the target letters (see _subset_degrees), 2^n - 1 group operations,
+    only the table's group of its own product.  The record's subset-degree
+    table (see MultidegreeBasis.subset_degrees), 2^n - 1 group operations,
     gives the target's product and every block degree of the record, so no
     block degree is multiplied out.  The assignments that leave one of a
     row's killer letters empty, whose instances are zero, are never
@@ -727,14 +730,12 @@ def _generic_instances(templates, pg, tideal):
     either way.
     """
     n = len(pg.letters)
-    deg = _subset_degrees(pg)
     key = (n, tuple(sorted(pg.degrees)))
-    identity = pg.group.identity
-    rows = templates.rows if tideal else templates.by_product.get(deg[-1], ())
+    rows = templates.rows if tideal else templates.by_product.get(pg.subset_degrees[-1], ())
     fits = [row for row in rows if row.needed <= n]
     for row in sorted(fits, key=lambda row: row.key != key):
-        for blocks, prefix, suffix in _block_assignments(pg.letters, row.degrees, tideal,
-                                                         identity, deg, row.killers):
+        for blocks, prefix, suffix in _block_assignments(pg, row.degrees, tideal,
+                                                         row.killers):
             vec = _sparse_vector(pg, _instance_terms(row.shape, blocks, prefix, suffix))
             if vec:
                 yield vec, (row.poly, blocks, prefix, suffix)
@@ -777,44 +778,40 @@ def _consequence_space(generators, degrees, group, tideal):
 # -- regular families -------------------------------------------------------------------------
 
 
-def _block_degrees(mono, group):
-    """deg[a][b]: the product degree of the block mono[a:b], for a < b; each
-    entry is one group operation past deg[a][b - 1]."""
-    op, n = group.op, len(mono)
-    out = []
-    for a in range(n):
-        row = [None] * (n + 1)
-        acc = group.identity
-        for b in range(a, n):
-            acc = row[b + 1] = op(acc, mono[b][1])
-        out.append(row)
-    return out
+def _prefix_masks(mono):
+    """pre[t]: the bit mask of the letters of mono[:t], a monomial of a
+    record (letter (k + 1, d) is bit 1 << k), so the block mono[a:b] has the
+    letters pre[b] ^ pre[a] and the degree deg[pre[b] ^ pre[a]] in the
+    record's subset-degree table deg."""
+    pre = [0]
+    for i, _ in mono:
+        pre.append(pre[-1] | 1 << (i - 1))
+    return pre
 
 
-def _adjacent_cuts(mono, deg):
+def _adjacent_cuts(mono, pre, deg):
     """Cuts u|B1|B2|v of a monomial with B1 and B2 nonempty, as
     (d1, d2, u B2 B1 v) with di the product degree of Bi, read off the
-    monomial's _block_degrees table deg."""
+    record's subset-degree table deg at the monomial's _prefix_masks pre."""
     n = len(mono)
     for a in range(n):
         for b in range(a + 1, n + 1):
-            d1 = deg[a][b]
+            d1 = deg[pre[b] ^ pre[a]]
             for c in range(b + 1, n + 1):
-                yield d1, deg[b][c], mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
+                yield d1, deg[pre[c] ^ pre[b]], mono[:a] + mono[b:c] + mono[a:b] + mono[c:]
 
 
-def _separated_cuts(mono, deg):
+def _separated_cuts(mono, pre, deg):
     """Cuts u|B1|W|B2|v of a monomial with B1 and B2 nonempty of one product
     degree g and W possibly empty, as (u, B1, W, B2, v, g), read off the
-    monomial's _block_degrees table deg."""
+    record's subset-degree table deg at the monomial's _prefix_masks pre."""
     n = len(mono)
     for a in range(n):
         for b in range(a + 1, n + 1):
-            g = deg[a][b]
+            g = deg[pre[b] ^ pre[a]]
             for c in range(b, n):
-                row = deg[c]
                 for d in range(c + 1, n + 1):
-                    if row[d] == g:
+                    if deg[pre[d] ^ pre[c]] == g:
                         yield mono[:a], mono[a:b], mono[b:c], mono[c:d], mono[d:], g
 
 
@@ -855,10 +852,8 @@ class _RegularSource:
 
     def _descents(self, pg: MultidegreeBasis):
         """The stage: the radical monomials, then the descent swaps."""
-        group = self.beta.group
         if self.mode == "centrals":
-            total = group.product(pg.degrees)
-            if total in self.radical:
+            if pg.subset_degrees[-1] in self.radical:
                 for k in range(pg.ncols):
                     yield {k: Cyclo.one()}
         for mono in pg.monomials[1:]:
@@ -1100,7 +1095,10 @@ class _PauliSource:
     per source however many tuples share it (4 pairs on pauli-3 and pauli-4
     up to degree 3).  The family, every instance stage, the reducer and the
     degree-seven record read the shapes; the direct kernel stage reads the
-    ranks, which are its columns.  Nothing is shared between sources.
+    ranks, which are its columns.  A grading has one source (_pauli_source),
+    so all of them share its tables and shapes.  Every block degree of a
+    record's stages is read off the record's subset-degree table (see
+    MultidegreeBasis.subset_degrees).
     """
 
     exact = False  # stages are sound but may undershoot; callers fall back
@@ -1168,12 +1166,12 @@ class _PauliSource:
         return self._kernel(degrees)[0]
 
     def _pair_relations(self, pg):
-        group = self.beta.group
         one = Cyclo.one()
         values, quadratic = self.values, self.quadratic
+        deg = pg.subset_degrees
         for mono in pg.monomials:
-            deg = _block_degrees(mono, group)
-            for d1, d2, swapped in _adjacent_cuts(mono, deg):
+            pre = _prefix_masks(mono)
+            for d1, d2, swapped in _adjacent_cuts(mono, pre, deg):
                 if (d1, d2) not in quadratic:
                     # pair family: u(B1 B2 - val B2 B1)v
                     vec = _binomial(pg, mono, swapped, values[(d1, d2)])
@@ -1182,13 +1180,13 @@ class _PauliSource:
             # one walk over the separated cuts: the triple instances as they
             # come, the swap instances after all of them
             swaps = []
-            for u, b1, w, b2, v, g in _separated_cuts(mono, deg):
+            for u, b1, w, b2, v, g in _separated_cuts(mono, pre, deg):
                 if self.i_present:
                     swaps.append(u + b2 + w + b1 + v)
                 if not w:
                     continue
                 b = len(u) + len(b1)  # W is mono[b:b + len(w)]
-                pq = quadratic.get((g, deg[b][b + len(w)]))
+                pq = quadratic.get((g, deg[pre[b + len(w)] ^ pre[b]]))
                 if pq is not None:
                     # triple family: u(B1 B2 W + p B1 W B2 + q W B1 B2)v
                     vec = _sparse_vector(pg, ((u + b1 + b2 + w + v, one), (mono, pq[0]),
@@ -1207,8 +1205,8 @@ class _PauliSource:
         beta(g, deg Wj) = i for the three nonempty blocks Wj."""
         if not self.i_present or len(pg.letters) < 7:
             return
-        group = self.beta.group
         one = Cyclo.one()
+        deg = pg.subset_degrees
         for mono in pg.monomials:
             by_degree = {}
             for t, (_, d) in enumerate(mono):
@@ -1217,12 +1215,12 @@ class _PauliSource:
                 if len(positions) != 4:
                     continue
                 p1, p2, p3, p4 = positions
-                blocks = [mono[p1 + 1:p2], mono[p2 + 1:p3], mono[p3 + 1:p4]]
-                partners = self.partners[g]
-                if all(blk and group.product([d for _, d in blk]) in partners
-                       for blk in blocks):
+                blocks = [(p1 + 1, p2), (p2 + 1, p3), (p3 + 1, p4)]
+                pre = _prefix_masks(mono)
+                # an empty block has degree e, which is no i-partner
+                if all(deg[pre[b] ^ pre[a]] in self.partners[g] for a, b in blocks):
                     other = (mono[:p1] + tuple(mono[p] for p in positions)
-                             + blocks[0] + blocks[1] + blocks[2] + mono[p4 + 1:])
+                             + sum((mono[a:b] for a, b in blocks), ()) + mono[p4 + 1:])
                     yield _sparse_vector(pg, ((mono, one), (other, one)))
 
     def _direct_kernel(self, pg):
@@ -1247,12 +1245,10 @@ class _PauliSource:
         the target letters into prefix, k blocks and suffix with the merged
         degree tuple admitted, the block-level kernel identities instantiate
         into this multidegree."""
-        group = self.beta.group
-        n = len(pg.letters)
-        for k in range(2, n):
-            for blocks, prefix, suffix in _block_assignments(pg.letters, [None] * k,
-                                                             True, group.identity):
-                degs = [group.product([d for _, d in blk]) for blk in blocks]
+        deg = pg.subset_degrees
+        for k in range(2, len(pg.letters)):
+            for blocks, prefix, suffix in _block_assignments(pg, [None] * k, True):
+                degs = [deg[sum(1 << (i - 1) for i, _ in blk)] for blk in blocks]
                 if self.admitted(degs):
                     yield from _kernel_vectors(pg, self.kernel_shapes(degs), blocks,
                                                prefix, suffix)
@@ -1263,13 +1259,21 @@ class _PauliSource:
         yield self._partition_kernels(pg)
 
 
+# each grading's Pauli source, kept no longer than its algebra
+_pauli_sources = weakref.WeakKeyDictionary()
+
+
 def _pauli_source(algebra):
     """The Pauli instance streams of a grading with complex commutation
-    structure, refused otherwise."""
-    beta, j_vec = detect_complex_bicharacter(algebra)
-    if beta is None:
-        raise PreconditionError("no complex commutation structure: %r" % (j_vec,))
-    return _PauliSource(beta)
+    structure, refused otherwise; built once per algebra, so the family,
+    the reducer and the degree-seven record share its tables and shapes."""
+    source = _pauli_sources.get(algebra)
+    if source is None:
+        beta, j_vec = detect_complex_bicharacter(algebra)
+        if beta is None:
+            raise PreconditionError("no complex commutation structure: %r" % (j_vec,))
+        source = _pauli_sources[algebra] = _PauliSource(beta)
+    return source
 
 
 def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
@@ -1286,8 +1290,11 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     The members are read off the tables of the set's fast source (its
     commutation values, quadratic pairs, i-partners and kernel shapes), so
     verifying the set reuses every kernel shape built here.  A max_degree
-    past the dense-engine bound is refused (exit 4) before any is built.
+    below 1 is refused (exit 3), and one past the dense-engine bound (exit
+    4), before any is built.
     """
+    if max_degree < 1:
+        raise PreconditionError("max degree must be at least 1, got %d" % max_degree)
     _refuse_past_degree_bound(max_degree)
     real_beta, _ = detect_regular(algebra)
     if real_beta is not None:

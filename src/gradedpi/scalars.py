@@ -813,7 +813,10 @@ def parse_cyclo(text: str, order: int) -> Cyclo:
                 if power is None:
                     raise ValueError("malformed z power in %r" % text)
             else:
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError("zero denominator in %r" % text) from None
         value = Cyclo.rational(sign * coeff)
         if power is not None:
             value = value * Cyclo.zeta(order, power)

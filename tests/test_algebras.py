@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -392,8 +393,10 @@ _ASSOCIATIVITY_CASES = [(name, {}) for name in catalog_ids()
 
 
 def _perturbed(alg, rng):
-    """alg with one structure constant scaled by -1, 2 or 3, unvalidated.
-    The scaled product avoids the unit's support, so the unit, degree and
+    """(mult, failing): alg's table with one structure constant scaled by
+    -1, 2 or 3, and the basis triples where it fails associativity, scanned
+    on a copy of alg that holds the table without being constructed.  The
+    scaled product avoids the unit's support, so the unit, degree and
     realness checks still pass and only associativity can fail."""
     pairs = sorted((i, j) for i, j in alg.mult
                    if i not in alg.unit and j not in alg.unit)
@@ -401,28 +404,30 @@ def _perturbed(alg, rng):
     k = rng.choice(sorted(alg.mult[(i, j)]))
     mult = {key: dict(row) for key, row in alg.mult.items()}
     mult[(i, j)][k] = mult[(i, j)][k] * cy(rng.choice((-1, 2, 3)))
-    return algebras.GradedAlgebra(alg.group, alg.order, alg.labels, alg.degrees, mult,
-                                  alg.unit, name=alg.name, validate=False)
+    scan = copy.copy(alg)
+    scan.mult = mult
+    return mult, _failing_triples(scan)
 
 
 @pytest.mark.parametrize("name, params", _ASSOCIATIVITY_CASES,
                          ids=["%s%s" % (n, "".join("-%s" % v for v in p.values()))
                               for n, p in _ASSOCIATIVITY_CASES])
 def test_light_associativity_matches_triple_scan(name, params):
-    """validate() accepts exactly the tables the dim^3 scan accepts, and a
-    rejection names a basis triple that really fails.  On pauli-3 and
-    pauli-4 the generators are u[y] and u[x] alone, without J = i*u[e]."""
+    """The constructor's validate() accepts exactly the tables the dim^3
+    scan accepts, and a rejection names a basis triple that really fails.
+    On pauli-3 and pauli-4 the generators are u[y] and u[x] alone, without
+    J = i*u[e]."""
     alg = _build_case(name, params)
     assert _failing_triples(alg) == []
     rng = random.Random("%s%s" % (name, sorted(params.items())))
     for _ in range(4):
-        bad = _perturbed(alg, rng)
-        failing = _failing_triples(bad)
+        mult, failing = _perturbed(alg, rng)
         try:
-            bad.validate()
+            algebras.GradedAlgebra(alg.group, alg.order, alg.labels, alg.degrees, mult,
+                                   alg.unit, name=alg.name)
         except ValueError as exc:
             named = {"%s: associativity fails at (%s, %s, %s)" % (
-                bad.name, *(bad.labels[t] for t in triple)) for triple in failing}
+                alg.name, *(alg.labels[t] for t in triple)) for triple in failing}
             assert str(exc) in named
         else:
             assert failing == []
@@ -1173,28 +1178,25 @@ def test_representative_walk_matches_the_all_pairs_walk(name, params):
 
 
 def test_representative_walk_needs_validate():
-    """On pauli-3 the walk reads one basis pair per pair of components (its
-    complex structure pairs every component's two basis elements), 2 products
-    each; on a copy whose table validate() has not proved associative it
-    reads all four, with the same bicharacter."""
-    import copy
-
+    """On pauli-3, whose table the constructor's validate() has proved
+    associative, the walk reads one basis pair per pair of components (its
+    complex structure pairs every component's two basis elements), 2
+    products each; the all-pairs reference reads all four, with the same
+    bicharacter."""
     p3 = build_catalog("pauli", n=3)
     assert p3.complex_structure() is not None
-    unproved = copy.copy(p3)
-    unproved._validated = False
     j_vec = complex_unit(p3)
     results = []
-    for alg in (p3, unproved):
+    for walk in (algebras._commutation_bicharacter, _all_pairs_commutation_bicharacter):
         calls = []
 
-        def counted(i, j, alg=alg):
+        def counted(i, j):
             calls.append((i, j))
-            return type(alg).mul_basis(alg, i, j)
+            return type(p3).mul_basis(p3, i, j)
 
-        alg.mul_basis = counted
-        results.append(_walk_result(algebras._commutation_bicharacter(alg, j_vec, 12)))
-        del alg.mul_basis
+        p3.mul_basis = counted
+        results.append(_walk_result(walk(p3, j_vec, 12)))
+        del p3.mul_basis
         results.append(len(calls))
     assert results[0] == results[2] and results[0][0] is not None
     assert (results[1], results[3]) == (2 * 81, 2 * 324)

@@ -152,6 +152,9 @@ def test_algebra_spec_parse_error(tmp_path):
 
 _ALGEBRA_HEADER = {"format": "gradedpi-algebra", "version": 1}
 _ONE_LABEL = {"labels": ["1"], "degrees": {"1": "e"}}
+# m2-4 as an explicit spec: a regular grading, whose bicharacter build reads
+# the declared cyclotomic order
+_M2_4_SPEC = algebra_spec_dict(build_catalog("m2-4"))
 
 
 @pytest.mark.parametrize("doc", [
@@ -179,9 +182,17 @@ _ONE_LABEL = {"labels": ["1"], "degrees": {"1": "e"}}
          basis={"labels": ["a", "a*b", "b*c", "c"],
                 "degrees": {"a": "e", "a*b": "e", "b*c": "e", "c": "e"},
                 "mult": {"a*b*c": [["a", "1"]]}, "unit": [["a", "1"]]}),
+    dict(_M2_4_SPEC, cyclotomic_order=0),
+    dict(_M2_4_SPEC, cyclotomic_order=-4),
+    dict(_M2_4_SPEC, cyclotomic_order=2.5),
+    dict(_ALGEBRA_HEADER, group={"orders": [2]},
+         basis=dict(_ONE_LABEL, mult={"1*1": [["1", "1/0"]]}, unit=[["1", "1"]])),
+    dict(_ALGEBRA_HEADER, group={"orders": [2]},
+         basis=dict(_ONE_LABEL, mult={"1*1": [["1", "1"]]}, unit=[["1", "1/0"]])),
 ], ids=["top-level-list", "catalog-without-id", "basis-without-labels",
         "unknown-label-in-mult", "one-field-mult-entry", "non-real-constant",
-        "non-associative", "ambiguous-product-key"])
+        "non-associative", "ambiguous-product-key", "order-zero", "order-negative",
+        "order-not-an-integer", "constant-over-zero", "unit-over-zero"])
 def test_malformed_algebra_spec_exit2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -189,16 +200,28 @@ def test_malformed_algebra_spec_exit2(tmp_path, capsys, doc):
     assert "parse error:" in capsys.readouterr().err
 
 
+_GENSET_HEADER = {"format": "gradedpi-genset", "version": 1}
+_COMMUTATOR = ["x1:e*x2:e - x2:e*x1:e"]
+
+
 @pytest.mark.parametrize("doc", [
     ["gradedpi-genset"],
-    {"format": "gradedpi-genset", "version": 1, "s1": 5},
-    {"format": "gradedpi-genset", "version": 1, "mode": "neither"},
-], ids=["top-level-list", "s1-not-a-list", "unknown-mode"])
-def test_malformed_genset_spec_is_a_parse_error(tmp_path, doc):
+    dict(_GENSET_HEADER, s1=5),
+    dict(_GENSET_HEADER, mode="neither"),
+    dict(_GENSET_HEADER, cyclotomic_order=0, s1=_COMMUTATOR),
+    dict(_GENSET_HEADER, cyclotomic_order=-2, s1=_COMMUTATOR),
+    dict(_GENSET_HEADER, cyclotomic_order=2.5, s1=_COMMUTATOR),
+    dict(_GENSET_HEADER, s1=["(1/0)*x1:e*x2:e"]),
+], ids=["top-level-list", "s1-not-a-list", "unknown-mode", "order-zero",
+        "order-negative", "order-not-an-integer", "coefficient-over-zero"])
+def test_malformed_genset_spec_is_a_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "bad-genset.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(SpecParseError):
         load_genset_spec(str(path), build_catalog("m2-elem"))
+    assert run(["verify", "--algebra", "m2-elem", "--basis", str(path),
+                "--max-degree", "2"]) == 2
+    assert "parse error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
@@ -384,6 +407,8 @@ def test_pauli_family_past_the_degree_bound_exit4(monkeypatch, capsys, command, 
 def test_max_degree_below_one_exit3(max_degree):
     assert run(["verify", "--algebra", "c2", "--basis", "regular",
                 "--max-degree", max_degree]) == 3
+    assert run(["families", "--algebra", "pauli", "--n", "3", "--basis", "pauli",
+                "--max-degree", max_degree]) == 3
 
 
 def test_jobs_below_one_exit3():
@@ -477,6 +502,24 @@ def test_long_running_refuses_a_basis_other_than_the_pauli_family(tmp_path, monk
     assert run(["verify", "--algebra", "pauli", "--n", "4", "--basis", str(path),
                 "--max-degree", "1", "--long-running"]) == 3
     assert "not that family" in capsys.readouterr().err
+
+
+def test_long_record_shares_the_family_source(monkeypatch, capsys):
+    """verify --long-running on pauli-4 builds one Pauli source: the family,
+    its records and the degree-seven record all read it."""
+    built = []
+    init = pitool._PauliSource.__init__
+
+    def counted(self, beta):
+        built.append(beta)
+        init(self, beta)
+
+    monkeypatch.setattr(pitool._PauliSource, "__init__", counted)
+    assert run(["verify", "--algebra", "pauli", "--n", "4", "--basis", "pauli",
+                "--max-degree", "1", "--long-running", "--format", "tsv"]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.rstrip("\n").rsplit("\t", 4)[1:] == [
+        "5038", "5038", "yes", ""]
 
 
 def test_long_record_time_is_in_elapsed_seconds(monkeypatch, capsys):

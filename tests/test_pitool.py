@@ -691,15 +691,8 @@ def test_tideal_instances_are_not_pruned():
     assert off_product
 
 
-def test_generic_stream_reads_block_degrees_off_one_table(monkeypatch):
-    """A fully consumed generic stream makes at most 2^n - 1 group operations,
-    those of its subset-degree table, and no group.product, at every
-    multidegree of length <= 3 and every sorted one (a campaign's records) of
-    length 4 of the e-series(-1,8) corollary centrals."""
-    alg = build_catalog("e-series", eps=-1, n=8)
-    genset = resolve_basis("corollary", alg, "centrals", 4)
-    templates = genset.templates()
-    calls = {"op": 0, "product": 0}
+def _counted_group_calls(monkeypatch, calls):
+    """Count FiniteAbelianGroup.op and .product calls into calls."""
     op, product = FiniteAbelianGroup.op, FiniteAbelianGroup.product
 
     def counted_op(self, g, h):
@@ -710,17 +703,28 @@ def test_generic_stream_reads_block_degrees_off_one_table(monkeypatch):
         calls["product"] += 1
         return product(self, elems)
 
+    monkeypatch.setattr(FiniteAbelianGroup, "op", counted_op)
+    monkeypatch.setattr(FiniteAbelianGroup, "product", counted_product)
+
+
+def test_generic_stream_reads_block_degrees_off_one_table(monkeypatch):
+    """A fully consumed generic stream makes at most 2^n - 1 group operations,
+    those of its subset-degree table, and no group.product, at every
+    multidegree of length <= 3 and every sorted one (a campaign's records) of
+    length 4 of the e-series(-1,8) corollary centrals."""
+    alg = build_catalog("e-series", eps=-1, n=8)
+    genset = resolve_basis("corollary", alg, "centrals", 4)
+    templates = genset.templates()
+    calls = {"op": 0, "product": 0}
+    _counted_group_calls(monkeypatch, calls)
     instances = 0
     for n in range(1, 5):
         for degs in itertools.product(alg.support, repeat=n):
             if n == 4 and list(degs) != sorted(degs):
                 continue
             pg = MultidegreeBasis(alg.group, degs)
-            with monkeypatch.context() as m:
-                m.setattr(FiniteAbelianGroup, "op", counted_op)
-                m.setattr(FiniteAbelianGroup, "product", counted_product)
-                calls["op"] = 0
-                instances += sum(1 for _ in pitool._generic_instances(templates, pg, False))
+            calls["op"] = 0
+            instances += sum(1 for _ in pitool._generic_instances(templates, pg, False))
             assert calls["op"] <= 2 ** n - 1, degs
     assert calls["product"] == 0
     assert instances
@@ -780,12 +784,10 @@ def _skipped_assignments(table, group, support, tideal):
     for n in range(1, 5):
         for degs in itertools.product(support, repeat=n):
             pg = MultidegreeBasis(group, degs)
-            deg = pitool._subset_degrees(pg)
             for row in table.rows:
-                if row.needed > n or not (tideal or row.product == deg[-1]):
+                if row.needed > n or not (tideal or row.product == pg.subset_degrees[-1]):
                     continue
-                got = list(pitool._block_assignments(pg.letters, row.degrees, tideal,
-                                                     group.identity, deg, row.killers))
+                got = list(pitool._block_assignments(pg, row.degrees, tideal, row.killers))
                 kept = 0
                 for blocks, prefix, suffix in _reference_block_assignments(
                         pg.letters, row.degrees, tideal, group):
@@ -1808,11 +1810,12 @@ def test_cuts_match_the_slicing_reference(pauli_families, name):
     algebra, _ = pauli_families[name]
     group = algebra.group
     for degs in _cut_multidegrees(algebra, seed=len(name)):
-        for mono in MultidegreeBasis(group, degs).monomials:
-            deg = pitool._block_degrees(mono, group)
-            assert list(pitool._adjacent_cuts(mono, deg)) == \
+        pg = MultidegreeBasis(group, degs)
+        for mono in pg.monomials:
+            pre = pitool._prefix_masks(mono)
+            assert list(pitool._adjacent_cuts(mono, pre, pg.subset_degrees)) == \
                 list(_slicing_adjacent_cuts(mono, group))
-            assert list(pitool._separated_cuts(mono, deg)) == \
+            assert list(pitool._separated_cuts(mono, pre, pg.subset_degrees)) == \
                 list(_slicing_separated_cuts(mono, group))
 
 
@@ -1831,23 +1834,98 @@ def test_pair_relations_match_the_two_walk_reference(pauli_families, name):
 
 
 @pytest.mark.parametrize("name", ["pauli3", "pauli4"])
-def test_pair_relations_build_one_block_degree_table_per_monomial(pauli_families, name,
-                                                                  monkeypatch):
-    """Both cut walks of a monomial read one _block_degrees table."""
+def test_pauli_stages_read_block_degrees_off_one_table(pauli_families, name,
+                                                       monkeypatch):
+    """The pair relations, the alternating relations and the partition
+    kernels of one record together make at most 2^n - 1 group operations,
+    those of the record's subset-degree table, and no group.product, at
+    lengths up to four."""
     algebra, fam = pauli_families[name]
-    tables = []
-    real = pitool._block_degrees
-
-    def counted(mono, group):
-        tables.append(mono)
-        return real(mono, group)
-
-    monkeypatch.setattr(pitool, "_block_degrees", counted)
+    source = fam.fast_source
+    calls = {"op": 0, "product": 0}
+    _counted_group_calls(monkeypatch, calls)
+    instances = 0
     for degs in _cut_multidegrees(algebra, seed=7)[:20]:
         pg = MultidegreeBasis(algebra.group, degs)
-        del tables[:]
-        list(fam.fast_source._pair_relations(pg))
-        assert tables == pg.monomials
+        calls["op"] = 0
+        for stage in (source._pair_relations, source._alternating_relations,
+                      source._partition_kernels):
+            instances += sum(1 for _ in stage(pg))
+        assert calls["op"] <= 2 ** len(degs) - 1, degs
+    assert calls["product"] == 0
+    assert instances
+
+
+def _product_alternating_relations(source, pg):
+    """Reference for _PauliSource._alternating_relations: each block's
+    degree by group.product of its slice."""
+    group, one = source.beta.group, Cyclo.one()
+    for mono in pg.monomials:
+        by_degree = {}
+        for t, (_, d) in enumerate(mono):
+            by_degree.setdefault(d, []).append(t)
+        for g, positions in by_degree.items():
+            if len(positions) != 4:
+                continue
+            p1, p2, p3, p4 = positions
+            blocks = [mono[p1 + 1:p2], mono[p2 + 1:p3], mono[p3 + 1:p4]]
+            if all(blk and group.product([d for _, d in blk]) in source.partners[g]
+                   for blk in blocks):
+                other = (mono[:p1] + tuple(mono[p] for p in positions)
+                         + blocks[0] + blocks[1] + blocks[2] + mono[p4 + 1:])
+                yield pitool._sparse_vector(pg, ((mono, one), (other, one)))
+
+
+def test_alternating_relations_match_the_product_reference(pauli_families, monkeypatch):
+    """At the degree-seven record shape of pauli-4, the alternating
+    relations read off the record's table, at most 2^7 - 1 group operations
+    and no group.product, are the group.product reference's, in the same
+    order."""
+    algebra, fam = pauli_families["pauli4"]
+    source = fam.fast_source
+    pg = MultidegreeBasis(algebra.group, source.long_shape)
+    calls = {"op": 0, "product": 0}
+    with monkeypatch.context() as m:
+        _counted_group_calls(m, calls)
+        got = list(source._alternating_relations(pg))
+    assert calls["op"] <= 2 ** 7 - 1 and calls["product"] == 0
+    assert got and got == list(_product_alternating_relations(source, pg))
+
+
+def _product_partition_kernels(source, pg):
+    """Reference for _PauliSource._partition_kernels: the frozen reference
+    block assignments, each block's degree by group.product."""
+    group = source.beta.group
+    for k in range(2, len(pg.letters)):
+        for blocks, prefix, suffix in _reference_block_assignments(
+                pg.letters, [None] * k, True, group):
+            degs = [group.product([d for _, d in blk]) for blk in blocks]
+            if source.admitted(degs):
+                yield from pitool._kernel_vectors(pg, source.kernel_shapes(degs), blocks,
+                                                  prefix, suffix)
+
+
+def test_partition_kernels_match_the_product_reference(pauli_families):
+    """On the pauli-3 records of length <= 4 whose first stage does not
+    close the span, so that verification reads the second, the partition
+    kernels read off the record's table are the group.product reference's,
+    in the same order."""
+    algebra, fam = pauli_families["pauli3"]
+    source = fam.fast_source
+    reached = 0
+    for n in range(3, 5):
+        for degs in itertools.combinations_with_replacement(sorted(algebra.support), n):
+            target = multilinear_identity_space(algebra, degs)
+            first = pitool.Subspace(target.pg)
+            for vec in next(source.stages(target.pg)):
+                first.add(vec)
+            if first.dim == target.dim:
+                continue
+            reached += 1
+            pg = MultidegreeBasis(algebra.group, degs)
+            assert list(source._partition_kernels(pg)) == \
+                list(_product_partition_kernels(source, pg)), degs
+    assert reached
 
 
 @pytest.mark.parametrize("name", ["pauli3", "pauli4"])
@@ -2223,9 +2301,10 @@ def test_reduction_certificates_match_the_assembled_members(monkeypatch):
 def test_kernel_coefficients_once_per_value_pair(monkeypatch):
     """A Pauli source computes the kernel coefficients of each distinct
     (gamma_sigma, gamma_tau0) once, for all its degree tuples: 4 times for
-    the family of pauli-3 and of pauli-4 up to degree 3 (against 110 and
-    650 tuple-by-tuple computations).  Another source, such as the one
-    check_pauli_multidegree builds, computes its own."""
+    the family of a fresh pauli-3 and pauli-4 up to degree 3 (against 110
+    and 650 tuple-by-tuple computations).  check_pauli_multidegree on the
+    same algebra reads the family's source and computes none; on another
+    algebra it computes its own."""
     calls = []
     compute = pitool._kernel_coefficients
 
@@ -2247,6 +2326,8 @@ def test_kernel_coefficients_once_per_value_pair(monkeypatch):
             {key: compute(*key) for key in calls}
         del calls[:]
         check_pauli_multidegree(alg, [(1, 0), (0, 1), (1, 1)])
+        assert calls == []
+        check_pauli_multidegree(build_catalog("pauli", n=n), [(1, 0), (0, 1), (1, 1)])
         assert calls and len(calls) == len(set(calls))
 
 

@@ -509,6 +509,12 @@ def test_parse_cyclo_roundtrip():
     assert parse_cyclo("-2", 4) == Cyclo.rational(-2)
 
 
+@pytest.mark.parametrize("text", ["1/0", "z - 3/0*z^2", "-0/0"])
+def test_parse_cyclo_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_cyclo(text, 8)
+
+
 # -- differential test against polynomial arithmetic over Fraction -------------
 
 DIFF_ORDERS = (1, 2, 3, 4, 5, 8, 12, 15, 16, 20, 24)

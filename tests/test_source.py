@@ -57,13 +57,13 @@ _REGULAR_CASES = [
 ]
 
 
-def _swap_cut(mono, group, i):
-    """The _adjacent_cuts instance of mono with B1 and B2 the letters at i
-    and i + 1, as (d1, d2, swapped)."""
+def _swap_cut(pg, mono, i):
+    """The _adjacent_cuts instance of mono, a monomial of the record pg,
+    with B1 and B2 the letters at i and i + 1, as (d1, d2, swapped)."""
     n = len(mono)
     cuts = [(a, b, c) for a in range(n) for b in range(a + 1, n + 1)
             for c in range(b + 1, n + 1)]
-    walk = pitool._adjacent_cuts(mono, pitool._block_degrees(mono, group))
+    walk = pitool._adjacent_cuts(mono, pitool._prefix_masks(mono), pg.subset_degrees)
     return dict(zip(cuts, walk))[(i, i + 1, i + 2)]
 
 
@@ -78,7 +78,6 @@ def test_regular_descent_stage(name, params, max_degree):
     n! - 1 of them are all kept and close the record."""
     algebra = build_catalog(name, **params)
     beta, _ = detect_regular(algebra)
-    group = beta.group
     for mode, space in (("identities", multilinear_identity_space),
                         ("centrals", multilinear_central_space)):
         genset = family_regular(beta, mode)
@@ -101,7 +100,7 @@ def test_regular_descent_stage(name, params, max_degree):
                 assert len(descents) == pg.ncols - 1
                 for mono, vec in zip(pg.monomials[1:], descents):
                     i = next(i for i in range(n - 1) if mono[i][0] > mono[i + 1][0])
-                    d1, d2, swapped = _swap_cut(mono, group, i)
+                    d1, d2, swapped = _swap_cut(pg, mono, i)
                     assert vec == pitool._binomial(pg, mono, swapped, beta.eval(d1, d2))
                 span = Subspace(pg)
                 assert all(span.add(vec) for vec in descents), degrees
