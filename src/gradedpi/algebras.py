@@ -88,18 +88,31 @@ class HomogeneousElement:
 
 class GradedAlgebra:
     def __init__(self, group, order, labels, degrees, mult, unit, name="algebra"):
+        if type(order) is not int or order < 1:
+            raise ValueError("%s: cyclotomic order must be a positive integer, got %r"
+                             % (name, order))
         self.group = group
-        self.order = int(order)
+        self.order = order
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.degrees = [group.check(d) for d in degrees]
+        if len(self.degrees) != self.dim:
+            raise ValueError("%s: %d degrees for %d basis labels" % (
+                name, len(self.degrees), self.dim))
         self.name = name
+        basis = set(range(self.dim))
         self.mult = {}
         for (i, j), row in mult.items():
+            if i not in basis or j not in basis or not basis.issuperset(row):
+                raise ValueError("%s: product %r*%r -> %r names an index outside range(%d)"
+                                 % (name, i, j, list(row), self.dim))
             row = {k: (c if isinstance(c, Cyclo) else Cyclo.rational(c)) for k, c in row.items()}
             row = {k: c for k, c in row.items() if not c.is_zero()}
             if row:
                 self.mult[(i, j)] = row
+        if not basis.issuperset(unit):
+            raise ValueError("%s: unit %r names an index outside range(%d)" % (
+                name, list(unit), self.dim))
         self.unit = {k: (c if isinstance(c, Cyclo) else Cyclo.rational(c))
                      for k, c in unit.items()}
         self._components = {}
@@ -713,133 +726,105 @@ def check_graded_division(algebra: GradedAlgebra):
 # -- catalog ------------------------------------------------------------------------
 
 
-def _sign_table_algebra(group, order, entries, degrees_by_label, name):
-    """Algebra whose basis multiplies into single basis elements with scalar factors.
+def _presented_algebra(group, gens, anticommuting, labels, name, order=1):
+    """The real algebra of generators u_1, ..., u_r with u_i^(n_i) = eps_i,
+    each pair of which commutes or anticommutes, on the normal-form words
+    u^a = u_1^(a_1) ... u_r^(a_r) with 0 <= a_i < n_i.
 
-    entries: dict (label_i, label_j) -> (scalar, label_k).
-    """
-    labels = list(degrees_by_label)
-    index = {lab: i for i, lab in enumerate(labels)}
-    degrees = [degrees_by_label[lab] for lab in labels]
+    gens lists each (n_i, eps_i, degree of u_i); anticommuting lists the pairs
+    (i, j), i > j, with u_i u_j = -u_j u_i; labels maps each basis label, in
+    basis order, to its exponent tuple a.  Moving the letters of u^b left
+    past those of u^a and reducing the exponents gives
+    u^a u^b = (-1)^k u^((a + b) mod n), where k counts a_i b_j over the
+    anticommuting pairs plus one for each generator with eps_i = -1 whose
+    exponents wrap (a_i + b_i >= n_i).  The constructor proves the table
+    associative."""
+    exponents = list(labels.values())
+    index = {a: t for t, a in enumerate(exponents)}
+    degrees = [group.product(d for (_, _, d), e in zip(gens, a) for _ in range(e))
+               for a in exponents]
+    one, minus_one = Cyclo.one(), Cyclo.rational(-1)
     mult = {}
-    for (li, lj), (c, lk) in entries.items():
-        c = c if isinstance(c, Cyclo) else Cyclo.rational(c)
-        if not c.is_zero():
-            mult[(index[li], index[lj])] = {index[lk]: c}
-    unit = {0: Cyclo.one()}
-    return GradedAlgebra(group, order, labels, degrees, mult, unit, name=name)
+    for s, a in enumerate(exponents):
+        for t, b in enumerate(exponents):
+            k = 0
+            for i, j in anticommuting:
+                k += a[i] * b[j]
+            c = []
+            for (n, eps, _), x, y in zip(gens, a, b):
+                x += y
+                if x >= n:
+                    x -= n
+                    if eps < 0:
+                        k += 1
+                c.append(x)
+            mult[(s, t)] = {index[tuple(c)]: minus_one if k % 2 else one}
+    return GradedAlgebra(group, order, list(labels), degrees, mult,
+                         {index[(0,) * len(gens)]: one}, name=name)
 
 
-_M2_TABLE = {
-    # products of I, A, B, C with A=diag(1,-1), B=offdiag(1,1), C=offdiag(1,-1)
-    ("I", "I"): (1, "I"), ("I", "A"): (1, "A"), ("I", "B"): (1, "B"), ("I", "C"): (1, "C"),
-    ("A", "I"): (1, "A"), ("B", "I"): (1, "B"), ("C", "I"): (1, "C"),
-    ("A", "A"): (1, "I"), ("B", "B"): (1, "I"), ("C", "C"): (-1, "I"),
-    ("A", "B"): (1, "C"), ("B", "A"): (-1, "C"),
-    ("A", "C"): (1, "B"), ("C", "A"): (-1, "B"),
-    ("B", "C"): (-1, "A"), ("C", "B"): (1, "A"),
-}
+def _matrix_units(group, degrees_by_label, name):
+    """M_2(R) on its matrix units E_ij, in the order and with the degrees of
+    degrees_by_label: E_ij E_jl = E_il."""
+    labels = list(degrees_by_label)
+    index = {lab: t for t, lab in enumerate(labels)}
+    one = Cyclo.one()
+    mult = {(index["E%d%d" % (i, j)], index["E%d%d" % (j, l)]): {index["E%d%d" % (i, l)]: one}
+            for i, j, l in itertools.product((1, 2), repeat=3)}
+    return GradedAlgebra(group, 1, labels, list(degrees_by_label.values()), mult,
+                         {index["E11"]: one, index["E22"]: one}, name=name)
 
 
-def build_m2_4():
-    g = FiniteAbelianGroup((2, 2), ("a", "b"))
-    degs = {"I": (0, 0), "A": (1, 0), "B": (0, 1), "C": (1, 1)}
-    return _sign_table_algebra(g, 1, _M2_TABLE, degs, "m2-4")
-
-
-def build_h4():
-    g = FiniteAbelianGroup((2, 2), ("a", "b"))
-    table = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
-    degs = {"1": (0, 0), "i": (1, 0), "j": (0, 1), "k": (1, 1)}
-    return _sign_table_algebra(g, 1, table, degs, "h4")
+_QUATERNIONS = {"1": (0, 0), "i": (1, 0), "j": (0, 1), "k": (1, 1)}
 
 
 def build_c2():
-    g = FiniteAbelianGroup((2,), ("a0",))
-    table = {("1", "1"): (1, "1"), ("1", "i"): (1, "i"),
-             ("i", "1"): (1, "i"), ("i", "i"): (-1, "1")}
-    degs = {"1": (0,), "i": (1,)}
-    return _sign_table_algebra(g, 1, table, degs, "c2")
+    """C graded by Z_2: i^2 = -1."""
+    return _presented_algebra(FiniteAbelianGroup((2,), ("a0",)), [(2, -1, (1,))], [],
+                              {"1": (0,), "i": (1,)}, "c2")
+
+
+def build_m2_4():
+    """M_2(R) graded by Z_2 x Z_2: A = diag(1, -1) and B = offdiag(1, 1) with
+    A^2 = B^2 = 1 and BA = -AB, and C = AB = offdiag(1, -1)."""
+    g = FiniteAbelianGroup((2, 2), ("a", "b"))
+    return _presented_algebra(g, [(2, 1, (1, 0)), (2, 1, (0, 1))], [(1, 0)],
+                              {"I": (0, 0), "A": (1, 0), "B": (0, 1), "C": (1, 1)}, "m2-4")
+
+
+def build_h4():
+    """The quaternions graded by Z_2 x Z_2: i^2 = j^2 = -1, ji = -ij, k = ij."""
+    g = FiniteAbelianGroup((2, 2), ("a", "b"))
+    return _presented_algebra(g, [(2, -1, (1, 0)), (2, -1, (0, 1))], [(1, 0)],
+                              _QUATERNIONS, "h4")
 
 
 def build_h_trivial():
-    a = build_h4()
-    trivial = FiniteAbelianGroup(())
-    return GradedAlgebra(trivial, 1, a.labels, [()] * a.dim, a.mult, a.unit, name="h-triv")
+    """h4's presentation over the trivial group."""
+    return _presented_algebra(FiniteAbelianGroup(()), [(2, -1, ()), (2, -1, ())], [(1, 0)],
+                              _QUATERNIONS, "h-triv")
 
 
 def build_m2r_trivial():
-    trivial = FiniteAbelianGroup(())
-    degs = {"E11": (), "E12": (), "E21": (), "E22": ()}
-    entries = {}
-    for (i, j) in itertools.product((1, 2), repeat=2):
-        for (k, l) in itertools.product((1, 2), repeat=2):
-            if j == k:
-                entries[("E%d%d" % (i, j), "E%d%d" % (k, l))] = (1, "E%d%d" % (i, l))
-    labels = list(degs)
-    index = {lab: t for t, lab in enumerate(labels)}
-    mult = {(index[a], index[b]): {index[c]: Cyclo.rational(s)} for (a, b), (s, c) in entries.items()}
-    unit = {index["E11"]: Cyclo.one(), index["E22"]: Cyclo.one()}
-    return GradedAlgebra(trivial, 1, labels, [()] * 4, mult, unit, name="m2r-triv")
+    return _matrix_units(FiniteAbelianGroup(()),
+                         {"E11": (), "E12": (), "E21": (), "E22": ()}, "m2r-triv")
 
 
 def build_m2_elem():
     """M2(R) with the elementary Z2-grading: diagonal even, off-diagonal odd."""
-    g = FiniteAbelianGroup((2,), ("a",))
-    degs = {"E11": (0,), "E22": (0,), "E12": (1,), "E21": (1,)}
-    labels = list(degs)
-    index = {lab: t for t, lab in enumerate(labels)}
-    mult = {}
-    for (i, j) in itertools.product((1, 2), repeat=2):
-        for (k, l) in itertools.product((1, 2), repeat=2):
-            if j == k:
-                mult[(index["E%d%d" % (i, j)], index["E%d%d" % (k, l)])] = \
-                    {index["E%d%d" % (i, l)]: Cyclo.one()}
-    unit = {index["E11"]: Cyclo.one(), index["E22"]: Cyclo.one()}
-    return GradedAlgebra(g, 1, labels, [degs[lab] for lab in labels], mult, unit,
-                         name="m2-elem")
+    return _matrix_units(FiniteAbelianGroup((2,), ("a",)),
+                         {"E11": (0,), "E22": (0,), "E12": (1,), "E21": (1,)}, "m2-elem")
 
 
 def build_m2_8():
-    """The Z4 x Z2 division grading on M2(C) by eighth roots of unity."""
+    """The Z4 x Z2 division grading on M2(C) by eighth roots of unity:
+    u[a] = zeta_8 diag(1, -1) and u[b] = offdiag(1, -1), with
+    u[a]^4 = u[b]^2 = -1 and u[b]u[a] = -u[a]u[b]; the basis element
+    u[a^x.b^y] is u[a]^x u[b]^y."""
     g = FiniteAbelianGroup((4, 2), ("a", "b"))
-    omega = Cyclo.zeta(8)
-    i_s = Cyclo.zeta(8, 2)
-    one = Cyclo.one()
-    # scalar * matrix-letter presentation of each component's spanning element
-    span = {
-        (0, 0): (one, "I"), (1, 0): (omega, "A"), (2, 0): (i_s, "I"), (3, 0): (i_s * omega, "A"),
-        (0, 1): (one, "C"), (1, 1): (omega, "B"), (2, 1): (i_s, "C"), (3, 1): (i_s * omega, "B"),
-    }
-    labels = []
-    degrees = []
-    for d in sorted(span):
-        s, m = span[d]
-        labels.append("u[%s]" % g.element_to_word(d))
-        degrees.append(d)
-    index = {d: t for t, d in enumerate(sorted(span))}
-    mat_mult = {(a, b): _M2_TABLE[(a, b)] for (a, b) in _M2_TABLE}
-    mult = {}
-    for d1 in sorted(span):
-        s1, m1 = span[d1]
-        for d2 in sorted(span):
-            s2, m2 = span[d2]
-            sgn, m3 = mat_mult[(m1, m2)]
-            d3 = g.op(d1, d2)
-            s3, m3_expected = span[d3]
-            if m3 != m3_expected:
-                raise AssertionError("component structure broken")
-            coeff = s1 * s2 * Cyclo.rational(sgn) / s3
-            mult[(index[d1], index[d2])] = {index[d3]: coeff}
-    unit = {index[(0, 0)]: one}
-    return GradedAlgebra(g, 8, labels, degrees, mult, unit, name="m2-8")
+    return _presented_algebra(g, [(4, -1, (1, 0)), (2, -1, (0, 1))], [(1, 0)],
+                              {"u[%s]" % g.element_to_word(d): d for d in g.elements()},
+                              "m2-8", order=8)
 
 
 def build_twisted_group_algebra(beta: Bicharacter, name=None, order=None):
@@ -944,16 +929,9 @@ def build_d_cyclic(m: int, eps: int):
         raise PreconditionError("d-cyclic needs m > 1")
     if eps not in (1, -1):
         raise PreconditionError("d-cyclic needs eps in {1, -1}")
-    g = FiniteAbelianGroup((m,), ("g",))
-    labels = ["u^%d" % a for a in range(m)]
-    degrees = [(a,) for a in range(m)]
-    mult = {}
-    for a in range(m):
-        for b in range(m):
-            c = Cyclo.rational(eps if a + b >= m else 1)
-            mult[(a, b)] = {(a + b) % m: c}
-    return GradedAlgebra(g, 1, labels, degrees, mult, {0: Cyclo.one()},
-                         name="d-cyclic(%d,%d)" % (m, eps))
+    return _presented_algebra(FiniteAbelianGroup((m,), ("g",)), [(m, eps, (1,))], [],
+                              {"u^%d" % a: (a,) for a in range(m)},
+                              "d-cyclic(%d,%d)" % (m, eps))
 
 
 def _is_two_power(n: int) -> bool:
@@ -968,18 +946,9 @@ def build_d_pair(k: int, l: int, mu: int, nu: int):
     if mu not in (1, -1) or nu not in (1, -1):
         raise PreconditionError("d-pair needs mu, nu in {1, -1}")
     g = FiniteAbelianGroup((k, l), ("g", "h"))
-    labels = ["u^%d.v^%d" % (a, b) for a in range(k) for b in range(l)]
-    index = {(a, b): a * l + b for a in range(k) for b in range(l)}
-    degrees = [(a, b) for a in range(k) for b in range(l)]
-    mult = {}
-    for a, b in itertools.product(range(k), range(l)):
-        for a2, b2 in itertools.product(range(k), range(l)):
-            sign = -1 if (b * a2) % 2 else 1
-            coeff = sign * (mu if a + a2 >= k else 1) * (nu if b + b2 >= l else 1)
-            mult[(index[(a, b)], index[(a2, b2)])] = \
-                {index[((a + a2) % k, (b + b2) % l)]: Cyclo.rational(coeff)}
-    return GradedAlgebra(g, 1, labels, degrees, mult, {0: Cyclo.one()},
-                         name="d-pair(%d,%d;%d,%d)" % (k, l, mu, nu))
+    return _presented_algebra(g, [(k, mu, (1, 0)), (l, nu, (0, 1))], [(1, 0)],
+                              {"u^%d.v^%d" % (a, b): (a, b) for a in range(k) for b in range(l)},
+                              "d-pair(%d,%d;%d,%d)" % (k, l, mu, nu))
 
 
 def build_e_series(eps: int, n: int):
@@ -994,24 +963,10 @@ def build_e_series(eps: int, n: int):
     if not _is_two_power(n) or n < 2:
         raise PreconditionError("e-series needs n a power of two, >= 2")
     g = FiniteAbelianGroup((n,), ("g",))
-    labels = []
-    index = {}
-    degrees = []
-    for a in range(n):
-        for r in (0, 1):
-            index[(a, r)] = len(labels)
-            labels.append("v^%d%s" % (a, ".u" if r else ""))
-            degrees.append((a,))
-    mult = {}
-    for a, r in itertools.product(range(n), (0, 1)):
-        for a2, r2 in itertools.product(range(n), (0, 1)):
-            sign = -1 if (r * a2) % 2 else 1
-            if r and r2:
-                sign = -sign  # u^2 = -1
-            mult[(index[(a, r)], index[(a2, r2)])] = \
-                {index[((a + a2) % n, (r + r2) % 2)]: Cyclo.rational(sign)}
-    return GradedAlgebra(g, 1, labels, degrees, mult, {index[(0, 0)]: Cyclo.one()},
-                         name="e-series(%d,%d)" % (eps, n))
+    return _presented_algebra(g, [(n, 1, (1,)), (2, -1, (0,))], [(1, 0)],
+                              {"v^%d%s" % (a, ".u" if r else ""): (a, r)
+                               for a in range(n) for r in (0, 1)},
+                              "e-series(%d,%d)" % (eps, n))
 
 
 # Catalog algebras, tensor products included, may have at most this dimension.
@@ -1072,7 +1027,10 @@ def build_catalog(name: str, **params) -> GradedAlgebra:
             if value is None:
                 raise PreconditionError(
                     "catalog entry %r requires parameter %r" % (part, key))
-            kwargs[key] = int(value)
+            if type(value) is not int:
+                raise TypeError("catalog entry %r parameter %r must be an integer, got %r"
+                                % (part, key, value))
+            kwargs[key] = value
         factors.append((build, kwargs))
         dim *= dimension(**kwargs)
     if dim > MAX_CATALOG_DIM:

@@ -1230,3 +1230,214 @@ def test_diagonal_commutation_scalar_is_the_solved_one():
     assert algebras._commutation_scalar({0: z}, {0: one}, {1: one}) is None
     assert _all_pairs_commutation_scalar({0: z}, {0: one}, {1: one}) is None
     assert algebras._commutation_scalar({2: one}, {0: one}, {1: one}) is None
+
+
+# -- the real catalog entries built from their presentations ------------------------
+
+# (id, params, SHA-256 of json.dumps(algebra_spec_dict(algebra), sort_keys=True)),
+# recorded from the hand-written multiplication tables that the presentations
+# replaced: a moved label, degree, structure constant, unit, order or name
+# changes a digest
+_CATALOG_SPEC_DIGESTS = [
+    ("c2", {},
+     "34d6c1cbc3d8e935ee5b478368567966ad3a538bfba35868f8f8767b160de13d"),
+    ("m2-4", {},
+     "0458b1dfed1dbcae8768625366142ebb69963e09b1f1d08ee5fde00eae0f4dcd"),
+    ("m2-2", {},
+     "1d9171be2fa929a7b633342fc406aee3ce3c40455c8e4862bd9b0da7845ce9d8"),
+    ("h4", {},
+     "6634ff6f035d68d6280cc08e7b889f3a914f51b26815f22f051c939c71358544"),
+    ("h2", {},
+     "81e0a2a833105059f72c77b4855b08eedfdc78b889f358a8501e13ec11ef3725"),
+    ("h-triv", {},
+     "d3fafc967b0a9892df5a7b94281a78e64fcff6319a9fa5e20b10574da435c03c"),
+    ("m2r-triv", {},
+     "53990508e34207c960069bf4727d0588bb41b6a1048fdec0774de7dad8b0e345"),
+    ("m2-elem", {},
+     "ee83c98619fe8b8cb5a7417dbf7839543b3f88e4c0288746581ef054604b8edb"),
+    ("m2-8", {},
+     "1636be1289d3cd13b4ffa15a93ba3e9decb26b92cb5bbff263f498c623bb2ef1"),
+    ("m2c-z4", {},
+     "448fffc43eef2889cee57c3210efdd75ff3173358f76e6b34c7bb92621b2ddb3"),
+    ("pauli", {"n": 2},
+     "10cc9567016388e947a65a81eaa1c0fda1e7f9ff3cd8aac0e9430c8e47c96c22"),
+    ("pauli", {"n": 3},
+     "afa767b7ce7740f921a3548af2635e6ba53fa7c24c09016b1e4e1384ff7fb023"),
+    ("pauli", {"n": 4},
+     "83a1ec79c2fa2724bc24234b2879ec1bf3e5aeff6ff59a11ff2b94e75f5ef047"),
+    ("d-cyclic", {"eps": 1, "m": 2},
+     "1767e174925fe1d445d8da4442f81805effbea136cf3a46b42b0615638f19173"),
+    ("d-cyclic", {"eps": -1, "m": 2},
+     "0661cdde1c734eaf9bcf72532179f89dea6aa6a3887d01e37269a97d39b95f2b"),
+    ("d-cyclic", {"eps": 1, "m": 3},
+     "552329ad8148fb633810cc7ef33a032e544210fecc5542ed7fe46e5997436b35"),
+    ("d-cyclic", {"eps": -1, "m": 3},
+     "878a574565e1a78e46eeba85977eb13b073e7a20658a0b26fe55e6ab8eaa6bdf"),
+    ("d-cyclic", {"eps": 1, "m": 4},
+     "1a10694eb989007890101203060e395dea7f461d8681865ece35ce839510e814"),
+    ("d-cyclic", {"eps": -1, "m": 4},
+     "6000f1b3cf16f85043c792d24f45d133ac76908b6a137f2f80e8eac6fd2def6a"),
+    ("d-cyclic", {"eps": 1, "m": 5},
+     "799cad645263688497afc81a6594415fede4a6454ef981b7b1d2e1c0af56c520"),
+    ("d-cyclic", {"eps": -1, "m": 5},
+     "de1d2a9d732db7322eca96f086d71f3973b5e55b87c2fcce714328bc7dcfa200"),
+    ("d-pair", {"k": 2, "l": 2, "mu": 1, "nu": 1},
+     "0d58233c43dc8aa87ce5c196725f187b15af5c9b7094864c60a2c1af5a5614b7"),
+    ("d-pair", {"k": 2, "l": 2, "mu": 1, "nu": -1},
+     "ac55e3504b73795b28883fc18ed99801807f8580141d00c42dba4e86835f4ebe"),
+    ("d-pair", {"k": 2, "l": 2, "mu": -1, "nu": 1},
+     "96aa12a0e6ae35c5926c35beaec2e00a3159c1cad35070a61f12ac6fad02abc8"),
+    ("d-pair", {"k": 2, "l": 2, "mu": -1, "nu": -1},
+     "e843a22a7bc41c6c26871e4b28ebda51d77b9705cefda04799abd6d48de96457"),
+    ("d-pair", {"k": 2, "l": 4, "mu": 1, "nu": 1},
+     "99f8378a5c7940c2b7b5de9e75e4fd0b30cb1583cc53c4f52c3d99c85d0c972b"),
+    ("d-pair", {"k": 2, "l": 4, "mu": 1, "nu": -1},
+     "833dedd5a2080f5857cd37e823eccdb1b04aac6944437480e2a29a7c47552df5"),
+    ("d-pair", {"k": 2, "l": 4, "mu": -1, "nu": 1},
+     "72700daee60e359175d8f54fbd2b67fd5f5941dd84988601003a3c7d2fac9a02"),
+    ("d-pair", {"k": 2, "l": 4, "mu": -1, "nu": -1},
+     "a78b8fcc8e18960181e95558b63a9e8d1cb81a471ef45c1cc7e5e2d8efc3fe38"),
+    ("d-pair", {"k": 4, "l": 2, "mu": 1, "nu": 1},
+     "78a907573316786aba2a20f51f70742208459dc0a608003e09f3842ad6a62797"),
+    ("d-pair", {"k": 4, "l": 2, "mu": 1, "nu": -1},
+     "ade4fbd1ec46ce2f2e397de91b35dc95c2ebd2f6e013000db5c9b9b254aaef66"),
+    ("d-pair", {"k": 4, "l": 2, "mu": -1, "nu": 1},
+     "8053ef6a42f518bb2e79e3c54e4f60993dfdf5924d83ea1f7abca2c4ea9d31b8"),
+    ("d-pair", {"k": 4, "l": 2, "mu": -1, "nu": -1},
+     "7a218495d14810105cfe753e4fe43f05748b71312344d4e4a7ff3dddcb357bf8"),
+    ("d-pair", {"k": 4, "l": 4, "mu": 1, "nu": 1},
+     "fe931d700b689421d850c610729a8c525c86b5bd82a30ec4fa997fd756b67928"),
+    ("d-pair", {"k": 4, "l": 4, "mu": 1, "nu": -1},
+     "40a99a99bba68ad9d8c9f24f841e0d8e7b3dc53f76bbf25c9bf1f45b3754403b"),
+    ("d-pair", {"k": 4, "l": 4, "mu": -1, "nu": 1},
+     "49730080d0acc799ce1ba81a1a91641a7c33fd519ed79890ee23fa3234e945f1"),
+    ("d-pair", {"k": 4, "l": 4, "mu": -1, "nu": -1},
+     "672101ae0864c32b60e1454552799c4bb80f8b4840198a0410ba412c83d68f93"),
+    ("e-series", {"eps": 1, "n": 2},
+     "b2792c824d592c4267b39a5c9fb8609630209fbfb50442aecb87ad3b9a20470d"),
+    ("e-series", {"eps": 1, "n": 4},
+     "f06eb86919a667042f9e882735aa507d15f0bb281f0c82ea9815458f64de434a"),
+    ("e-series", {"eps": 1, "n": 8},
+     "536e67be84929aa93cff1e9dddfc25d07c2ecb577bbcc1b73577d4bd976b345f"),
+    ("e-series", {"eps": -1, "n": 2},
+     "b3841154b24576bc0a3e7656842bc330296a61466614406ce149b7f3734a1957"),
+    ("e-series", {"eps": -1, "n": 4},
+     "b40dd56cc89c92fac027251d0f259dfa24ee7b0db0309831b2a91789ff7eb537"),
+    ("e-series", {"eps": -1, "n": 8},
+     "82c7946cdd1846334309780f6cd08cad3607b6dab16843312802bbfb613f1fd2"),
+    ("c2@m2-4", {},
+     "eb44ec5d68c61f81982841ca565c0ced344070fb9597629cc7318ac96077e7c8"),
+    ("h4@m2-elem", {},
+     "2f0dd7e34502369581226474aeb9841e58f6cdd8afdd8a43a2a720d4920d2a11"),
+    ("m2-2@d-cyclic", {"eps": -1, "m": 3},
+     "7b7634ae453843ef3a6d304e01dd13c34c7fb85df9046f59e3fcfc61a184bb6f"),
+]
+
+
+@pytest.mark.parametrize("name, params, digest", _CATALOG_SPEC_DIGESTS,
+                         ids=["%s%s" % (n, "".join("-%s" % v for v in p.values()))
+                              for n, p, _ in _CATALOG_SPEC_DIGESTS])
+def test_catalog_specs_are_frozen(name, params, digest):
+    text = json.dumps(algebra_spec_dict(build_catalog(name, **params)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# each presented entry: its generators as (basis label, n, eps) with u^n = eps,
+# and the pairs of generator labels that anticommute (every other pair commutes)
+_PRESENTATIONS = [
+    ("c2", {}, [("i", 2, -1)], []),
+    ("m2-4", {}, [("A", 2, 1), ("B", 2, 1)], [("B", "A")]),
+    ("h4", {}, [("i", 2, -1), ("j", 2, -1)], [("j", "i")]),
+    ("h-triv", {}, [("i", 2, -1), ("j", 2, -1)], [("j", "i")]),
+    ("m2-8", {}, [("u[a]", 4, -1), ("u[b]", 2, -1)], [("u[b]", "u[a]")]),
+] + [
+    ("d-cyclic", {"m": m, "eps": eps}, [("u^1", m, eps)], [])
+    for m in (2, 3, 4, 5) for eps in (1, -1)
+] + [
+    ("d-pair", {"k": k, "l": l, "mu": mu, "nu": nu},
+     [("u^1.v^0", k, mu), ("u^0.v^1", l, nu)], [("u^0.v^1", "u^1.v^0")])
+    for k, l, mu, nu in itertools.product((2, 4), (2, 4), (1, -1), (1, -1))
+] + [
+    ("e-series", {"eps": eps, "n": n}, [("v^1", n, 1), ("v^0.u", 2, -1)],
+     [("v^0.u", "v^1")])
+    for eps in (1, -1) for n in (2, 4, 8)
+]
+
+
+@pytest.mark.parametrize("name, params, gens, anticommuting", _PRESENTATIONS,
+                         ids=["%s%s" % (n, "".join("-%s" % v for v in p.values()))
+                              for n, p, _, _ in _PRESENTATIONS])
+def test_presented_entries_satisfy_their_relations(name, params, gens, anticommuting):
+    """u^n = eps * 1 for each generator u, uv = -vu for each anticommuting
+    pair and uv = vu for every other, and the words u_1^a_1 ... u_r^a_r with
+    0 <= a_i < n_i are the basis elements themselves, each once."""
+    alg = build_catalog(name, **params)
+    index = {lab: k for k, lab in enumerate(alg.labels)}
+    u = [alg.basis_vector(index[lab]) for lab, _, _ in gens]
+    for v, (lab, n, eps) in zip(u, gens):
+        power = alg.unit
+        for _ in range(n):
+            power = alg.mul_vec(power, v)
+        assert power == {k: cy(eps) * c for k, c in alg.unit.items()}, lab
+    for (s, (ls, _, _)), (t, (lt, _, _)) in itertools.permutations(enumerate(gens), 2):
+        sign = -1 if (ls, lt) in anticommuting or (lt, ls) in anticommuting else 1
+        assert alg.mul_vec(u[s], u[t]) == \
+            {k: cy(sign) * c for k, c in alg.mul_vec(u[t], u[s]).items()}, (ls, lt)
+    words = []
+    for exps in itertools.product(*(range(n) for _, n, _ in gens)):
+        w = alg.unit
+        for v, e in zip(u, exps):
+            for _ in range(e):
+                w = alg.mul_vec(w, v)
+        ((k, c),) = w.items()
+        assert c == Cyclo.one(), exps
+        words.append(k)
+    assert sorted(words) == list(range(alg.dim))
+
+
+def _c2_args(**changes):
+    """The constructor arguments of c2, with changes."""
+    args = dict(group=FiniteAbelianGroup((2,), ("a0",)), order=1, labels=["1", "i"],
+                degrees=[(0,), (1,)],
+                mult={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}},
+                unit={0: 1})
+    args.update(changes)
+    return args
+
+
+def test_constructor_builds_c2_from_its_arguments():
+    alg = algebras.GradedAlgebra(**_c2_args(name="c2"))
+    assert algebra_spec_dict(alg) == algebra_spec_dict(build_catalog("c2"))
+
+
+@pytest.mark.parametrize("order", [2.5, 0, -4, True],
+                         ids=["fraction", "zero", "negative", "bool"])
+def test_constructor_refuses_an_order_that_is_not_a_positive_integer(order):
+    with pytest.raises(ValueError, match="cyclotomic order"):
+        algebras.GradedAlgebra(**_c2_args(order=order))
+
+
+@pytest.mark.parametrize("degrees", [[(0,), (1,), (1,)], [(0,)]], ids=["three", "one"])
+def test_constructor_refuses_a_degree_count_other_than_the_dimension(degrees):
+    with pytest.raises(ValueError, match="degrees for 2 basis labels"):
+        algebras.GradedAlgebra(**_c2_args(degrees=degrees))
+
+
+@pytest.mark.parametrize("changes", [
+    {"mult": {(0, 0): {0: 1}, (0, 2): {1: 1}}},
+    {"mult": {(0, 0): {0: 1}, (-1, 0): {1: 1}}},
+    {"mult": {(0, 0): {0: 1}, (1, 1): {2: -1}}},
+    {"unit": {2: 1}},
+], ids=["key", "negative-key", "row-index", "unit-index"])
+def test_constructor_refuses_an_index_outside_the_basis(changes):
+    with pytest.raises(ValueError, match="outside range\\(2\\)"):
+        algebras.GradedAlgebra(**_c2_args(**changes))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("pauli", {"n": 2.5}), ("pauli", {"n": 3.9}), ("pauli", {"n": "3"}),
+    ("pauli", {"n": True}), ("d-cyclic", {"m": 4, "eps": -1.5}),
+], ids=["fraction", "fraction-up", "string", "bool", "d-cyclic-eps"])
+def test_catalog_refuses_a_parameter_that_is_not_an_integer(name, params):
+    with pytest.raises(TypeError, match="must be an integer"):
+        build_catalog(name, **params)
