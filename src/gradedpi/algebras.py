@@ -39,6 +39,7 @@ __all__ = [
     "center_rows",
     "detect_regular",
     "detect_complex_bicharacter",
+    "commutation_bicharacter",
     "check_graded_division",
 ]
 
@@ -99,6 +100,8 @@ class GradedAlgebra:
         if len(self.degrees) != self.dim:
             raise ValueError("%s: %d degrees for %d basis labels" % (
                 name, len(self.degrees), self.dim))
+        if len(set(self.labels)) != self.dim:
+            raise ValueError("%s: duplicate basis labels in %r" % (name, self.labels))
         self.name = name
         basis = set(range(self.dim))
         self.mult = {}
@@ -121,6 +124,7 @@ class GradedAlgebra:
         self._complex = None
         self._complex_checked = False
         self._complex_bicharacter = None
+        self._regular = None
         self._center = None
         self.validate()
 
@@ -528,7 +532,14 @@ def detect_regular(algebra: GradedAlgebra):
 
     Checks that a single real scalar per degree pair relates uv and vu for all
     homogeneous basis pairs, and that products of components never vanish.
+    The result is memoized on the algebra.
     """
+    if algebra._regular is None:
+        algebra._regular = _detect_regular(algebra)
+    return algebra._regular
+
+
+def _detect_regular(algebra):
     beta, witness = _commutation_bicharacter(algebra, None, _lcm(2, algebra.order))
     if witness is not None and witness.pair is not None:
         # a complex scalar through a central J may still exist; if so, report
@@ -569,6 +580,20 @@ def detect_complex_bicharacter(algebra: GradedAlgebra):
     if algebra._complex_bicharacter is None:
         algebra._complex_bicharacter = _detect_complex_bicharacter(algebra)
     return algebra._complex_bicharacter
+
+
+def commutation_bicharacter(algebra: GradedAlgebra):
+    """(beta, J) when every pair of homogeneous basis elements u, v of
+    degrees g, h commutes up to beta: uv = beta(g, h) vu, a scalar l1 + l2 i
+    acting as l1 + l2 J.  The real bicharacter of a regular grading comes
+    first, with J None; then the complex one through the central J.
+    (None, None) when there is neither.  Both lookups are memoized on the
+    algebra."""
+    beta, _ = detect_regular(algebra)
+    if beta is not None:
+        return beta, None
+    beta, j_vec = detect_complex_bicharacter(algebra)
+    return (beta, j_vec) if beta is not None else (None, None)
 
 
 def _detect_complex_bicharacter(algebra):

@@ -31,9 +31,12 @@ from .algebras import (
     center,
     center_echelon,
     center_rows,
+    commutation_bicharacter,
     detect_complex_bicharacter,
     detect_regular,
     invert,
+    vec_add,
+    vec_scale,
 )
 from .errors import PreconditionError, ResourceRefusal, VerificationFailure
 from .freealg import (
@@ -98,6 +101,24 @@ class MultidegreeBasis:
         for k, d in enumerate(self.degrees):
             deg.extend([op(e, d) for e in deg[:1 << k]])
         return deg
+
+    @functools.cached_property
+    def block_orderings(self):
+        """{d: the orderings of the bits (see subset_degrees) of every subset
+        of letters of degree d}, each list in the order of
+        itertools.permutations(bits, size) for size = 1, 2, ..., which is
+        also that of permutations(remaining, size) for any set remaining of
+        bits once the orderings that leave it are dropped.  Built on first
+        use, for every template of the record, in one pass that reads each
+        ordering's degree once: sorting each degree's orderings instead
+        costs more than it saves on records of three letters."""
+        deg = self.subset_degrees
+        bits = [1 << k for k in range(len(self.letters))]
+        orderings = {}
+        for size in range(1, len(bits) + 1):
+            for perm in itertools.permutations(bits, size):
+                orderings.setdefault(deg[sum(perm)], []).append(perm)
+        return orderings
 
     def from_vector(self, vec, order=1) -> FreePoly:
         """The polynomial of a sparse vector {column: coefficient}."""
@@ -398,6 +419,138 @@ def _component_rows(algebra, pg, central: bool):
     return rows
 
 
+class _Reordering:
+    """The target equations of a grading whose homogeneous basis elements
+    commute up to a bicharacter beta (see algebras.commutation_bicharacter),
+    read off a record's reordering exponents with no substitution evaluated.
+
+    Why they are the equations.  Substitute basis elements r_i of the
+    degrees d_i.  Then r_1...r_n = gamma_sigma r_sigma(1)...r_sigma(n), with
+    gamma_sigma = zeta_N^e_sigma the reordering scalar (see _gamma_values),
+    a root of unity acting as Re + Im J through the central J (J^2 = -1),
+    so the value of the monomial of column sigma is gamma_sigma^(-1) =
+    Re_sigma - Im_sigma J times v, the value of the identity word, and a
+    vector mu of the component takes the value
+    (sum mu_sigma Re_sigma) v - (sum mu_sigma Im_sigma) J v.  Both v and J v
+    are real vectors, and J v is no multiple of a nonzero v, as J^2 = -1, so
+    at every substitution with v != 0 the equations are sum mu_sigma Re_sigma
+    = 0 and sum mu_sigma Im_sigma = 0, and at every other one there are
+    none.  With one substitution of v != 0 the target's equations are
+    therefore:
+
+    * when every gamma_sigma is real, the one row {sigma: gamma_sigma}, with
+      a 1 at its pivot, column 0, the identity permutation;
+    * otherwise, with t the first column of nonreal gamma_t, the rows
+      {sigma: Re_sigma - Re_t Im_sigma / Im_t} of pivot 0, with no entry at
+      t, and {sigma: Im_sigma / Im_t} of pivot t, with no entry at 0: the
+      fully reduced echelon form of Re and Im.
+
+    A real bicharacter has real values only, so the first case is all of a
+    regular grading.  The Re and Im of every power of zeta_N are tabled
+    once, and the entries of the two rows by exponent once per e_t met.
+    """
+
+    def __init__(self, beta, j_vec):
+        self.beta = beta
+        self.j_vec = j_vec
+        self.re = [z.real_part() for z in beta.powers]
+        # with no J to act through, a scalar has no imaginary part to act
+        self.im = [Cyclo.zero() if j_vec is None else z.imag_over_i() for z in beta.powers]
+        self.nonreal = [not c.is_zero() for c in self.im]
+        self._pivot_rows = {}
+
+    def rows(self, exps):
+        """The fully reduced equation rows at a record of reordering
+        exponents exps, in pivot order."""
+        nonreal = self.nonreal
+        t = next((k for k, e in enumerate(exps) if nonreal[e]), None)
+        if t is None:
+            re = self.re
+            return [{k: re[e] for k, e in enumerate(exps)}]
+        return [{k: row[e] for k, e in enumerate(exps) if row[e] is not None}
+                for row in self._pivot_entries(exps[t])]
+
+    def _pivot_entries(self, e_t):
+        """The entries by exponent e of the rows of pivots 0 and t, t a
+        column of exponent e_t, None where zero; built on first use."""
+        entries = self._pivot_rows.get(e_t)
+        if entries is None:
+            scale = self.im[e_t].inv()
+            shift = self.re[e_t] * scale
+            first = [re - shift * im for re, im in zip(self.re, self.im)]
+            second = [im * scale for im in self.im]
+            entries = self._pivot_rows[e_t] = tuple(
+                [None if c.is_zero() else c for c in row] for row in (first, second))
+        return entries
+
+    def identity_word_nonzero(self, algebra, choice, e_rev):
+        """Whether the value v of the identity word at the substitution
+        choice is nonzero.  When it is, the value of the reversed word is
+        checked to be gamma^(-1) v, gamma = zeta_N^e_rev, as the equations
+        assume of every word, and AssertionError is raised otherwise."""
+        basis = [algebra.basis_vector(i) for i in choice]
+        value = basis[0]
+        for b in basis[1:]:
+            value = algebra.mul_vec(value, b)
+        if not value:
+            return False
+        back = basis[-1]
+        for b in basis[-2::-1]:
+            back = algebra.mul_vec(back, b)
+        e = -e_rev % self.beta.order
+        expected = vec_scale(value, self.re[e])
+        if self.nonreal[e]:
+            expected = vec_add(expected, vec_scale(algebra.mul_vec(self.j_vec, value),
+                                                   self.im[e]))
+        if back != expected:
+            raise AssertionError("the reversed word's value is not the reordering "
+                                 "scalar's inverse times the identity word's, at %r"
+                                 % (choice,))
+        return True
+
+
+# each grading's reordering tables (None without a commutation bicharacter),
+# kept no longer than its algebra
+_reorderings = weakref.WeakKeyDictionary()
+
+
+def _reordering(algebra):
+    reordering = _reorderings.get(algebra, _reorderings)
+    if reordering is _reorderings:
+        beta, j_vec = commutation_bicharacter(algebra)
+        reordering = _reorderings[algebra] = (
+            None if beta is None else _Reordering(beta, j_vec))
+    return reordering
+
+
+def _reordering_rows(algebra, pg, central):
+    """The target's fully reduced equation rows read off pg's reordering
+    exponents (see _Reordering), after the identity and reversed words are
+    evaluated at the first substitution; None when they do not apply and
+    the rows are to be evaluated (_component_rows): with no commutation
+    bicharacter, when the identity word vanishes there, and for a central
+    target whose degree product's component meets the center but does not
+    lie in it.  A component inside the center has no rows, and one that
+    meets it in 0 has the identity rows."""
+    reordering = _reordering(algebra)
+    if reordering is None:
+        return None
+    if central:
+        g = pg.subset_degrees[-1]
+        meet = len(center_rows(algebra, g))
+        if meet == len(algebra.component(g)):
+            return []
+        if meet:
+            return None
+    tuples = _substitution_tuples(algebra, pg.letters)
+    if tuples is None:
+        return None
+    exps = _gamma_values(reordering.beta, pg.degrees)
+    if not reordering.identity_word_nonzero(algebra, next(tuples), exps[-1]):
+        return None
+    return reordering.rows(exps)
+
+
 class Target:
     """The target space at one multidegree: the polynomials whose every
     admissible value vanishes, or, when central, lies in the center.
@@ -416,23 +569,31 @@ class Target:
     center there are no equations and nothing is evaluated, and otherwise
     the equations are those of the values reduced modulo the center, which
     only the center's rows of that component reduce.
+
+    A grading with a commutation bicharacter has its reduced equations in
+    closed form (_reordering_rows): two words are evaluated in place of the
+    n! values of every substitution, and no row is eliminated.
     """
 
     def __init__(self, algebra, pg: MultidegreeBasis, central: bool):
         self.pg = pg
         self.central = central
-        self.equations = Echelon(pg.ncols)
-        # no rows (None for a degree outside the support): the whole component
-        # validate() admits only real structure constants, so every row is
-        # already real: fixed by conj, with no skew half to split off
-        for row in _component_rows(algebra, pg, central) or ():
-            self.equations.add(row)
-        self._rows = self.equations.sparse_basis()
+        rows = _reordering_rows(algebra, pg, central)
+        if rows is None:
+            # no rows (None for a degree outside the support): the whole
+            # component; validate() admits only real structure constants, so
+            # every row is already real: fixed by conj, with no skew half to
+            # split off
+            equations = Echelon(pg.ncols)
+            for row in _component_rows(algebra, pg, central) or ():
+                equations.add(row)
+            rows = equations.sparse_basis()
+        self._rows = rows
         self._span = None
 
     @property
     def dim(self):
-        return self.pg.ncols - self.equations.dim
+        return self.pg.ncols - len(self._rows)
 
     def contains(self, vec):
         """Whether vec, a sparse dict or a coordinate list, solves every equation."""
@@ -580,9 +741,9 @@ def _block_assignments(pg, degrees, tideal, killers=0):
     degrees[j] is None); a block may be empty only at the identity degree.
     For T-ideal instances the leftovers split into an ordered prefix and
     suffix, for T-space instances there are no leftovers.  Blocks are
-    ordered permutations of the remaining letters, tried in the order of
-    itertools.permutations; a candidate's degree is read off the record's
-    subset-degree table (see MultidegreeBasis.subset_degrees).
+    ordered permutations of the remaining letters, yielded in the order of
+    itertools.permutations; a block of degree degrees[j] tries only the
+    record's orderings of that degree (see MultidegreeBasis.block_orderings).
 
     killers is a bit mask over the blocks (block j is bit 1 << j), the
     killer letters of the template the blocks are substituted into (see
@@ -592,7 +753,7 @@ def _block_assignments(pg, degrees, tideal, killers=0):
     and suffix included.  Every other assignment is yielded in the order
     above.
     """
-    deg, identity = pg.subset_degrees, pg.group.identity
+    identity = pg.group.identity
     bits = [1 << k for k in range(len(pg.letters))]
     letter = dict(zip(bits, pg.letters))
     # nonempty[j]: how many of the blocks j.. must be nonempty
@@ -616,12 +777,20 @@ def _block_assignments(pg, degrees, tideal, killers=0):
         dj = degrees[j]
         if dj == identity and not killers >> j & 1:
             yield from rec(j + 1, remaining, blocks + [()])
-        for size in range(1, len(remaining) - nonempty[j + 1] + 1):
-            for combo in itertools.permutations(remaining, size):
-                mask = sum(combo)
-                if dj is None or deg[mask] == dj:
-                    left = tuple(x for x in remaining if not x & mask)
-                    yield from rec(j + 1, left, blocks + [combo])
+        most = len(remaining) - nonempty[j + 1]
+        if dj is None:
+            combos = itertools.chain.from_iterable(
+                itertools.permutations(remaining, size) for size in range(1, most + 1))
+        else:
+            combos = pg.block_orderings.get(dj, ())
+        rem = sum(remaining)
+        for combo in combos:
+            if len(combo) > most:
+                break
+            mask = sum(combo)
+            if mask & rem == mask:
+                left = tuple(x for x in remaining if not x & mask)
+                yield from rec(j + 1, left, blocks + [combo])
 
     yield from rec(0, tuple(bits), [])
 
@@ -1296,8 +1465,8 @@ def family_pauli(algebra: GradedAlgebra, max_degree: int) -> GeneratorSet:
     if max_degree < 1:
         raise PreconditionError("max degree must be at least 1, got %d" % max_degree)
     _refuse_past_degree_bound(max_degree)
-    real_beta, _ = detect_regular(algebra)
-    if real_beta is not None:
+    beta, j_vec = commutation_bicharacter(algebra)
+    if beta is not None and j_vec is None:
         raise PreconditionError(
             "the grading is regular over the reals; use family_regular")
     source = _pauli_source(algebra)

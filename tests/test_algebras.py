@@ -1423,6 +1423,27 @@ def test_constructor_refuses_a_degree_count_other_than_the_dimension(degrees):
         algebras.GradedAlgebra(**_c2_args(degrees=degrees))
 
 
+def test_commutation_bicharacter_is_found_once_per_algebra(monkeypatch):
+    """detect_regular is memoized like the complex detection, and the
+    commutation lookup reads the two memos, the real bicharacter first:
+    once both are found, no support pair is walked again."""
+    m28, p3 = build_catalog("m2-8"), build_catalog("pauli", n=3)
+    regular, pauli = detect_regular(m28), detect_regular(p3)
+    complex_pauli = algebras.detect_complex_bicharacter(p3)
+    monkeypatch.setattr(algebras, "_commutation_bicharacter", None)
+    assert detect_regular(m28) is regular and detect_regular(p3) is pauli
+    assert algebras.commutation_bicharacter(m28) == (regular[0], None)
+    assert algebras.commutation_bicharacter(p3) == complex_pauli
+    assert regular[0] is not None and pauli[0] is None and complex_pauli[0] is not None
+
+
+def test_constructor_refuses_duplicate_labels():
+    """Two basis elements with one label would write a spec that cannot
+    reload: one degree entry and one product key for four products."""
+    with pytest.raises(ValueError, match="duplicate basis labels"):
+        algebras.GradedAlgebra(**_c2_args(labels=["x", "x"]))
+
+
 @pytest.mark.parametrize("changes", [
     {"mult": {(0, 0): {0: 1}, (0, 2): {1: 1}}},
     {"mult": {(0, 0): {0: 1}, (-1, 0): {1: 1}}},

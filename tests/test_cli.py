@@ -193,11 +193,15 @@ _M2_4_SPEC = algebra_spec_dict(build_catalog("m2-4"))
     dict(_ALGEBRA_HEADER, catalog={"id": "pauli", "params": {"n": 2.5}}),
     dict(_ALGEBRA_HEADER, catalog={"id": "pauli", "params": {"n": "3"}}),
     dict(_ALGEBRA_HEADER, catalog={"id": "pauli", "params": {"n": True}}),
+    dict(_ALGEBRA_HEADER, group={"orders": [2]},
+         basis={"labels": ["x", "x"], "degrees": {"x": "e"},
+                "mult": {"x*x": [["x", "1"]]}, "unit": [["x", "1"]]}),
 ], ids=["top-level-list", "catalog-without-id", "basis-without-labels",
         "unknown-label-in-mult", "one-field-mult-entry", "non-real-constant",
         "non-associative", "ambiguous-product-key", "order-zero", "order-negative",
         "order-not-an-integer", "constant-over-zero", "unit-over-zero",
-        "catalog-param-not-an-integer", "catalog-param-a-string", "catalog-param-a-bool"])
+        "catalog-param-not-an-integer", "catalog-param-a-string", "catalog-param-a-bool",
+        "duplicate-labels"])
 def test_malformed_algebra_spec_exit2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

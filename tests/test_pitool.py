@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -9,6 +10,7 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedpi import pitool
 from gradedpi.algebras import (
@@ -19,6 +21,7 @@ from gradedpi.algebras import (
     center_echelon,
     center_rows,
     coarsen_by_quotient,
+    commutation_bicharacter,
     detect_complex_bicharacter,
     detect_regular,
     tensor,
@@ -308,8 +311,10 @@ def test_target_span_matches_the_dense_kernel_span(name, params):
         for degs in itertools.combinations_with_replacement(sorted(alg.support), n):
             for space in (multilinear_identity_space, multilinear_central_space):
                 target = space(alg, degs)
-                dense = Echelon(target.pg.ncols)
-                for v in target.equations.kernel():
+                equations, dense = Echelon(target.pg.ncols), Echelon(target.pg.ncols)
+                for row in target._rows:
+                    equations.add(row)
+                for v in equations.kernel():
                     dense.add(v)
                 assert target.span().sparse_basis() == dense.sparse_basis(), degs
 
@@ -340,6 +345,140 @@ def test_central_components_of_every_kind_are_checked():
         assert len(center_rows(alg, g)) == meet, (alg.name, g)
     assert len(m28.component((2, 0))) == 1
     assert len(e4.component((0,))) == 2
+
+
+_CLOSED_FORM_CASES = [
+    ("pauli", {"n": 2}, 4), ("pauli", {"n": 3}, 4), ("pauli", {"n": 4}, 3),
+    ("c2", {}, 4), ("m2-4", {}, 4), ("m2-8", {}, 4), ("h4", {}, 4),
+    ("d-cyclic", {"m": 4, "eps": -1}, 4), ("d-pair", {"k": 2, "l": 4, "mu": -1, "nu": 1}, 4),
+    ("c2@m2-4", {}, 3),
+]
+
+
+def _evaluated_rows(algebra, pg, central):
+    """The reduced rows of the evaluated equations, as Target held them
+    before they were read off reordering exponents."""
+    ech = Echelon(pg.ncols)
+    for row in pitool._component_rows(algebra, pg, central) or ():
+        ech.add(row)
+    return ech.sparse_basis()
+
+
+def _assert_closed_form_matches_evaluation(algebra, degs):
+    """The closed-form rows at degs apply in both modes and are the
+    evaluated rows, entry for entry and in the same normal forms, so the
+    kernels and witnesses built from them print the same."""
+    pg = MultidegreeBasis(algebra.group, degs)
+    for central in (False, True):
+        closed = pitool._reordering_rows(algebra, pg, central)
+        evaluated = _evaluated_rows(algebra, pg, central)
+        assert closed == evaluated, (degs, central)
+        assert [[(k, repr(c)) for k, c in sorted(row.items())] for row in closed] == \
+            [[(k, repr(c)) for k, c in sorted(row.items())] for row in evaluated], \
+            (degs, central)
+
+
+@pytest.mark.parametrize("name, params, max_length", _CLOSED_FORM_CASES,
+                         ids=["%s%s" % (name, "".join("-%s" % v for v in params.values()))
+                              for name, params, _ in _CLOSED_FORM_CASES])
+def test_closed_form_targets_match_evaluation(name, params, max_length):
+    """On every grading with a commutation bicharacter, real or through a
+    central J, the target rows read off the reordering exponents are the
+    evaluated rows at every record of length <= 4 (<= 3 on pauli-4 and
+    c2@m2-4), in both modes."""
+    alg = build_catalog(name, **params)
+    for n in range(1, max_length + 1):
+        for degs in itertools.combinations_with_replacement(sorted(alg.support), n):
+            _assert_closed_form_matches_evaluation(alg, degs)
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form_algebra(name, n=None):
+    return build_catalog(name, n=n) if n else build_catalog(name)
+
+
+@pytest.mark.parametrize("name, n", [("pauli", 3), ("pauli", 4), ("m2-8", None)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_closed_form_targets_match_evaluation_on_drawn_multidegrees(name, n, data):
+    """The same at drawn multidegrees of length <= 5, in any order."""
+    alg = _closed_form_algebra(name, n)
+    degs = data.draw(st.lists(st.sampled_from(sorted(alg.support)), min_size=1, max_size=5))
+    _assert_closed_form_matches_evaluation(alg, degs)
+
+
+@pytest.mark.parametrize("name, params", [("pauli", {"n": 3}), ("pauli", {"n": 4}),
+                                          ("m2-8", {}), ("c2@m2-4", {})])
+def test_closed_form_target_evaluates_two_words(monkeypatch, name, params):
+    """A closed-form target evaluates the identity word and the reversed
+    word at one substitution, n - 1 products each, and multiplies by J at
+    most once: no value of the n! - 2 other monomials is multiplied out."""
+    alg = build_catalog(name, **params)
+    pitool._reordering(alg)  # the bicharacter is found once per algebra
+    calls = [0]
+    mul_vec = GradedAlgebra.mul_vec
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return mul_vec(self, u, v)
+
+    monkeypatch.setattr(GradedAlgebra, "mul_vec", counted)
+    monkeypatch.setattr(pitool, "_component_rows", None)
+    support = sorted(alg.support)
+    for degs in (support[-1:], support[:3], support[1:5], support[-4:] + support[:1]):
+        calls[0] = 0
+        multilinear_identity_space(alg, degs)
+        assert 2 * (len(degs) - 1) <= calls[0] <= 2 * (len(degs) - 1) + 1, degs
+
+
+@pytest.mark.parametrize("name, params", [("pauli", {"n": 3}), ("m2-8", {}), ("m2-4", {})])
+def test_reversal_check_refuses_a_perturbed_exponent(monkeypatch, name, params):
+    """A reordering exponent of the reversal that is off by one no longer
+    predicts the reversed word's value, and the target is refused with
+    AssertionError, raised explicitly, so also under python -O."""
+    alg = build_catalog(name, **params)
+    gamma_values = pitool._gamma_values
+
+    def perturbed(beta, degrees):
+        exps = gamma_values(beta, degrees)
+        return exps[:-1] + [(exps[-1] + 1) % beta.order]
+
+    monkeypatch.setattr(pitool, "_gamma_values", perturbed)
+    # a central target is evaluated alike when its component meets the center
+    degs = next(degs for degs in itertools.combinations(sorted(alg.support), 3)
+                if not center_rows(alg, alg.group.product(degs)))
+    for space in (multilinear_identity_space, multilinear_central_space):
+        with pytest.raises(AssertionError, match="reversed word"):
+            space(alg, degs)
+
+
+def test_vanishing_identity_word_falls_back_to_evaluation(monkeypatch):
+    """When the identity word vanishes at the first substitution the rows
+    are evaluated, and the target is the same."""
+    alg = build_catalog("pauli", n=3)
+    degs = [(0, 1), (1, 0), (1, 1)]
+    rows = multilinear_identity_space(alg, degs)._rows
+    monkeypatch.setattr(pitool._Reordering, "identity_word_nonzero",
+                        lambda self, algebra, choice, e_rev: False)
+    evaluated = []
+    component_rows = pitool._component_rows
+
+    def counted(algebra, pg, central):
+        evaluated.append(central)
+        return component_rows(algebra, pg, central)
+
+    monkeypatch.setattr(pitool, "_component_rows", counted)
+    assert multilinear_identity_space(alg, degs)._rows == rows
+    assert evaluated == [False]
+
+
+def test_algebra_without_a_bicharacter_is_evaluated():
+    """e-series(-1,4) has a noncentral identity component and no
+    commutation bicharacter: its targets are evaluated."""
+    alg = build_catalog("e-series", eps=-1, n=4)
+    assert commutation_bicharacter(alg) == (None, None)
+    pg = MultidegreeBasis(alg.group, [(1,), (2,)])
+    assert pitool._reordering_rows(alg, pg, False) is None
 
 
 def test_central_component_record_makes_no_product(monkeypatch):
@@ -811,6 +950,63 @@ def test_skipped_assignments_have_zero_instances(name, params, basis, mode):
     genset = resolve_basis(basis, alg, mode, 4)
     assert _skipped_assignments(genset.templates(), alg.group, alg.support,
                                 mode == "identities")
+
+
+class _CountedPermutations:
+    """itertools with permutations counting the orderings it yields."""
+
+    _itertools = itertools
+
+    def __init__(self):
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        return getattr(self._itertools, name)
+
+    def permutations(self, *args):
+        for perm in self._itertools.permutations(*args):
+            self.drawn += 1
+            yield perm
+
+
+def _block_degree_lists(name, params, basis, mode, step):
+    """(pg, block degrees, tideal) for every distinct degree list of the
+    family's template rows that _generic_instances enumerates at every
+    step-th sorted multidegree of length 3 and 4."""
+    alg = build_catalog(name, **params)
+    genset = resolve_basis(basis, alg, mode, 4)
+    table, tideal = genset.templates(), mode == "identities"
+    records = [degs for n in (3, 4)
+               for degs in itertools.combinations_with_replacement(sorted(alg.support), n)]
+    for degs in records[::step]:
+        pg = MultidegreeBasis(alg.group, degs)
+        rows = table.rows if tideal else table.by_product.get(pg.subset_degrees[-1], ())
+        for degrees in sorted({tuple(row.degrees) for row in rows if row.needed <= len(degs)}):
+            yield pg, list(degrees), tideal
+
+
+_BLOCK_CASES = [("e-series", {"eps": -1, "n": 8}, "corollary", "centrals", 25),
+                ("m2c-z4", {}, "corollary", "identities", 5)]
+
+
+@pytest.mark.parametrize("name, params, basis, mode, step", _BLOCK_CASES,
+                         ids=["e-series-8-centrals", "m2c-z4-identities"])
+def test_block_assignments_permute_only_subsets_of_the_block_degree(
+        monkeypatch, name, params, basis, mode, step):
+    """Permuting only the subsets of each block's degree yields the frozen
+    reference's assignments in its order, on a sample of records of the
+    corollary families, T-space and T-ideal; it draws under half of the
+    orderings that permuting every subset and then reading its degree
+    draws, leftover orderings of a T-ideal instance included."""
+    new, old = _CountedPermutations(), _CountedPermutations()
+    for pg, degrees, tideal in _block_degree_lists(name, params, basis, mode, step):
+        monkeypatch.setattr(pitool, "itertools", new)
+        got = list(pitool._block_assignments(pg, degrees, tideal))
+        monkeypatch.setitem(globals(), "itertools", old)
+        want = list(_reference_block_assignments(pg.letters, degrees, tideal, pg.group))
+        monkeypatch.undo()
+        assert got == want, (pg.degrees, degrees)
+    assert 2 * new.drawn < old.drawn, (new.drawn, old.drawn)
 
 
 def test_two_letter_vanishing_set_is_left_to_the_zero_filter():
