@@ -154,7 +154,8 @@ class Subspace:
     def add(self, vec):
         """Insert vec if independent of the span; returns True if added."""
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        return self._echelon.add({self._last - k: c for k, c in items})
+        last = self._last
+        return self._echelon.add({last - k: c for k, c in items})
 
     def contains(self, vec):
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
@@ -596,33 +597,48 @@ class Target:
         return self.pg.ncols - len(self._rows)
 
     def contains(self, vec):
-        """Whether vec, a sparse dict or a coordinate list, solves every equation."""
+        """Whether vec, a sparse dict or a coordinate list, solves every
+        equation.  The nonzero entries of vec are walked once per equation
+        row, each sum starts from its first product, and the first row that
+        does not vanish decides."""
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         items = [(k, c) for k, c in items if not c.is_zero()]
-        zero = Cyclo.zero()
-        return all(sum((c * row[k] for k, c in items if k in row), zero).is_zero()
-                   for row in self._rows)
+        for row in self._rows:
+            total = None
+            for k, c in items:
+                e = row.get(k)
+                if e is not None:
+                    total = c * e if total is None else total + c * e
+            if total is not None and not total.is_zero():
+                return False
+        return True
 
     def span(self) -> Echelon:
         """The spanning basis as an echelon, built on first use; its
-        sparse_basis is the unique reduced form.  The kernel vector of each
-        free column f, in increasing order, is e_f less row[f] e_p for every
-        reduced equation row of pivot p, built sparse from those rows."""
+        sparse_basis is the unique reduced form.  The equation rows are
+        reduced with last-column pivots Q (a Subspace), and for each column
+        c outside Q, in increasing order, the kernel vector is e_c less
+        row[c] e_q for every reduced row of pivot q.  Every such entry has
+        q > c, and no vector has an entry at another column outside Q, so
+        each is inserted with no row subtracted and is already reduced."""
         if self._span is None:
-            kernel = {}  # column f: the pivot entries of its kernel vector
-            pivots = set()
+            equations = Subspace(self.pg)
             for row in self._rows:
-                p = min(row)
-                pivots.add(p)
-                for j, c in row.items():
-                    if j != p:
-                        kernel.setdefault(j, {})[p] = -c
+                equations.add(row)
+            kernel = {}  # column c: the pivot entries of its kernel vector
+            pivots = set()
+            for row in equations.sparse_basis():
+                q = max(row)
+                pivots.add(q)
+                for c, e in row.items():
+                    if c != q:
+                        kernel.setdefault(c, {})[q] = -e
             one = Cyclo.one()
             self._span = Echelon(self.pg.ncols)
-            for f in range(self.pg.ncols):
-                if f not in pivots:
-                    vec = kernel.get(f, {})
-                    vec[f] = one
+            for c in range(self.pg.ncols):
+                if c not in pivots:
+                    vec = kernel.get(c, {})
+                    vec[c] = one
                     self._span.add(vec)
         return self._span
 
@@ -1769,18 +1785,20 @@ def _close_span(target, stages, order):
     """
     pg, dim = target.pg, target.dim
     cons = Subspace(pg)
+    kept = 0  # the span's dimension
     for stage in stages:
         for vec in stage:
             if not cons.add(vec):
                 continue
             if not target.contains(vec):
-                return None, cons.dim - 1, "instance outside the target space: %s" % (
+                return None, kept, "instance outside the target space: %s" % (
                     pg.from_vector(vec, order))
-            if cons.dim == dim:
+            kept += 1
+            if kept == dim:
                 return cons, dim, None
-        if cons.dim == dim:
+        if kept == dim:
             break
-    return cons, cons.dim, None
+    return cons, kept, None
 
 
 def _record(target, stages, order):

@@ -595,8 +595,9 @@ class Echelon:
     Rows are held sparse, as {column: coefficient} without zero entries and
     keyed by their pivot, the least column, where the row has a 1.  The form
     is forward-reduced only: a row may have entries in the pivot columns of
-    later rows, so an insert costs no back-substitution.  reduce sweeps the
-    pivot columns it meets in increasing order; its remainder, the one
+    later rows, so an insert costs no back-substitution.  reduce copies the
+    input once and sweeps the pivot columns it meets in increasing order,
+    off a heap built only when it meets one; its remainder, the one
     vector congruent to the input with no entry in a pivot column, depends
     only on the span, as do the pivots and dim.  sparse_basis, basis and
     kernel back-substitute on demand into the fully reduced form, which is
@@ -615,13 +616,23 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec) -> dict[int, Cyclo]:
-        """The remainder of vec, sparse, with no entry in a pivot column."""
+        """The remainder of vec, sparse, with no entry in a pivot column.
+
+        The nonzero entries are copied into one fresh dict, in the same pass
+        that collects the pivot columns they meet; a vector that meets none
+        is its own remainder, with no heap built."""
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {j: c for j, c in items if not c.is_zero()}
         rows = self.rows
+        v, heap = {}, []
+        for j, c in items:
+            if not c.is_zero():
+                v[j] = c
+                if j in rows:
+                    heap.append(j)
+        if not heap:
+            return v
         # subtracting the row of pivot p touches only columns past p, but it
         # can bring in later pivot columns, so they are swept off a heap
-        heap = [j for j in v if j in rows]
         heapq.heapify(heap)
         while heap:
             p = heapq.heappop(heap)
@@ -688,14 +699,20 @@ class Echelon:
 
 def _subtract_multiple(v, c, row, pivot):
     """v -= c * row in place on the columns of row other than its pivot,
-    dropping the entries that cancel; returns the columns it brings into v."""
+    dropping the entries that cancel; returns the columns it brings into v.
+    The multiplier is negated at most once, at the first new entry, so a new
+    entry costs one product and an existing entry one product and one
+    subtraction."""
+    minus_c = None
     new = []
     for j, e in row.items():
         if j == pivot:
             continue
         s = v.get(j)
         if s is None:
-            v[j] = -(c * e)
+            if minus_c is None:
+                minus_c = -c
+            v[j] = minus_c * e
             new.append(j)
         else:
             s = s - c * e

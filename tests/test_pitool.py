@@ -481,6 +481,146 @@ def test_algebra_without_a_bicharacter_is_evaluated():
     assert pitool._reordering_rows(alg, pg, False) is None
 
 
+def _dense_contains(target, dense):
+    """The reference membership: a dense dot product of the coordinate
+    list with every equation row."""
+    zero = Cyclo.zero()
+    return all(sum((c * row.get(k, zero) for k, c in enumerate(dense)), zero).is_zero()
+               for row in target._rows)
+
+
+def _drawn_vectors(rng, target, order):
+    """Sparse vectors off the target and combinations of its basis (some
+    perturbed in one entry), each as a sparse dict, as a dict with explicit
+    zero entries and as a coordinate list."""
+    ncols = target.pg.ncols
+    values = [Cyclo.rational(k) for k in (-2, -1, 1, 3)] + \
+        [Cyclo.zeta(order, k) for k in range(1, order)]
+    basis = target.span().sparse_basis()
+    vecs = []
+    for _ in range(6):
+        cols = rng.sample(range(ncols), rng.randint(1, min(5, ncols)))
+        vecs.append({k: rng.choice(values) for k in cols})
+    for _ in range(6):
+        vec = {}
+        for v in rng.sample(basis, min(len(basis), 3)):
+            c = Cyclo.rational(rng.choice((-2, -1, 1, 2)))
+            for k, e in v.items():
+                vec[k] = vec.get(k, Cyclo.zero()) + c * e
+        if rng.random() < 0.5:
+            k = rng.randrange(ncols)
+            vec[k] = vec.get(k, Cyclo.zero()) + rng.choice(values)
+        vecs.append(vec)
+    for vec in vecs:
+        dense = [vec.get(k, Cyclo.zero()) for k in range(ncols)]
+        with_zeros = dict(vec)
+        for k in rng.sample(range(ncols), min(3, ncols)):
+            with_zeros.setdefault(k, Cyclo.zero())
+        yield dense, ({k: c for k, c in vec.items() if not c.is_zero()}, with_zeros, dense)
+
+
+_CONTAINS_CASES = [
+    # (catalog id, parameters, longest record, modes, closed form, row counts met)
+    ("pauli", {"n": 2}, 4, (False,), True, {1}),
+    ("pauli", {"n": 3}, 4, (False,), True, {1, 2}),
+    ("pauli", {"n": 4}, 3, (False,), True, {1, 2}),
+    ("m2-8", {}, 4, (False, True), True, {0, 1}),
+    ("e-series", {"eps": -1, "n": 4}, 3, (False, True), False, {1, 2, 4}),
+]
+
+
+@pytest.mark.parametrize("name, params, max_length, modes, closed, counts", _CONTAINS_CASES,
+                         ids=["%s%s" % (case[0], "".join("-%s" % v for v in case[1].values()))
+                              for case in _CONTAINS_CASES])
+def test_target_contains_matches_a_dense_dot_product(name, params, max_length, modes,
+                                                     closed, counts):
+    """Target.contains agrees with a dense dot product against every
+    equation row, on drawn sparse vectors given as sparse dicts, as dicts
+    with explicit zero entries and as coordinate lists: on closed-form
+    targets (one real row, or two rows when some reordering value is not
+    real), on evaluated targets, and on central targets with no rows."""
+    alg = build_catalog(name, **params)
+    assert (commutation_bicharacter(alg) != (None, None)) == closed
+    rng = random.Random(name + repr(sorted(params.items())))
+    support = sorted(alg.support)
+    row_counts, verdicts = set(), set()
+    for n in range(1, max_length + 1):
+        for _ in range(6):
+            degs = [rng.choice(support) for _ in range(n)]
+            for central in modes:
+                space = multilinear_central_space if central else multilinear_identity_space
+                target = space(alg, degs)
+                row_counts.add(len(target._rows))
+                for dense, forms in _drawn_vectors(rng, target, alg.order):
+                    expected = _dense_contains(target, dense)
+                    verdicts.add(expected)
+                    assert all(target.contains(v) == expected for v in forms), degs
+    assert verdicts == {True, False}
+    assert row_counts == counts
+
+
+def test_every_consumed_instance_is_one_echelon_add(monkeypatch):
+    """Every instance that _close_span consumes goes through Echelon.add,
+    once: the attribute the benchmark's tracer wraps to count the stream's
+    inserts, on pauli-3 at degree <= 3."""
+    alg = build_catalog("pauli", n=3)
+    genset = resolve_basis("pauli", alg, "identities", 3)
+    counts, closing = {"adds": 0, "consumed": 0}, [False]
+    add, close_span = Echelon.add, pitool._close_span
+
+    def counted_add(self, vec):
+        counts["adds"] += closing[0]
+        return add(self, vec)
+
+    def counted_stage(stage):
+        for vec in stage:
+            counts["consumed"] += 1
+            yield vec
+
+    def closing_span(target, stages, order):
+        closing[0] = True
+        try:
+            return close_span(target, (counted_stage(s) for s in stages), order)
+        finally:
+            closing[0] = False
+
+    monkeypatch.setattr(Echelon, "add", counted_add)
+    monkeypatch.setattr(pitool, "_close_span", closing_span)
+    rep = verify_basis(alg, genset, 3)
+    assert rep.ok
+    assert counts["consumed"] > len(rep.records)
+    assert counts["adds"] == counts["consumed"]
+
+
+def test_target_span_subtracts_no_row_on_pauli4(monkeypatch):
+    """The kernel vectors of a pauli-4 target of length 5 or 6, read off
+    its equations reduced with last-column pivots, enter the span with no
+    row subtracted, and no back-substitution is needed to read its reduced
+    basis."""
+    from gradedpi import scalars
+
+    alg = build_catalog("pauli", n=4)
+    shape = pitool._pauli_source(alg).long_shape
+    support = sorted(alg.support)
+    records = [shape[:5], shape[:6], shape[1:], support[1:6], support[-6:],
+               [support[1]] * 5, [support[2]] * 3 + [support[4]] * 3]
+    targets = [multilinear_identity_space(alg, degs) for degs in records]
+    targets += [multilinear_central_space(alg, degs) for degs in records]
+    calls = [0]
+    subtract = scalars._subtract_multiple
+
+    def counted(*args):
+        calls[0] += 1
+        return subtract(*args)
+
+    monkeypatch.setattr(scalars, "_subtract_multiple", counted)
+    for target in targets:
+        basis = target.span().sparse_basis()
+        assert len(basis) == target.dim
+    assert calls[0] == 0
+    assert {len(target._rows) for target in targets} >= {1, 2}
+
+
 def test_central_component_record_makes_no_product(monkeypatch):
     """A record whose degree product's component lies in the center builds
     its central target with no evaluation: no mul_vec call, and the target

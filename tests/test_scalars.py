@@ -9,6 +9,7 @@ from gradedpi.scalars import (
     Cyclo,
     Echelon,
     _real_rows,
+    _subtract_multiple,
     cyclotomic_polynomial,
     kernel_over_real_subfield,
     parse_cyclo,
@@ -495,6 +496,83 @@ def test_forward_echelon_sweeps_chained_pivots():
     assert ech.sparse_basis() == [{0: one, 3: one}, {1: one, 3: -one}, {2: one, 3: one}]
     assert ech.kernel() == [[-one, one, -one, one]]
     assert ech.rows[0] == {0: one, 1: one}
+
+
+def _input_form(rng, vec, ncols):
+    """vec as a sparse dict, as a dict with explicit zero entries, or as a
+    coordinate list."""
+    form = rng.randrange(3)
+    if form == 0:
+        return dict(vec)
+    if form == 1:
+        out = dict(vec)
+        for j in rng.sample(range(ncols), rng.randint(1, ncols)):
+            out.setdefault(j, Cyclo.zero())
+        return out
+    return [vec.get(j, Cyclo.zero()) for j in range(ncols)]
+
+
+@pytest.mark.parametrize("order", [12, 16])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_echelon_on_drawn_vectors_over_cyclotomic_fields(order, seed):
+    """On drawn sparse vectors over Q(zeta_12) and Q(zeta_16), given in any
+    input form: each add agrees with the fully reduced reference, the rank
+    and sparse_basis do not depend on the insertion order, and every
+    remainder depends only on the span: it is the same for an echelon of
+    another spanning set, has no entry in a pivot column, and differs from
+    the probe by a vector of the span."""
+    rng = random.Random(seed)
+    ncols = rng.randint(2, 8)
+    vecs = []
+    for _ in range(rng.randint(1, ncols + 2)):
+        vecs.append(_combination(rng, order, vecs) if vecs and rng.random() < 0.3
+                    else _random_sparse(rng, order, ncols))
+    ech, ref = Echelon(ncols), _FullyReducedEchelon(ncols)
+    for v in vecs:
+        assert ech.add(_input_form(rng, v, ncols)) == ref.add(v)
+    assert ech.dim == ref.dim
+    assert ech.sparse_basis() == ref.sparse_basis()
+    shuffled = Echelon(ncols)
+    for v in rng.sample(vecs, len(vecs)):
+        shuffled.add(_input_form(rng, v, ncols))
+    assert shuffled.dim == ech.dim
+    assert shuffled.sparse_basis() == ech.sparse_basis()
+    # another spanning set: the reduced rows in reverse, among combinations
+    other = Echelon(ncols)
+    spanning = ech.sparse_basis()[::-1]
+    for v in spanning + [_combination(rng, order, vecs) for _ in range(3)]:
+        other.add(_input_form(rng, v, ncols))
+    assert other.dim == ech.dim
+    probes = [_random_sparse(rng, order, ncols) for _ in range(4)]
+    probes += [_combination(rng, order, vecs) for _ in range(2)]
+    for probe in probes:
+        rem = ech.reduce(_input_form(rng, probe, ncols))
+        assert rem == shuffled.reduce(probe) == other.reduce(probe) == ref.reduce(probe)
+        assert not any(j in ech.rows for j in rem)
+        assert all(not c.is_zero() for c in rem.values())
+        diff = dict(probe)
+        for j, c in rem.items():
+            diff[j] = diff.get(j, Cyclo.zero()) - c
+        assert ech.contains(diff)
+        assert ech.contains(_input_form(rng, probe, ncols)) == (not rem)
+
+
+def test_subtract_multiple_drops_cancelled_entries_and_returns_new_columns():
+    """v -= c * row off the pivot column: an entry that cancels is dropped,
+    an existing entry is updated, and only the columns new to v are
+    returned, in the row's order; the pivot column is left alone."""
+    z = Cyclo.zeta(12)
+    one, three, seven = Cyclo.one(), Cyclo.rational(3), Cyclo.rational(7)
+    row = {1: one, 2: z, 6: three, 4: -z, 5: one}
+    v = {0: one, 2: z * z, 4: seven, 3: Cyclo.rational(2)}
+    assert _subtract_multiple(v, z, row, 1) == [6, 5]
+    assert v == {0: one, 4: seven + z * z, 3: Cyclo.rational(2), 6: -(three * z), 5: -z}
+    assert 1 not in v and 2 not in v
+    # a row holding only its pivot changes nothing
+    w = dict(v)
+    assert _subtract_multiple(w, z, {1: one}, 1) == []
+    assert w == v
 
 
 def test_parse_cyclo_roundtrip():
